@@ -30,13 +30,12 @@ from . import __version__
 from .data import (RESPONSE_BINARY, apply_standardization, read_csv,
                    standardize, write_csv, write_matrix_csv)
 from .ensemble import (AGGREGATIONS, BACKENDS, BACKEND_RP, TarpConfig,
-                       dataset_seed, run_tarp, run_tarp_binary, substream)
+                       dataset_seed, draw_replicate, run_tarp, run_tarp_binary)
 from .errors import ParameterError, TarpError
 from .metrics import ecp_width, mspe
 from .posterior import PriorHyper
-from .screening import (GammaMask, default_delta, expected_selection_count,
-                        export_screened, inclusion_probabilities,
-                        marginal_utility, sample_gamma)
+from .screening import (GammaMask, expected_selection_count, export_screened,
+                        inclusion_probabilities, marginal_utility)
 from .simulate import SCHEMES, SchemeSpec, generate
 
 _CONFIG_SCHEMA = {
@@ -96,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", required=True, help="output prefix")
     bench.set_defaults(func=cmd_benchmark)
 
-    scr = sub.add_parser("screen", help="screening diagnostics for a CSV dataset")
+    scr = sub.add_parser("screen", help="screening diagnostics for a CSV dataset; the "
+                         "masks match fit's under the default model config")
     scr.add_argument("data", help="data CSV")
     scr.add_argument("--response", help="response column name or index (default: last)")
     scr.add_argument("--delta", default="auto")
@@ -276,16 +276,15 @@ def _benchmark_one(job) -> dict:
 def cmd_screen(args) -> int:
     data = read_csv(args.data, response=_response_arg(args.response or -1))
     std = standardize(data)
+    cfg = TarpConfig(delta=args.delta if args.delta == "auto" else float(args.delta),
+                     n_replicates=args.replicates, seed=args.seed)
+    delta = cfg.resolved_delta(std.n, std.p)
     r = marginal_utility(std)
-    if args.delta == "auto":
-        delta = default_delta(std.n, std.p)
-    else:
-        delta = float(args.delta)
     probs = inclusion_probabilities(r, delta)
     counts = np.zeros(std.p)
     selections = []
-    for l in range(args.replicates):
-        mask = sample_gamma(probs, substream(args.seed, 1, l))
+    for l in range(cfg.n_replicates):
+        mask = draw_replicate(std, cfg, probs, l).mask
         counts[mask.selected] += 1
         selections.append(mask.selected.tolist())
     freq = counts / args.replicates

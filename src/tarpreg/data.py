@@ -1,4 +1,4 @@
-"""Dataset container, column standardization, train/test splitting and CSV I/O.
+"""Dataset container, column standardization and CSV I/O.
 
 Predictor columns are standardized to sample mean 0 and sample standard
 deviation 1 (divisor n-1).  Constant columns cannot be scaled; they are
@@ -145,31 +145,6 @@ def apply_standardization(train: Dataset, new_X) -> np.ndarray:
         raise DimensionError(
             f"new matrix has {new_X.shape[1] if new_X.ndim == 2 else '?'} columns, expected {train.p}")
     return transform_columns(new_X, train.col_means, train.col_scales)
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    train_idx: np.ndarray
-    test_idx: np.ndarray
-
-    def __post_init__(self):
-        tr = np.asarray(self.train_idx, dtype=np.int64)
-        te = np.asarray(self.test_idx, dtype=np.int64)
-        if tr.size == 0 or te.size == 0:
-            raise DimensionError("both split parts must be non-empty")
-        if np.intersect1d(tr, te).size:
-            raise DimensionError("train and test indices overlap")
-        if tr.min() < 0 or te.min() < 0:
-            raise DimensionError("negative index in split")
-        object.__setattr__(self, "train_idx", _freeze(np.sort(tr)))
-        object.__setattr__(self, "test_idx", _freeze(np.sort(te)))
-
-
-def make_split(n: int, n_test: int, rng: np.random.Generator) -> SplitPlan:
-    if not 0 < n_test < n:
-        raise DimensionError(f"n_test must be in (0, n); got {n_test} of {n}")
-    perm = rng.permutation(n)
-    return SplitPlan(perm[n_test:], perm[:n_test])
 
 
 def read_csv(path, header="auto", response=-1):

@@ -18,13 +18,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import linalg
 
 from .data import Dataset, RESPONSE_BINARY, RESPONSE_CONTINUOUS
-from .errors import DimensionError, ParameterError, ReplicateError, TarpError
+from .errors import (DimensionError, IngestionError, ParameterError, ReplicateError,
+                     TarpError)
 from .posterior import (PriorHyper, fit_compressed, log_marginal_likelihood,
                         predict, predict_probit, probit_gibbs)
 from .projection import compress, gen_pcr_matrix, gen_rp_matrix, gen_sparse_rp_matrix
-from .screening import (InclusionProbs, inclusion_probabilities, default_delta,
+from .screening import (GammaMask, InclusionProbs, inclusion_probabilities, default_delta,
                         marginal_utility, sample_gamma)
 from .studentt import t_cdf
 
@@ -168,10 +170,43 @@ class TarpBinaryResult:
     phase_times: dict
 
 
+@dataclass(frozen=True)
+class ReplicateDraw:
+    """One replicate's (m, psi, gamma); projection and probit sampler continue ``rng``."""
+    m: int
+    psi: Optional[float]
+    mask: GammaMask
+    rng: np.random.Generator
+
+
 def screening_probs(train: Dataset, cfg: TarpConfig) -> InclusionProbs:
     """Inclusion probabilities from the training data; pure in (train, cfg)."""
     r = marginal_utility(train)
     return inclusion_probabilities(r, cfg.resolved_delta(train.n, train.p))
+
+
+def draw_replicate(train: Dataset, cfg: TarpConfig, probs: InclusionProbs,
+                   index: int) -> ReplicateDraw:
+    """m, then psi (ris-rp only), then gamma, from replicate ``index``'s substream."""
+    rng = replicate_stream(cfg.seed, index)
+    m_lo, m_hi = cfg.resolved_m_range(train.n, train.p)
+    m = int(rng.integers(m_lo, m_hi + 1))
+    psi = float(rng.uniform(*cfg.psi_range)) if cfg.backend == BACKEND_RP else None
+    return ReplicateDraw(m, psi, sample_gamma(probs, rng), rng)
+
+
+def _project(train: Dataset, cfg: TarpConfig, draw: ReplicateDraw):
+    """The replicate's projection and the compressed training design."""
+    mask = draw.mask
+    if cfg.backend == BACKEND_RP:
+        proj = gen_rp_matrix(mask.p_gamma, draw.m, draw.psi, draw.rng,
+                             column_map=mask.selected)
+    elif cfg.backend == BACKEND_SPARSE_RP:
+        proj = gen_sparse_rp_matrix(mask.p_gamma, draw.m, cfg.kappa, train.n, draw.rng,
+                                    column_map=mask.selected)
+    else:
+        proj = gen_pcr_matrix(train.X[:, mask.selected], draw.m, column_map=mask.selected)
+    return proj, compress(train.X, proj)
 
 
 def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int,
@@ -189,29 +224,17 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
         probs = screening_probs(train, cfg)
     if y_offset is None:
         y_offset = _offset(train, cfg)
-    rng = replicate_stream(cfg.seed, index)
-    m_lo, m_hi = cfg.resolved_m_range(train.n, train.p)
-    m = int(rng.integers(m_lo, m_hi + 1))
-    psi = float(rng.uniform(*cfg.psi_range)) if cfg.backend == BACKEND_RP else None
-
     t0 = time.perf_counter()
-    mask = sample_gamma(probs, rng)
+    draw = draw_replicate(train, cfg, probs, index)
     t1 = time.perf_counter()
-    if cfg.backend == BACKEND_RP:
-        proj = gen_rp_matrix(mask.p_gamma, m, psi, rng, column_map=mask.selected)
-    elif cfg.backend == BACKEND_SPARSE_RP:
-        proj = gen_sparse_rp_matrix(mask.p_gamma, m, cfg.kappa, train.n, rng,
-                                    column_map=mask.selected)
-    else:
-        proj = gen_pcr_matrix(train.X[:, mask.selected], m, column_map=mask.selected)
-    Z = compress(train.X, proj)
+    proj, Z = _project(train, cfg, draw)
     t2 = time.perf_counter()
     y_fit = train.y - y_offset
     post = fit_compressed(Z, y_fit, cfg.prior)
-    log_ev = log_marginal_likelihood(Z, y_fit, cfg.prior) if want_evidence else None
+    log_ev = log_marginal_likelihood(post) if want_evidence else None
     cv = None
     if fold_plan is not None:
-        cv = kfold_mse(Z, y_fit, cfg.prior, cfg.k_folds, fold_plan=fold_plan, center=False)
+        cv = kfold_mse(Z, y_fit, cfg.prior, cfg.k_folds, fold_plan)
     t3 = time.perf_counter()
     Z_new = compress(X_new, proj)
     summary = predict(post, Z_new, cfg.level)
@@ -222,8 +245,8 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
         phase["fit"] += t3 - t2
         phase["predict"] += t4 - t3
     return ReplicateRecord(
-        m=m, m_effective=proj.m, psi=psi, p_gamma=mask.p_gamma,
-        mask_digest=mask.digest(),
+        m=draw.m, m_effective=proj.m, psi=draw.psi, p_gamma=draw.mask.p_gamma,
+        mask_digest=draw.mask.digest(),
         yhat=summary.mean + y_offset,
         lower=summary.lower + y_offset,
         upper=summary.upper + y_offset,
@@ -293,34 +316,26 @@ def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpB
     _check_inputs(train, X_new)
     if train.response_kind != RESPONSE_BINARY:
         raise ParameterError("run_tarp_binary requires a binary response")
+    if (cfg.aggregation, cfg.pi_method, cfg.level) != (AGG_AVERAGE, "endpoints", 0.5):
+        raise ParameterError("the binary path averages probabilities and forms no interval: "
+                             "it needs aggregation='average', pi_method='endpoints', level=0.5")
     started = time.perf_counter()
     phase = {"screen": 0.0, "project": 0.0, "fit": 0.0, "predict": 0.0}
     t0 = time.perf_counter()
     probs = screening_probs(train, cfg)
     phase["screen"] += time.perf_counter() - t0
-    m_lo, m_hi = cfg.resolved_m_range(train.n, train.p)
 
     records = []
     prob_stack = np.empty((cfg.n_replicates, X_new.shape[0]))
     for l in range(cfg.n_replicates):
         try:
-            rng = replicate_stream(cfg.seed, l)
-            m = int(rng.integers(m_lo, m_hi + 1))
-            psi = float(rng.uniform(*cfg.psi_range)) if cfg.backend == BACKEND_RP else None
             t1 = time.perf_counter()
-            mask = sample_gamma(probs, rng)
+            draw = draw_replicate(train, cfg, probs, l)
             t2 = time.perf_counter()
-            if cfg.backend == BACKEND_RP:
-                proj = gen_rp_matrix(mask.p_gamma, m, psi, rng, column_map=mask.selected)
-            elif cfg.backend == BACKEND_SPARSE_RP:
-                proj = gen_sparse_rp_matrix(mask.p_gamma, m, cfg.kappa, train.n, rng,
-                                            column_map=mask.selected)
-            else:
-                proj = gen_pcr_matrix(train.X[:, mask.selected], m, column_map=mask.selected)
-            Z = compress(train.X, proj)
+            proj, Z = _project(train, cfg, draw)
             t3 = time.perf_counter()
             fit = probit_gibbs(Z, train.y, cfg.probit_iterations, cfg.probit_burnin,
-                               rng, keep_draws=cfg.probit_average)
+                               draw.rng, keep_draws=cfg.probit_average)
             t4 = time.perf_counter()
             p_l = predict_probit(fit, compress(X_new, proj), average=cfg.probit_average)
             t5 = time.perf_counter()
@@ -330,8 +345,8 @@ def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpB
             phase["predict"] += t5 - t4
             prob_stack[l] = p_l
             records.append(ReplicateRecord(
-                m=m, m_effective=proj.m, psi=psi, p_gamma=mask.p_gamma,
-                mask_digest=mask.digest(), yhat=p_l))
+                m=draw.m, m_effective=proj.m, psi=draw.psi, p_gamma=draw.mask.p_gamma,
+                mask_digest=draw.mask.digest(), yhat=p_l))
         except Exception as exc:
             raise ReplicateError(l, cfg.seed, exc) from exc
 
@@ -342,31 +357,32 @@ def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpB
 
 
 def kfold_mse(Z: np.ndarray, y: np.ndarray, prior: PriorHyper, k: int,
-              rng: Optional[np.random.Generator] = None,
-              fold_plan: Optional[np.ndarray] = None,
-              center: bool = True) -> float:
+              fold_plan: np.ndarray) -> float:
     """Mean over K folds of the mean squared validation error of the conjugate fit.
 
-    Folds are contiguous blocks of a seeded shuffle (pass ``fold_plan`` to
-    share one shuffle across candidates).  k = n gives leave-one-out.
+    Folds are contiguous blocks of ``fold_plan``, a permutation of the n rows
+    shared across candidates; k = n gives leave-one-out.  A = Z'Z + I/sigma_theta^2
+    and b = Z'y are formed once, and each fold solves
+    (A - Z_v'Z_v) mu = b - Z_v'y_v for its held-out rows v.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
+    n, m = Z.shape
     if k < 2:
         raise ParameterError("k must be >= 2")
     if k > n:
         raise ParameterError("k cannot exceed n")
-    if fold_plan is None:
-        fold_plan = (rng or np.random.default_rng(0)).permutation(n)
-    folds = np.array_split(np.asarray(fold_plan), k)
+    fold_plan = np.asarray(fold_plan)
+    if not np.array_equal(np.sort(fold_plan), np.arange(n)):
+        raise ParameterError("fold_plan must be a permutation of the n rows")
+    A = Z.T @ Z + np.eye(m) / prior.theta_scale ** 2
+    b = Z.T @ y
     errors = np.empty(k)
-    for i, val in enumerate(folds):
-        tr = np.setdiff1d(fold_plan, val, assume_unique=True)
-        offset = y[tr].mean() if center else 0.0
-        post = fit_compressed(Z[tr], y[tr] - offset, prior)
-        pred = Z[val] @ post.mu_t + offset
-        errors[i] = np.mean((pred - y[val]) ** 2)
+    for i, val in enumerate(np.array_split(fold_plan, k)):
+        Zv, yv = Z[val], y[val]
+        mu = linalg.solve(A - Zv.T @ Zv, b - Zv.T @ yv, assume_a="pos",
+                          check_finite=False)
+        errors[i] = np.mean((Zv @ mu - yv) ** 2)
     return float(errors.mean())
 
 
@@ -382,6 +398,8 @@ def _check_inputs(train: Dataset, X_new: np.ndarray) -> None:
     X_new = np.asarray(X_new)
     if X_new.ndim != 2 or X_new.shape[1] != train.p:
         raise DimensionError("X_new must be 2-d with p columns (training statistics applied)")
+    if not np.isfinite(X_new).all():
+        raise IngestionError("X_new contains non-finite entries")
 
 
 def _mixture_interval(records, level: float):

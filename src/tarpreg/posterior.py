@@ -8,9 +8,11 @@ Inv-Gamma(a + n/2, (y'y - mu' W^{-1} mu)/2 + b); and the predictive at a
 compressed row z is a scaled t with the same df, mean z'mu and squared scale
 (y'y - mu' W^{-1} mu + 2b)(1 + z' W z) / df.
 
-Everything goes through one Cholesky factorization of W^{-1} = I + Z'Z
-(never re-inverting W); the log determinant from the same factor feeds the
-marginal likelihood used as the model-averaging weight.
+A fit factors W^{-1} = U'U (upper Cholesky) once and keeps U on the
+posterior; fitting and prediction never form W (the ``W`` property builds it
+on request).  Prediction gets z' W z as the squared norm of the triangular
+solve U^{-T} z, and the log evidence, the model-averaging weight, reads
+log det W from the diagonal of the same U.
 
 For binary responses a probit data-augmentation Gibbs sampler replaces the
 closed form: latent y*_i ~ N(z_i'theta, 1) with y*_i > 0 iff y_i = 1, and
@@ -42,16 +44,21 @@ class PriorHyper:
 @dataclass(frozen=True)
 class CompressedPosterior:
     mu_t: np.ndarray         # posterior location, length m
-    W: np.ndarray            # m x m, (I/sigma_theta^2 + Z'Z)^{-1}
+    chol: np.ndarray         # upper Cholesky factor U of I/sigma_theta^2 + Z'Z = U'U
     df: float                # n + 2 a_sigma
     scale_factor: float      # y'y - mu' W^{-1} mu + 2 b_sigma
     n: int
     prior: PriorHyper
-    log_det_W: float
 
     @property
     def m(self) -> int:
         return self.mu_t.shape[0]
+
+    @property
+    def W(self) -> np.ndarray:
+        """(I/sigma_theta^2 + Z'Z)^{-1}, formed from the factor on request."""
+        W = linalg.cho_solve((self.chol, False), np.eye(self.m), check_finite=False)
+        return (W + W.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -83,27 +90,19 @@ def fit_compressed(Z: np.ndarray, y: np.ndarray, prior: PriorHyper) -> Compresse
         raise IngestionError("fit_compressed requires finite inputs")
     n, m = Z.shape
     A = Z.T @ Z + np.eye(m) / prior.theta_scale ** 2
-    cho = linalg.cho_factor(A, lower=False, check_finite=False)
+    U = linalg.cholesky(A, lower=False, check_finite=False)
     Zty = Z.T @ y
-    mu = linalg.cho_solve(cho, Zty, check_finite=False)
-    W = linalg.cho_solve(cho, np.eye(m), check_finite=False)
-    W = (W + W.T) / 2.0
-    log_det_W = -2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    mu = linalg.cho_solve((U, False), Zty, check_finite=False)
     scale_factor = float(y @ y - mu @ Zty + 2.0 * prior.b_sigma)
     if scale_factor <= 0:
         raise TarpError("scale factor must be positive; numerical failure in fit")
-    return CompressedPosterior(mu, W, float(n + 2.0 * prior.a_sigma),
-                               scale_factor, n, prior, log_det_W)
+    return CompressedPosterior(mu, U, float(n + 2.0 * prior.a_sigma),
+                               scale_factor, n, prior)
 
 
 def sigma2_posterior(post: CompressedPosterior):
-    """Inverse-gamma (shape, rate) of sigma^2; rate equals scale_factor / 2."""
-    shape = post.prior.a_sigma + post.n / 2.0
-    rate = (post.scale_factor - 2.0 * post.prior.b_sigma) / 2.0 + post.prior.b_sigma
-    direct = post.scale_factor / 2.0
-    if abs(rate - direct) > 1e-12 * max(1.0, direct):
-        raise TarpError("sigma^2 rate identity violated")
-    return shape, rate
+    """Inverse-gamma (shape, rate) of sigma^2."""
+    return post.prior.a_sigma + post.n / 2.0, post.scale_factor / 2.0
 
 
 def predict(post: CompressedPosterior, Z_new: np.ndarray, level: float) -> PredictiveSummary:
@@ -118,22 +117,25 @@ def predict(post: CompressedPosterior, Z_new: np.ndarray, level: float) -> Predi
     if not 0.0 < level < 1.0:
         raise ParameterError("level must lie in (0, 1)")
     mean = Z_new @ post.mu_t
-    quad = np.einsum("ij,jk,ik->i", Z_new, post.W, Z_new)
+    # z' W z = |U^{-T} z|^2, one triangular solve for all rows
+    V = linalg.solve_triangular(post.chol, Z_new.T, trans="T", lower=False,
+                                check_finite=False)
+    quad = np.einsum("ij,ij->j", V, V)
     scale = np.sqrt(post.scale_factor * (1.0 + quad) / post.df)
     half = t_interval_halfwidth(level, post.df) * scale
     return PredictiveSummary(mean, scale, post.df, mean - half, mean + half, level)
 
 
-def log_marginal_likelihood(Z: np.ndarray, y: np.ndarray, prior: PriorHyper) -> float:
-    """Log evidence of the conjugate model, the model-averaging weight.
+def log_marginal_likelihood(post: CompressedPosterior) -> float:
+    """Log evidence of the fitted conjugate model, the model-averaging weight.
 
-    Uses the same factorization as the fit; constant terms are kept so the
-    value is comparable across models on the same data.
+    Reads log det W off the fit's Cholesky factor; constant terms are kept so
+    the value is comparable across models on the same data.
     """
-    post = fit_compressed(Z, y, prior)
-    n, m = post.n, post.m
+    n, m, prior = post.n, post.m, post.prior
+    log_det_W = -2.0 * float(np.sum(np.log(np.diag(post.chol))))
     return (-(n / 2.0) * np.log(2.0 * np.pi)
-            + 0.5 * post.log_det_W - m * np.log(prior.theta_scale)
+            + 0.5 * log_det_W - m * np.log(prior.theta_scale)
             + prior.a_sigma * np.log(prior.b_sigma) - special.gammaln(prior.a_sigma)
             + special.gammaln(post.df / 2.0)
             - (post.df / 2.0) * np.log(post.scale_factor / 2.0))

@@ -16,7 +16,6 @@ selected columns and multiplies, so the implicit full R has zero blocks.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,9 +26,6 @@ from .errors import DimensionError, ParameterError
 KIND_RP = "rp"
 KIND_SPARSE_RP = "sparse-rp"
 KIND_PCR = "pcr"
-_KIND_CODES = {KIND_RP: 0, KIND_SPARSE_RP: 1, KIND_PCR: 2}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-_MAGIC = b"TPRJ"
 
 
 @dataclass(frozen=True)
@@ -62,11 +58,6 @@ class ProjectionMatrix:
     @property
     def density(self) -> float:
         return float(np.count_nonzero(self.entries)) / max(1, self.entries.size)
-
-    def to_coo(self):
-        """Coordinate-list view (rows, cols, values) for sparse realizations."""
-        rows, cols = np.nonzero(self.entries)
-        return rows, cols, self.entries[rows, cols]
 
 
 def gen_rp_matrix(p_gamma: int, m: int, psi: float, rng: np.random.Generator,
@@ -136,42 +127,6 @@ def compress(X: np.ndarray, proj: ProjectionMatrix) -> np.ndarray:
     if cmap.size and (cmap.min() < 0 or cmap.max() >= X.shape[1]):
         raise DimensionError("column_map index outside X columns")
     return X[:, cmap] @ proj.entries.T
-
-
-def save_projection(proj: ProjectionMatrix, path) -> None:
-    """Debug dump: small self-describing header + row-major float64 entries."""
-    header = struct.pack(
-        "<4sBBIIIdd",
-        _MAGIC, 1, _KIND_CODES[proj.kind],
-        proj.m, proj.p_gamma, proj.m_requested,
-        float("nan") if proj.psi is None else proj.psi,
-        float("nan") if proj.kappa is None else proj.kappa,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(struct.pack("<B", int(proj.rank_truncated)))
-        fh.write(proj.column_map.astype("<i8").tobytes())
-        fh.write(proj.entries.astype("<f8").tobytes())
-
-
-def load_projection(path) -> ProjectionMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_size = struct.calcsize("<4sBBIIIdd")
-    magic, version, code, m, p_gamma, m_req, psi, kappa = struct.unpack(
-        "<4sBBIIIdd", blob[:head_size])
-    if magic != _MAGIC or version != 1:
-        raise ParameterError("not a projection dump")
-    off = head_size
-    truncated = bool(blob[off]); off += 1
-    cmap = np.frombuffer(blob, dtype="<i8", count=p_gamma, offset=off).astype(np.int64)
-    off += 8 * p_gamma
-    entries = np.frombuffer(blob, dtype="<f8", count=m * p_gamma, offset=off)
-    entries = entries.reshape(m, p_gamma).copy()
-    return ProjectionMatrix(_CODE_KINDS[code], entries, cmap, m=m, m_requested=m_req,
-                            psi=None if np.isnan(psi) else float(psi),
-                            kappa=None if np.isnan(kappa) else float(kappa),
-                            rank_truncated=truncated)
 
 
 def _cmap(column_map, p_gamma: int) -> np.ndarray:

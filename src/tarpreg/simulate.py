@@ -200,12 +200,6 @@ def gen_scheme4(spec: SchemeSpec) -> SimulatedData:
     return _package(spec, X, y, beta, active)
 
 
-def bridge_covariance(s: float, t: float, t_max: float) -> float:
-    """Scaled bridge covariance: (t_max/4) * s (1 - t/t_max) for s <= t."""
-    s, t = min(s, t), max(s, t)
-    return (t_max / 4.0) * s * (1.0 - t / t_max)
-
-
 def _package(spec: SchemeSpec, X, y, beta, active) -> SimulatedData:
     train = Dataset.from_arrays(X[:spec.n], y[:spec.n])
     beta = np.asarray(beta, dtype=np.float64)

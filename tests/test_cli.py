@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from tarpreg import read_csv
+from tarpreg import TarpConfig, read_csv, run_tarp, standardize
 from tarpreg.cli import main
 
 
@@ -220,3 +221,16 @@ def test_screen_export_writes_union_submatrix(sim_dir, tmp_path):
     assert exported.p + 1 == len(union)  # last union column is the csv response slot
     names = json.loads((tmp_path / "se.json").read_text())["column_names"]
     assert exported.col_names == tuple(names[j] for j in union[:-1])
+
+
+def test_screen_masks_are_the_masks_fit_draws(sim_dir, tmp_path):
+    prefix = tmp_path / "sm"
+    assert run_cli("screen", str(sim_dir / "train.csv"), "--delta", "2",
+                   "--replicates", "6", "--seed", "16", "--out", str(prefix)) == 0
+    screened = json.loads((tmp_path / "sm.json").read_text())["selected_per_replicate"]
+    std = standardize(read_csv(str(sim_dir / "train.csv")))
+    fitted = run_tarp(std, std.X[:2], TarpConfig(delta=2.0, n_replicates=6, seed=16))
+    digests = [hashlib.sha1(np.asarray(sel, dtype=np.int64).tobytes()).hexdigest()[:12]
+               for sel in screened]
+    assert digests == [r.mask_digest for r in fitted.per_replicate]
+    assert len({len(sel) for sel in screened}) > 1  # the screen is not keeping every column

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from tarpreg import (Dataset, DimensionError, IngestionError, SplitPlan,
-                     apply_standardization, make_split, read_csv, standardize,
-                     write_matrix_csv)
+from tarpreg import (Dataset, DimensionError, IngestionError, apply_standardization,
+                     read_csv, standardize, write_matrix_csv)
 
 
 def test_standardize_two_point_column_uses_sample_sd():
@@ -145,15 +144,3 @@ def test_csv_roundtrip_lossless_to_15_digits(tmp_path):
     back = read_csv(path)
     assert np.array_equal(back.X, X)  # %.17g is exact for float64
     assert np.array_equal(back.y, y)
-
-
-def test_split_plan_invariants():
-    plan = make_split(10, 3, np.random.default_rng(0))
-    assert plan.train_idx.size == 7 and plan.test_idx.size == 3
-    assert np.intersect1d(plan.train_idx, plan.test_idx).size == 0
-    with pytest.raises(DimensionError):
-        SplitPlan(np.array([0, 1]), np.array([1, 2]))
-    with pytest.raises(DimensionError):
-        SplitPlan(np.array([], dtype=int), np.array([1]))
-    with pytest.raises(DimensionError):
-        make_split(5, 5, np.random.default_rng(0))

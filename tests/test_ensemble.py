@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tarpreg import (Dataset, ParameterError, PriorHyper, ReplicateError,
+from tarpreg import (Dataset, IngestionError, ParameterError, PriorHyper, ReplicateError,
                      TarpConfig, apply_standardization, fit_compressed, kfold_mse,
                      run_replicate, run_tarp, run_tarp_binary, screening_probs,
                      standardize)
@@ -174,7 +174,7 @@ def test_kfold_perfect_fit_is_zero():
     Z = rng.normal(size=(40, 3)) * 300.0
     beta = np.array([1.0, -2.0, 0.5]) / 300.0
     y = Z @ beta  # order-1 responses, exactly linear, no noise
-    got = kfold_mse(Z, y, PriorHyper(), 5, rng=np.random.default_rng(0), center=False)
+    got = kfold_mse(Z, y, PriorHyper(), 5, np.random.default_rng(0).permutation(40))
     assert got < 1e-10
 
 
@@ -182,8 +182,8 @@ def test_kfold_null_candidate_matches_variance():
     rng = np.random.default_rng(17)
     y = rng.normal(size=400)
     got = kfold_mse(np.zeros((400, 1)), y, PriorHyper(), 5,
-                    rng=np.random.default_rng(1), center=True)
-    assert got == pytest.approx(np.var(y), rel=0.10)
+                    np.random.default_rng(1).permutation(400))
+    assert got == pytest.approx(np.mean(y ** 2), rel=1e-12)  # predicts 0 everywhere
 
 
 def test_kfold_loo_matches_bruteforce():
@@ -191,7 +191,7 @@ def test_kfold_loo_matches_bruteforce():
     Z = rng.normal(size=(12, 2))
     y = rng.normal(size=12)
     plan = np.random.default_rng(2).permutation(12)
-    got = kfold_mse(Z, y, PriorHyper(), 12, fold_plan=plan, center=False)
+    got = kfold_mse(Z, y, PriorHyper(), 12, plan)
     errs = []
     for i in plan:
         keep = np.array([j for j in plan if j != i])
@@ -202,6 +202,49 @@ def test_kfold_loo_matches_bruteforce():
 
 def test_kfold_validates_k():
     with pytest.raises(ParameterError):
-        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 6)
+        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 6, np.arange(5))
     with pytest.raises(ParameterError):
-        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 1)
+        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 1, np.arange(5))
+
+
+def test_kfold_rejects_plan_that_is_not_a_permutation():
+    with pytest.raises(ParameterError):
+        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 2, np.array([0, 1, 2, 3, 3]))
+    with pytest.raises(ParameterError):
+        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 2, np.arange(4))
+
+
+def _binary_toy(seed=20, n=40, p=8):
+    rng = np.random.default_rng(seed)
+    train = standardize(Dataset.from_arrays(rng.normal(size=(n, p)),
+                                            (np.arange(n) % 2).astype(float)))
+    return train, apply_standardization(train, rng.normal(size=(5, p)))
+
+
+def test_gaussian_path_rejects_non_finite_test_rows():
+    std, Xn, _ = _toy(seed=21)
+    for bad in (np.nan, np.inf):
+        Xn = Xn.copy()
+        Xn[3, 7] = bad
+        with pytest.raises(IngestionError):
+            run_tarp(std, Xn, TarpConfig(n_replicates=2))
+
+
+def test_binary_path_rejects_non_finite_test_rows():
+    train, Xn = _binary_toy()
+    Xn[1, 2] = -np.inf
+    with pytest.raises(IngestionError):
+        run_tarp_binary(train, Xn, TarpConfig(n_replicates=2, probit_iterations=20,
+                                              probit_burnin=5))
+
+
+@pytest.mark.parametrize("setting", [dict(aggregation="cv"),
+                                     dict(aggregation="model-average"),
+                                     dict(pi_method="mixture"),
+                                     dict(level=0.9)],
+                         ids=["cv", "model-average", "mixture", "level"])
+def test_binary_path_rejects_settings_it_cannot_honour(setting):
+    train, Xn = _binary_toy()
+    cfg = TarpConfig(n_replicates=2, probit_iterations=20, probit_burnin=5, **setting)
+    with pytest.raises(ParameterError):
+        run_tarp_binary(train, Xn, cfg)

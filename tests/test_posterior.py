@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from tarpreg import (DimensionError, ParameterError, PriorHyper, fit_compressed,
@@ -96,6 +98,21 @@ def test_predict_validates():
         predict(post, np.zeros((1, 2)), 1.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 8), st.integers(1, 6),
+       st.integers(0, 2 ** 31 - 1), st.floats(0.05, 0.95))
+def test_predict_scale_matches_inverse_form(n, m, n_new, seed, level):
+    # the triangular-solve scales against the explicit-W form they replace
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(n, m)) * rng.uniform(0.1, 5.0)
+    post = fit_compressed(Z, rng.normal(size=n), PRIOR)
+    Z_new = rng.normal(size=(n_new, m))
+    out = predict(post, Z_new, level)
+    quad = np.einsum("ij,jk,ik->i", Z_new, post.W, Z_new)
+    want = np.sqrt(post.scale_factor * (1.0 + quad) / post.df)
+    assert out.marginal_scale == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_posterior_monte_carlo_oracle():
     # draws from the exact normal-inverse-gamma posterior reproduce mu_t and
     # the central-interval endpoints computed analytically
@@ -148,10 +165,10 @@ def test_log_evidence_deterministic_and_ranks_informative_model():
     rng = np.random.default_rng(5)
     Z = rng.normal(size=(25, 2))
     y = Z @ np.array([2.0, -1.0]) + 0.3 * rng.normal(size=25)
-    le1 = log_marginal_likelihood(Z, y, PRIOR)
-    le2 = log_marginal_likelihood(Z, y, PRIOR)
+    le1 = log_marginal_likelihood(fit_compressed(Z, y, PRIOR))
+    le2 = log_marginal_likelihood(fit_compressed(Z, y, PRIOR))
     assert le1 == pytest.approx(le2, abs=1e-12)
-    null = log_marginal_likelihood(np.zeros((25, 2)), y, PRIOR)
+    null = log_marginal_likelihood(fit_compressed(np.zeros((25, 2)), y, PRIOR))
     assert le1 > null
 
 
@@ -162,7 +179,7 @@ def test_log_evidence_matches_quadrature():
     y = Z[:, 0] * 0.8 + 0.5 * rng.normal(size=5)
     a, b = 0.6, 0.7  # heavier prior keeps the integrand comfortably bounded
     prior = PriorHyper(a_sigma=a, b_sigma=b)
-    got = log_marginal_likelihood(Z, y, prior)
+    got = log_marginal_likelihood(fit_compressed(Z, y, prior))
 
     def integrand(theta, s2):
         lik = np.prod(stats.norm.pdf(y, Z[:, 0] * theta, np.sqrt(s2)))

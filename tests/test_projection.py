@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tarpreg import (DimensionError, ParameterError, compress, gen_pcr_matrix,
-                     gen_rp_matrix, gen_sparse_rp_matrix, load_projection,
-                     save_projection)
+                     gen_rp_matrix, gen_sparse_rp_matrix)
 
 
 def test_rp_entries_are_three_point():
@@ -44,10 +43,6 @@ def test_sparse_rp_nonzero_fraction_and_moment():
     assert np.mean(proj.entries != 0.0) == pytest.approx(0.1, abs=0.003)
     # second moment (n^kappa / m) * n^-kappa = 1/m
     assert np.mean(proj.entries ** 2) == pytest.approx(1.0 / m, abs=0.005)
-    # offered sparse view matches the dense entries
-    rows, cols, vals = proj.to_coo()
-    assert vals.size == np.count_nonzero(proj.entries)
-    assert np.array_equal(proj.entries[rows, cols], vals)
 
 
 def test_sparse_rp_boundary_kappa_rejected():
@@ -191,23 +186,3 @@ def test_generation_deterministic_given_seed():
     c = gen_sparse_rp_matrix(30, 10, 0.4, 100, np.random.default_rng(42))
     d = gen_sparse_rp_matrix(30, 10, 0.4, 100, np.random.default_rng(42))
     assert np.array_equal(c.entries, d.entries)
-
-
-def test_projection_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    proj = gen_rp_matrix(12, 5, 0.2, rng, column_map=np.arange(3, 15))
-    path = tmp_path / "proj.bin"
-    save_projection(proj, path)
-    back = load_projection(path)
-    assert back.kind == proj.kind
-    assert back.m == proj.m and back.p_gamma == proj.p_gamma
-    assert back.psi == pytest.approx(proj.psi)
-    assert np.array_equal(back.column_map, proj.column_map)
-    assert np.array_equal(back.entries, proj.entries)
-
-    pproj = gen_pcr_matrix(rng.normal(size=(20, 6)), 10)
-    save_projection(pproj, path)
-    back = load_projection(path)
-    assert back.kind == "pcr" and back.psi is None
-    assert back.rank_truncated == pproj.rank_truncated
-    assert np.array_equal(back.entries, pproj.entries)

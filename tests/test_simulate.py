@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tarpreg import (DimensionError, ParameterError, SchemeSpec, bridge_covariance,
-                     generate, make_response)
+from tarpreg import DimensionError, ParameterError, SchemeSpec, generate, make_response
 
 
 def test_ar1_lag_two_correlation():
@@ -113,7 +112,8 @@ def test_bridge_covariance_ratio():
     X = generate(spec).train.X
     # grid points at t = 2.5, 5.0, 7.5
     got = np.cov(X[:, 0], X[:, 2])[0, 1]
-    theory = bridge_covariance(2.5, 7.5, 10.0)
+    # scaled bridge covariance (t_max / 4) s (1 - t / t_max) at s = 2.5 <= t = 7.5
+    theory = (10.0 / 4.0) * 2.5 * (1.0 - 7.5 / 10.0)
     assert got / theory == pytest.approx(1.0, abs=0.05)
 
 
