@@ -29,4 +29,4 @@ from .screening import (GammaMask, InclusionProbs, default_delta,
                         inclusion_probabilities, marginal_utility, sample_gamma)
 from .simulate import (SchemeSpec, SimulatedData, generate, gen_scheme1,
                        gen_scheme2, gen_scheme3, gen_scheme4, make_response)
-from .studentt import t_cdf, t_interval_halfwidth, t_pdf, t_ppf
+from .studentt import t_cdf, t_interval_halfwidth, t_ppf

@@ -46,6 +46,8 @@ _CONFIG_SCHEMA = {
     "pi_method": str, "probit_iterations": int, "probit_burnin": int,
     "probit_average": bool, "response": str,
 }
+_BOOL_SPELLINGS = {"1": True, "true": True, "yes": True, "on": True,
+                   "0": False, "false": False, "no": False, "off": False}
 
 
 def main(argv=None) -> int:
@@ -113,7 +115,7 @@ def _scheme_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--p", type=int, default=2000)
     p.add_argument("--n-test", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--n-active", type=int, default=50)
     p.add_argument("--coef", type=float, default=1.0)
     p.add_argument("--noise-sd", type=float, default=1.0)
@@ -198,8 +200,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    spec = _spec_from_args(args)
     cfg, raw_cfg = _config_from_args(args)
+    spec = replace(_spec_from_args(args), seed=cfg.seed)
     if args.no_aggregate:
         if args.m is None:
             raise ParameterError("--no-aggregate requires --m")
@@ -212,6 +214,7 @@ def cmd_benchmark(args) -> int:
     seeds = [dataset_seed(cfg.seed, i) for i in range(args.datasets)]
     jobs = [(replace(spec, seed=s), cfg) for s in seeds]
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
+    started = time.perf_counter()
     if workers == 1 or args.datasets == 1:
         _limit_blas_threads()
         rows = [_benchmark_one(job) for job in jobs]
@@ -219,6 +222,7 @@ def cmd_benchmark(args) -> int:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_limit_blas_threads) as pool:
             rows = list(pool.map(_benchmark_one, jobs, chunksize=1))
+    elapsed = time.perf_counter() - started
 
     metric_names = ["mspe", "ecp", "width"]
     table = {name: np.array([row[name] for row in rows]) for name in metric_names}
@@ -242,7 +246,8 @@ def cmd_benchmark(args) -> int:
     }
     _write_json(args.out + ".json", report)
     _write_json(args.out + ".timing.json", {
-        "wall_time": sum(row["wall_time"] for row in rows),
+        "wall_time": elapsed,
+        "dataset_time_sum": sum(row["wall_time"] for row in rows),
         "workers": workers,
         "per_dataset_wall_time": [row["wall_time"] for row in rows],
         "phase_times": _sum_phases(rows),
@@ -382,7 +387,11 @@ def _read_config(path) -> dict:
                 raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
             kind = _CONFIG_SCHEMA[key]
             if kind is bool:
-                values[key] = value.lower() in ("1", "true", "yes", "on")
+                flag = _BOOL_SPELLINGS.get(value.lower())
+                if flag is None:
+                    raise ParameterError(
+                        f"{path}:{lineno}: {key} must be one of {'/'.join(_BOOL_SPELLINGS)}")
+                values[key] = flag
             elif key == "delta":
                 values[key] = value  # number or "auto", resolved later
             else:

@@ -103,13 +103,20 @@ class Dataset:
 def column_statistics(X: np.ndarray):
     """Per-column sample mean and sample standard deviation (divisor n-1).
 
-    Constant columns get scale 0 exactly.
+    Constant columns get scale 0 exactly.  A non-constant column whose
+    magnitudes overflow either statistic is rejected rather than scaled to zero.
     """
     if X.shape[0] < 2:
         raise DimensionError("standardization statistics need at least 2 rows")
-    means = X.mean(axis=0)
-    scales = X.std(axis=0, ddof=1)
-    scales[np.ptp(X, axis=0) == 0.0] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        scales = X.std(axis=0, ddof=1)
+    constant = np.ptp(X, axis=0) == 0.0
+    bad = np.flatnonzero(~constant & ~(np.isfinite(means) & np.isfinite(scales)))
+    if bad.size:
+        raise IngestionError(
+            f"column {bad[0]}: mean or standard deviation overflows double precision")
+    scales[constant] = 0.0
     return means, scales
 
 
@@ -213,10 +220,9 @@ def write_csv(path, columns, names):
     if any(c.shape != (n,) for c in columns):
         raise DimensionError("all columns must share the same length")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(n):
-            writer.writerow([_fmt(c[i]) for c in columns])
+        csv.writer(fh).writerow(names)
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   newline="\r\n")
 
 
 def write_matrix_csv(path, X, y=None, col_names=None, response_name="y"):
@@ -227,10 +233,6 @@ def write_matrix_csv(path, X, y=None, col_names=None, response_name="y"):
         names.append(response_name)
         cols.append(np.asarray(y, dtype=np.float64))
     write_csv(path, cols, names)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _all_numeric(row) -> bool:

@@ -8,7 +8,6 @@ classifies as positive; calibration bins are the ten intervals
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .errors import DimensionError, ParameterError
 
@@ -59,8 +58,10 @@ def roc_auc(scores, ytrue) -> float:
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise ParameterError("both classes must be present")
-    ranks = stats.rankdata(scores)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    neg = np.sort(scores[~pos])
+    below = np.searchsorted(neg, scores[pos], "left")
+    ties = np.searchsorted(neg, scores[pos], "right") - below
+    u = below.sum() + ties.sum() / 2.0
     return float(u / (n_pos * n_neg))
 
 

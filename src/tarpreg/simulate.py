@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .data import Dataset
 from .errors import DimensionError, ParameterError
@@ -104,9 +103,10 @@ def gen_scheme1(spec: SchemeSpec) -> SimulatedData:
     """Stationary AR(1) predictors: x_1 = e_1, x_j = rho x_{j-1} + sqrt(1-rho^2) e_j."""
     rng = np.random.default_rng(spec.seed)
     rows = spec.n + spec.n_test
-    eps = rng.standard_normal((rows, spec.p))
-    eps[:, 1:] *= np.sqrt(1.0 - spec.rho ** 2)
-    X = signal.lfilter([1.0], [1.0, -spec.rho], eps, axis=1)
+    X = rng.standard_normal((rows, spec.p))
+    X[:, 1:] *= np.sqrt(1.0 - spec.rho ** 2)
+    for j in range(1, spec.p):
+        X[:, j] += spec.rho * X[:, j - 1]
     active = np.sort(rng.choice(spec.p, spec.n_active, replace=False))
     beta = np.zeros(spec.p)
     beta[active] = spec.coef_value

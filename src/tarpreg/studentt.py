@@ -1,9 +1,8 @@
 """Student-t distribution function and quantiles for predictive intervals.
 
-The CDF comes from the regularized incomplete beta function and the quantile
-inverts it (betaincinv start, a few Newton steps for the round trip to hold
-at ~1e-10).  Non-integer degrees of freedom are supported; df = 1 is Cauchy
-(quartile exactly 1).
+Thin checked wrappers over ``scipy.special.stdtr`` (the CDF) and
+``scipy.special.stdtrit`` (its inverse in the probability).  Non-integer
+degrees of freedom are supported; df = 1 is Cauchy (quartile exactly 1).
 """
 from __future__ import annotations
 
@@ -13,21 +12,11 @@ from scipy import special
 from .errors import ParameterError
 
 
-def t_pdf(x, df):
-    x = np.asarray(x, dtype=np.float64)
-    lognorm = special.gammaln((df + 1.0) / 2.0) - special.gammaln(df / 2.0) \
-        - 0.5 * np.log(df * np.pi)
-    return np.exp(lognorm - 0.5 * (df + 1.0) * np.log1p(x * x / df))
-
-
 def t_cdf(x, df):
     """P(T <= x) for T Student-t with df > 0 degrees of freedom."""
     if df <= 0:
         raise ParameterError("df must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    w = df / (df + x * x)
-    tail = 0.5 * special.betainc(df / 2.0, 0.5, w)
-    return np.where(x >= 0, 1.0 - tail, tail)
+    return special.stdtr(df, x)
 
 
 def t_ppf(prob, df):
@@ -37,17 +26,7 @@ def t_ppf(prob, df):
     prob = np.asarray(prob, dtype=np.float64)
     if ((prob <= 0) | (prob >= 1)).any():
         raise ParameterError("probability must lie strictly in (0, 1)")
-    upper = np.maximum(prob, 1.0 - prob)           # solve in the right tail
-    w = special.betaincinv(df / 2.0, 0.5, 2.0 * (1.0 - upper))
-    with np.errstate(divide="ignore"):
-        x = np.sqrt(df * (1.0 - w) / w)
-    for _ in range(3):                             # Newton polish on the CDF
-        f = t_cdf(x, df) - upper
-        d = t_pdf(x, df)
-        step = np.where(d > 0, f / np.where(d > 0, d, 1.0), 0.0)
-        x = x - np.clip(step, -1e6, 1e6)
-    x = np.where(prob == 0.5, 0.0, x)
-    out = np.where(prob >= 0.5, x, -x)
+    out = special.stdtrit(df, prob)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tarpreg import TarpConfig, read_csv, run_tarp, standardize
+import tarpreg
+from tarpreg import TarpConfig, dataset_seed, read_csv, run_tarp, standardize
 from tarpreg.cli import main
 
 
@@ -109,6 +114,27 @@ def test_fit_unknown_config_key_fails(sim_dir, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("spelling, value", [("On", True), ("yes", True), ("1", True),
+                                             ("OFF", False), ("no", False), ("0", False)])
+def test_fit_config_bool_spellings(sim_dir, tmp_path, spelling, value):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"replicates=2\ncenter_y={spelling}\n")
+    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                   "--config", str(cfg), "--out", str(tmp_path / "b")) == 0
+    summary = json.loads((tmp_path / "b.summary.json").read_text())
+    assert summary["config"]["center_y"] is value
+
+
+def test_fit_config_bool_typo_fails_with_location(sim_dir, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("replicates=2\ncenter_y=flase\n")
+    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                   "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert f"{cfg}:2:" in payload["message"]
+
+
 def test_fit_binary_writes_probabilities(tmp_path):
     rng = np.random.default_rng(7)
     rows = ["x0,x1,x2,y"]
@@ -136,6 +162,42 @@ def test_benchmark_single_dataset_reports_zero_sd(tmp_path):
     report = json.loads((tmp_path / "b1.json").read_text())
     assert report["report"]["mspe"]["sd"] == 0.0
     assert report["datasets"] == 1
+
+
+def test_benchmark_seed_from_config_and_flag_override(tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=5\n")
+    common = ["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
+              "--n-active", "4", "--datasets", "2", "--replicates", "2", "--workers", "1",
+              "--config", str(cfg)]
+    assert run_cli(*common, "--out", str(tmp_path / "f")) == 0
+    report = json.loads((tmp_path / "f.json").read_text())
+    assert report["config"]["seed"] == 5
+    assert report["dataset_seeds"] == [dataset_seed(5, i) for i in range(2)]
+    assert run_cli(*common, "--seed", "6", "--out", str(tmp_path / "g")) == 0
+    report = json.loads((tmp_path / "g.json").read_text())
+    assert report["dataset_seeds"] == [dataset_seed(6, i) for i in range(2)]
+
+
+def test_benchmark_timing_reports_elapsed_and_summed_time(tmp_path):
+    prefix = tmp_path / "t"
+    assert run_cli("benchmark", "--scheme", "ar1", "--n", "30", "--p", "40",
+                   "--n-test", "8", "--n-active", "4", "--seed", "2",
+                   "--datasets", "3", "--replicates", "2", "--workers", "1",
+                   "--out", str(prefix)) == 0
+    timing = json.loads((tmp_path / "t.timing.json").read_text())
+    assert timing["dataset_time_sum"] == sum(timing["per_dataset_wall_time"])
+    assert timing["wall_time"] >= timing["dataset_time_sum"]
+
+
+def test_cli_import_loads_no_scipy_stats_or_signal():
+    # a fresh interpreter, so modules other tests imported do not count
+    env = dict(os.environ, PYTHONPATH=str(Path(tarpreg.__file__).parents[1]))
+    code = ("import sys, tarpreg.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.signal'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_benchmark_workers_do_not_change_outputs(tmp_path):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tarpreg import (Dataset, DimensionError, IngestionError, apply_standardization,
-                     read_csv, standardize, write_matrix_csv)
+                     read_csv, standardize, write_csv, write_matrix_csv)
+
+MAX = 1.7976931348623157e308
 
 
 def test_standardize_two_point_column_uses_sample_sd():
@@ -50,6 +55,23 @@ def test_dataset_rejects_non_finite():
         Dataset.from_arrays(np.array([[1.0, np.nan]]), np.zeros(1))
     with pytest.raises(IngestionError):
         Dataset.from_arrays(np.ones((2, 2)), np.array([1.0, np.inf]))
+
+
+def test_dataset_rejects_overflowing_column():
+    X = np.ones((4, 3))
+    X[:, 0] = [1.0, 2.0, 3.0, 5.0]
+    X[:, 1] = [1e300, -1e300, 1e300, -1e300]  # finite cells, infinite variance
+    with pytest.raises(IngestionError, match="column 1"):
+        Dataset.from_arrays(X, np.zeros(4))
+    X[:, 1] = 1e308  # constant: flagged by scale 0 even though its mean overflows
+    assert Dataset.from_arrays(X, np.zeros(4)).constant_columns.tolist() == [False, True, True]
+
+
+def test_read_csv_rejects_overflowing_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n1,1e300,0\n2,-1e300,1\n3,1e300,2\n")
+    with pytest.raises(IngestionError, match="column 1"):
+        read_csv(path)
 
 
 def test_dataset_binary_kind_enforced():
@@ -135,12 +157,29 @@ def test_read_csv_missing_response_column(tmp_path):
         read_csv(path, response="nope")
 
 
-def test_csv_roundtrip_lossless_to_15_digits(tmp_path):
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-8, 8, size=(12, 3))
-    y = rng.normal(size=12)
-    path = tmp_path / "r.csv"
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_csv_roundtrip_lossless_to_15_digits(tmp_path_factory, data):
+    n, p = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 4))
+    # predictors stay where their sample variance is finite; the response is
+    # never standardized, so it takes any finite double (+-0, subnormals, +-MAX)
+    X = data.draw(arrays(np.float64, (n, p), elements=st.floats(-1e150, 1e150)))
+    y = data.draw(arrays(np.float64, n, elements=st.floats(-MAX, MAX)))
+    path = tmp_path_factory.mktemp("csv") / "r.csv"
     write_matrix_csv(path, X, y)
     back = read_csv(path)
-    assert np.array_equal(back.X, X)  # %.17g is exact for float64
-    assert np.array_equal(back.y, y)
+    assert back.X.tobytes() == X.tobytes()  # %.17g is exact for float64, sign of 0 too
+    assert back.y.tobytes() == y.tobytes()
+
+
+def test_write_csv_bytes_match_reference_format(tmp_path):
+    rng = np.random.default_rng(4)
+    cols = [np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, MAX, -MAX]),
+            rng.normal(size=6) * 10.0 ** rng.integers(-8, 8, size=6),
+            np.arange(6.0) * 1e15]
+    names = ["plain", "a,b", 'q"x']
+    path = tmp_path / "w.csv"
+    write_csv(path, cols, names)
+    want = 'plain,"a,b","q""x"\r\n' + "".join(
+        ",".join(format(float(c[i]), ".17g") for c in cols) + "\r\n" for i in range(6))
+    assert path.read_bytes() == want.encode("utf-8")

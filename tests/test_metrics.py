@@ -67,7 +67,13 @@ def test_roc_auc_invariances(seed):
     labels[: max(1, n // 3)] = 1.0
     rng.shuffle(labels)
     scores = rng.normal(size=n)
+    if rng.integers(2):
+        scores = np.round(scores, 1)  # ties within and across the classes
     base = roc_auc(scores, labels)
+    pos, neg = scores[labels == 1.0], scores[labels == 0.0]
+    greater = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    assert base == (greater + ties / 2) / (pos.size * neg.size)
     # invariant under strictly increasing transforms
     assert roc_auc(np.exp(scores / 2), labels) == pytest.approx(base, abs=1e-12)
     assert roc_auc(3 * scores + 5, labels) == pytest.approx(base, abs=1e-12)

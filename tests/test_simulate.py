@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
-from tarpreg import DimensionError, ParameterError, SchemeSpec, generate, make_response
+from tarpreg import (DimensionError, ParameterError, SchemeSpec, gen_scheme1, generate,
+                     make_response)
 
 
 def test_ar1_lag_two_correlation():
@@ -28,6 +29,19 @@ def test_ar1_noiseless_response_exactly_linear():
     assert data.train.y == pytest.approx(data.train.X @ data.true_beta, abs=1e-12)
     assert data.active_idx.size == 4
     assert np.flatnonzero(data.true_beta).tolist() == data.active_idx.tolist()
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.0, -0.9])
+def test_ar1_recursion_matches_lfilter(rho):
+    spec = SchemeSpec("ar1", n=40, p=300, n_test=7, n_active=5, rho=rho, seed=5)
+    data = gen_scheme1(spec)
+    # the generator's own draws, filtered by the reference IIR implementation
+    rng = np.random.default_rng(spec.seed)
+    eps = rng.standard_normal((spec.n + spec.n_test, spec.p))
+    eps[:, 1:] *= np.sqrt(1.0 - rho ** 2)
+    ref = signal.lfilter([1.0], [1.0, -rho], eps, axis=1)
+    assert np.array_equal(data.train.X, ref[:spec.n])
+    assert np.array_equal(data.test_X, ref[spec.n:])
 
 
 def test_block_scheme_correlations():
