@@ -22,16 +22,16 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .data import (RESPONSE_BINARY, apply_standardization, read_csv,
                    standardize, write_csv, write_matrix_csv)
-from .ensemble import (AGGREGATIONS, BACKENDS, BACKEND_RP, TarpConfig,
+from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig,
                        dataset_seed, draw_replicate, run_tarp, run_tarp_binary)
-from .errors import ParameterError, TarpError
+from .errors import ParameterError, ReplicateError, TarpError
 from .metrics import ecp_width, mspe
 from .posterior import PriorHyper
 from .screening import (GammaMask, expected_selection_count, export_screened,
@@ -101,9 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          "masks match fit's under the default model config")
     scr.add_argument("data", help="data CSV")
     scr.add_argument("--response", help="response column name or index (default: last)")
-    scr.add_argument("--delta", default="auto")
-    scr.add_argument("--replicates", type=int, default=100)
-    scr.add_argument("--seed", type=int, default=0)
+    scr.add_argument("--delta", help="screening exponent (number or 'auto')")
+    scr.add_argument("--replicates", type=int)
+    scr.add_argument("--seed", type=int)
     scr.add_argument("--export", help="also write the union screened submatrix CSV here")
     scr.add_argument("--out", required=True, help="output prefix")
     scr.set_defaults(func=cmd_screen)
@@ -111,21 +111,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scheme_flags(p: argparse.ArgumentParser) -> None:
+    # no defaults here: SchemeSpec holds them, and each dest is its field name
     p.add_argument("--scheme", required=True, choices=SCHEMES)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--p", type=int, default=2000)
-    p.add_argument("--n-test", type=int, default=100)
+    p.add_argument("--n", type=int)
+    p.add_argument("--p", type=int)
+    p.add_argument("--n-test", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--n-active", type=int, default=50)
-    p.add_argument("--coef", type=float, default=1.0)
-    p.add_argument("--noise-sd", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=0.3)
-    p.add_argument("--block-size", type=int, default=100)
-    p.add_argument("--rho-low", type=float, default=0.3)
-    p.add_argument("--rho-high", type=float, default=0.9)
-    p.add_argument("--n-outliers", type=int, default=5)
-    p.add_argument("--outlier-sd", type=float, default=10.0)
-    p.add_argument("--t-max", type=float, default=10.0)
+    p.add_argument("--n-active", type=int)
+    p.add_argument("--coef", dest="coef_value", type=float)
+    p.add_argument("--noise-sd", type=float)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--block-size", type=int)
+    p.add_argument("--rho-low", type=float)
+    p.add_argument("--rho-high", type=float)
+    p.add_argument("--n-outliers", type=int)
+    p.add_argument("--outlier-sd", type=float)
+    p.add_argument("--t-max", type=float)
 
 
 def _model_flags(p: argparse.ArgumentParser) -> None:
@@ -167,6 +168,9 @@ def cmd_fit(args) -> int:
     test = read_csv(args.test, response=_response_arg(response))
     if test.p != train.p:
         raise ParameterError(f"test has {test.p} predictor columns, train has {train.p}")
+    for j, (got, want) in enumerate(zip(test.col_names, train.col_names)):
+        if got != want:
+            raise ParameterError(f"test column {j} is {got!r}, train column {j} is {want!r}")
     std_train = standardize(train)
     X_new = apply_standardization(std_train, test.X)
 
@@ -185,7 +189,7 @@ def cmd_fit(args) -> int:
     summary = {
         "command": "fit",
         "version": __version__,
-        "config": _echo(cfg),
+        "config": asdict(cfg),
         "config_file_values": raw_cfg,
         "train": {"path": args.train, "n": train.n, "p": train.p,
                   "response_kind": train.response_kind},
@@ -216,11 +220,9 @@ def cmd_benchmark(args) -> int:
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     started = time.perf_counter()
     if workers == 1 or args.datasets == 1:
-        _limit_blas_threads()
         rows = [_benchmark_one(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_limit_blas_threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_benchmark_one, jobs, chunksize=1))
     elapsed = time.perf_counter() - started
 
@@ -235,7 +237,7 @@ def cmd_benchmark(args) -> int:
         "version": __version__,
         "method": cfg.backend,
         "scheme": asdict(spec),
-        "config": _echo(cfg),
+        "config": asdict(cfg),
         "config_file_values": raw_cfg,
         "datasets": args.datasets,
         "dataset_seeds": seeds,
@@ -255,17 +257,6 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _limit_blas_threads() -> None:
-    # one dataset per worker process: BLAS fan-out on the small per-replicate
-    # matrices costs far more than it saves
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(1)
-    except ImportError:
-        pass
-
-
 def _benchmark_one(job) -> dict:
     spec, cfg = job
     data = generate(spec)
@@ -279,10 +270,9 @@ def _benchmark_one(job) -> dict:
 
 
 def cmd_screen(args) -> int:
-    data = read_csv(args.data, response=_response_arg(args.response or -1))
+    cfg, raw_cfg = _config_from_args(args)
+    data = read_csv(args.data, response=_response_arg(raw_cfg.get("response", -1)))
     std = standardize(data)
-    cfg = TarpConfig(delta=args.delta if args.delta == "auto" else float(args.delta),
-                     n_replicates=args.replicates, seed=args.seed)
     delta = cfg.resolved_delta(std.n, std.p)
     r = marginal_utility(std)
     probs = inclusion_probabilities(r, delta)
@@ -292,7 +282,7 @@ def cmd_screen(args) -> int:
         mask = draw_replicate(std, cfg, probs, l).mask
         counts[mask.selected] += 1
         selections.append(mask.selected.tolist())
-    freq = counts / args.replicates
+    freq = counts / cfg.n_replicates
     write_csv(args.out + ".frequency.csv",
               [np.arange(std.p, dtype=np.float64), r, probs.q, freq],
               ["column", "utility", "q", "frequency"])
@@ -301,8 +291,8 @@ def cmd_screen(args) -> int:
         "command": "screen",
         "version": __version__,
         "delta": float(delta),
-        "replicates": args.replicates,
-        "seed": args.seed,
+        "replicates": cfg.n_replicates,
+        "seed": cfg.seed,
         "expected_selected": expected_selection_count(probs),
         "degenerate": probs.degenerate,
         "union_size": int(union.size),
@@ -318,57 +308,35 @@ def cmd_screen(args) -> int:
 
 
 def _spec_from_args(args) -> SchemeSpec:
-    return SchemeSpec(
-        scheme=args.scheme, n=args.n, p=args.p, n_test=args.n_test,
-        n_active=args.n_active, coef_value=args.coef, noise_sd=args.noise_sd,
-        rho=args.rho, block_size=args.block_size, rho_low=args.rho_low,
-        rho_high=args.rho_high, n_outliers=args.n_outliers,
-        outlier_sd=args.outlier_sd, t_max=args.t_max, seed=args.seed or 0)
+    return SchemeSpec(**{f.name: getattr(args, f.name) for f in fields(SchemeSpec)
+                         if getattr(args, f.name, None) is not None})
 
 
 def _config_from_args(args):
-    """Merge config-file values and CLI flags (flags win) into a TarpConfig."""
-    raw = {}
-    if getattr(args, "config", None):
-        raw = _read_config(args.config)
+    """Merge config-file values and CLI flags (flags win) into a TarpConfig.
+
+    Only the values the user gave are passed on; TarpConfig and PriorHyper
+    hold the defaults and the checks.
+    """
+    raw = _read_config(args.config) if getattr(args, "config", None) else {}
     if getattr(args, "response", None):
         raw["response"] = args.response
-
-    def pick(flag, key, default):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return raw.get(key, default)
-
-    delta = pick("delta", "delta", "auto")
-    if delta != "auto":
-        delta = float(delta)
-    m_range = None
-    if "m_lo" in raw or "m_hi" in raw:
-        if not ("m_lo" in raw and "m_hi" in raw):
+    given = dict(raw)
+    given.update((key, getattr(args, key)) for key in _CONFIG_SCHEMA
+                 if getattr(args, key, None) is not None)
+    given.pop("response", None)
+    if "replicates" in given:
+        given["n_replicates"] = given.pop("replicates")
+    if "m_lo" in given or "m_hi" in given:
+        if not ("m_lo" in given and "m_hi" in given):
             raise ParameterError("config must set both m_lo and m_hi")
-        m_range = (raw["m_lo"], raw["m_hi"])
-    cfg = TarpConfig(
-        backend=pick("backend", "backend", BACKEND_RP),
-        delta=delta,
-        n_replicates=int(pick("replicates", "replicates", 100)),
-        m_range=m_range,
-        psi_range=(raw.get("psi_lo", 0.1), raw.get("psi_hi", 0.4)),
-        kappa=float(pick("kappa", "kappa", 0.5)),
-        prior=PriorHyper(a_sigma=float(pick("a_sigma", "a_sigma", 0.02)),
-                         b_sigma=float(pick("b_sigma", "b_sigma", 0.02)),
-                         theta_scale=float(raw.get("theta_scale", 1.0))),
-        aggregation=pick("aggregation", "aggregation", "average"),
-        k_folds=int(raw.get("k_folds", 5)),
-        level=float(pick("level", "level", 0.5)),
-        seed=int(pick("seed", "seed", 0)),
-        center_y=bool(raw.get("center_y", True)),
-        pi_method=raw.get("pi_method", "endpoints"),
-        probit_iterations=int(raw.get("probit_iterations", 2000)),
-        probit_burnin=int(raw.get("probit_burnin", 500)),
-        probit_average=bool(raw.get("probit_average", False)),
-    )
-    return cfg, raw
+        given["m_range"] = (given.pop("m_lo"), given.pop("m_hi"))
+    if "psi_lo" in given or "psi_hi" in given:
+        lo, hi = TarpConfig.psi_range
+        given["psi_range"] = (given.pop("psi_lo", lo), given.pop("psi_hi", hi))
+    prior = PriorHyper(**{f.name: given.pop(f.name) for f in fields(PriorHyper)
+                          if f.name in given})
+    return TarpConfig(**given, prior=prior), raw
 
 
 def _read_config(path) -> dict:
@@ -386,16 +354,12 @@ def _read_config(path) -> dict:
             if key not in _CONFIG_SCHEMA:
                 raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
             kind = _CONFIG_SCHEMA[key]
-            if kind is bool:
-                flag = _BOOL_SPELLINGS.get(value.lower())
-                if flag is None:
-                    raise ParameterError(
-                        f"{path}:{lineno}: {key} must be one of {'/'.join(_BOOL_SPELLINGS)}")
-                values[key] = flag
-            elif key == "delta":
-                values[key] = value  # number or "auto", resolved later
-            else:
-                values[key] = kind(value)
+            try:
+                values[key] = _BOOL_SPELLINGS[value.lower()] if kind is bool else kind(value)
+            except (KeyError, ValueError):
+                expected = {bool: "/".join(_BOOL_SPELLINGS), int: "an int", float: "a float"}
+                raise ParameterError(f"{path}:{lineno}: {key} must be {expected[kind]}, "
+                                     f"got {value!r}") from None
     return values
 
 
@@ -406,10 +370,6 @@ def _response_arg(value):
         except ValueError:
             return value
     return value
-
-
-def _echo(cfg: TarpConfig) -> dict:
-    return asdict(cfg)  # recurses into the prior dataclass
 
 
 def _sum_phases(rows) -> dict:
@@ -427,8 +387,10 @@ def _write_json(path, payload) -> None:
 
 
 def _emit_error(exc: BaseException) -> None:
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                     sort_keys=True), file=sys.stderr)
+    payload = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ReplicateError):
+        payload.update(index=exc.index, seed=exc.seed)
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
 if __name__ == "__main__":

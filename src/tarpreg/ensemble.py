@@ -69,7 +69,7 @@ def dataset_seed(seed: int, index: int) -> int:
 @dataclass(frozen=True)
 class TarpConfig:
     backend: str = BACKEND_RP
-    delta: object = "auto"            # float >= 0, or "auto" for the default rule
+    delta: object = "auto"            # "auto" (the default rule), or a number >= 0 stored as float
     n_replicates: int = 100
     m_range: Optional[tuple] = None   # default [ceil(2 ln p), floor(3n/4)] clipped to [1, p]
     psi_range: tuple = (0.1, 0.4)
@@ -91,8 +91,14 @@ class TarpConfig:
             raise ParameterError(f"backend must be one of {BACKENDS}")
         if self.aggregation not in AGGREGATIONS:
             raise ParameterError(f"aggregation must be one of {AGGREGATIONS}")
-        if self.delta != "auto" and float(self.delta) < 0:
-            raise ParameterError("delta must be >= 0 or 'auto'")
+        if self.delta != "auto":
+            try:
+                delta = float(self.delta)
+            except (TypeError, ValueError):
+                delta = float("nan")
+            if not delta >= 0:
+                raise ParameterError(f"delta must be 'auto' or a number >= 0, got {self.delta!r}")
+            object.__setattr__(self, "delta", delta)
         if self.n_replicates < 1:
             raise ParameterError("n_replicates must be >= 1")
         lo, hi = self.psi_range
@@ -110,7 +116,7 @@ class TarpConfig:
             raise ParameterError("pi_method must be 'endpoints' or 'mixture'")
 
     def resolved_delta(self, n: int, p: int) -> float:
-        return default_delta(n, p) if self.delta == "auto" else float(self.delta)
+        return default_delta(n, p) if self.delta == "auto" else self.delta
 
     def resolved_m_range(self, n: int, p: int) -> tuple:
         if self.m_range is not None:
@@ -155,9 +161,10 @@ class TarpResult:
     selected_replicate: Optional[int] = None
 
     def __post_init__(self):
-        if (self.lower > self.upper).any():
-            raise TarpError("aggregated interval has lower > upper")
-        if ((self.yhat < self.lower) | (self.yhat > self.upper)).any():
+        # written as passing conditions so that NaN fails them
+        if not (self.lower <= self.upper).all():
+            raise TarpError("aggregated interval is not ordered lower <= upper")
+        if not ((self.lower <= self.yhat) & (self.yhat <= self.upper)).all():
             raise TarpError("aggregated point prediction escaped its interval")
 
 

@@ -20,7 +20,7 @@ theta | y* ~ N((Z'Z + I)^{-1} Z'y*, (Z'Z + I)^{-1}).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -37,8 +37,10 @@ class PriorHyper:
     theta_scale: float = 1.0
 
     def __post_init__(self):
-        if self.a_sigma <= 0 or self.b_sigma <= 0 or self.theta_scale <= 0:
-            raise ParameterError("prior hyperparameters must be strictly positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ParameterError(f"{f.name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,3 @@ import os
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
-
-try:
-    from threadpoolctl import threadpool_limits
-
-    threadpool_limits(1)
-except ImportError:
-    pass

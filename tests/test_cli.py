@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tarpreg
-from tarpreg import TarpConfig, dataset_seed, read_csv, run_tarp, standardize
+from tarpreg import SchemeSpec, TarpConfig, dataset_seed, read_csv, run_tarp, standardize
 from tarpreg.cli import main
 
 
@@ -133,6 +134,65 @@ def test_fit_config_bool_typo_fails_with_location(sim_dir, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "ParameterError"
     assert f"{cfg}:2:" in payload["message"]
+
+
+@pytest.mark.parametrize("command, flags, cfg_text", [
+    ("fit", [], "replicates=abc\n"),
+    ("fit", ["--delta", "abc"], None),
+    ("fit", ["--delta", "nan"], None),
+    ("fit", ["--b-sigma", "nan"], None),
+    ("fit", [], "theta_scale=inf\n"),
+    ("screen", ["--delta", "abc"], None),
+], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
+        "config-theta-scale-inf", "screen-delta-abc"])
+def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
+                                                 command, flags, cfg_text):
+    files = [str(sim_dir / "train.csv")]
+    if command == "fit":
+        files.append(str(sim_dir / "test.csv"))
+    if cfg_text is not None:
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(cfg_text)
+        flags = flags + ["--config", str(cfg)]
+    prefix = tmp_path / "bad"
+    assert run_cli(command, *files, *flags, "--replicates", "2", "--out", str(prefix)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterError"
+    if cfg_text == "replicates=abc\n":
+        assert f"{cfg}:1:" in payload["message"]
+    assert not list(tmp_path.glob("bad.*"))  # no predictions or summary written
+
+
+def test_replicate_error_json_carries_index_and_seed(sim_dir, tmp_path, capsys):
+    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                   "--backend", "sparse-ris-rp", "--kappa", "1.5", "--replicates", "2",
+                   "--out", str(tmp_path / "x")) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert (payload["error"], payload["index"], payload["seed"]) == ("ReplicateError", 0, 0)
+
+
+def test_fit_rejects_test_columns_in_another_order(sim_dir, tmp_path, capsys):
+    rows = [line.split(",") for line in (sim_dir / "test.csv").read_text().splitlines()]
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("".join(",".join([r[1], r[0], *r[2:]]) + "\n" for r in rows))
+    assert run_cli("fit", str(sim_dir / "train.csv"), str(swapped), "--replicates", "2",
+                   "--out", str(tmp_path / "x")) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert "column 0" in payload["message"] and "'x1'" in payload["message"]
+    assert not (tmp_path / "x.predictions.csv").exists()
+
+
+def test_cli_defaults_are_the_dataclass_defaults(sim_dir, tmp_path):
+    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                   "--out", str(tmp_path / "d")) == 0
+    summary = json.loads((tmp_path / "d.summary.json").read_text())
+    assert summary["config"] == json.loads(json.dumps(asdict(TarpConfig())))
+    assert run_cli("simulate", "--scheme", "ar1", "--out", str(tmp_path / "sim")) == 0
+    sidecar = json.loads((tmp_path / "sim" / "sim.json").read_text())
+    assert sidecar["spec"] == asdict(SchemeSpec("ar1"))
 
 
 def test_fit_binary_writes_probabilities(tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from tarpreg import (Dataset, IngestionError, ParameterError, PriorHyper, ReplicateError,
-                     TarpConfig, apply_standardization, fit_compressed, kfold_mse,
-                     run_replicate, run_tarp, run_tarp_binary, screening_probs,
-                     standardize)
+                     TarpConfig, TarpError, TarpResult, apply_standardization,
+                     fit_compressed, kfold_mse, run_replicate, run_tarp, run_tarp_binary,
+                     screening_probs, standardize)
 from tarpreg.simulate import SchemeSpec, generate
 
 
@@ -122,6 +122,28 @@ def test_empty_m_range_rejected():
     # clipping to [1, p] can empty a user range only if lo > p already
     cfg = TarpConfig(m_range=(30, 60))
     assert cfg.resolved_m_range(100, 40) == (30, 40)
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (TarpConfig, {"delta": "abc"}),
+    (TarpConfig, {"delta": float("nan")}),
+    (PriorHyper, {"b_sigma": float("nan")}),
+    (PriorHyper, {"theta_scale": float("inf")}),
+], ids=["delta-abc", "delta-nan", "b_sigma-nan", "theta_scale-inf"])
+def test_settings_reject_unparsed_and_non_finite_values(cls, kwargs):
+    with pytest.raises(ParameterError):
+        cls(**kwargs)
+
+
+def test_delta_string_is_stored_as_its_float():
+    assert TarpConfig(delta="0.5").delta == 0.5
+    assert TarpConfig(delta="auto").delta == "auto"
+
+
+def test_result_rejects_nan_interval_endpoint():
+    lower = np.array([np.nan, -1.0])
+    with pytest.raises(TarpError):
+        TarpResult(np.zeros(2), lower, np.ones(2), None, TarpConfig(), 0.0, {})
 
 
 def test_replicate_failure_reports_index_and_seed(monkeypatch):
