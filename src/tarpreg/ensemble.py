@@ -1,15 +1,19 @@
 """Ensemble orchestration: replicate draws, fits, and aggregation.
 
-One run draws ``n_replicates`` independent configurations (m, psi, gamma, R),
-fits the conjugate posterior on each compressed design, predicts the test
-rows, and combines the replicates by simple averaging (default),
-evidence-weighted model averaging, or K-fold cross-validation selection of a
-single candidate.  Marginal utilities are computed once per run, never per
-replicate.
+One run draws ``n_replicates`` independent configurations (m, psi, gamma, R)
+and passes each through ``run_replicate``, the one per-replicate kernel: it
+compresses the training rows, fits them (the conjugate posterior for a
+continuous response, the probit Gibbs sampler for a binary one) and predicts
+the test rows.  ``run_tarp`` combines the Gaussian replicates by simple
+averaging (default), evidence-weighted model averaging, or K-fold
+cross-validation selection of a single candidate; ``run_tarp_binary``
+averages the class-1 probabilities.  Marginal utilities are computed once per
+run, never per replicate.
 
 Replicate ``l`` draws from a deterministic substream derived from
 (seed, REPLICATE, l), so results are bit-reproducible regardless of
-execution order or worker count, and any replicate can be re-run alone.
+execution order or worker count, and any replicate of either path can be
+re-run alone, with the evidence or cv error its config implies.
 """
 from __future__ import annotations
 
@@ -114,6 +118,12 @@ class TarpConfig:
             raise ParameterError("k_folds must be >= 2")
         if self.pi_method not in ("endpoints", "mixture"):
             raise ParameterError("pi_method must be 'endpoints' or 'mixture'")
+        # passing conditions, so that NaN fails them
+        if not 0.0 < self.kappa < 1.0:
+            raise ParameterError(f"kappa must lie strictly in (0, 1), got {self.kappa}")
+        if not self.probit_iterations > self.probit_burnin >= 0:
+            raise ParameterError("need probit_iterations > probit_burnin >= 0, got "
+                                 f"{self.probit_iterations} and {self.probit_burnin}")
 
     def resolved_delta(self, n: int, p: int) -> float:
         return default_delta(n, p) if self.delta == "auto" else self.delta
@@ -202,9 +212,23 @@ def draw_replicate(train: Dataset, cfg: TarpConfig, probs: InclusionProbs,
     return ReplicateDraw(m, psi, sample_gamma(probs, rng), rng)
 
 
-def _project(train: Dataset, cfg: TarpConfig, draw: ReplicateDraw):
-    """The replicate's projection and the compressed training design."""
+def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int,
+                  probs: Optional[InclusionProbs] = None,
+                  phase: Optional[dict] = None) -> ReplicateRecord:
+    """One (m, psi, gamma, R) draw, fit on all training rows, test prediction.
+
+    A continuous response gets the conjugate fit, its log evidence under
+    model-average and its K-fold error under cv; a binary response gets the
+    probit Gibbs sampler, which continues the replicate's generator.  Every
+    input comes from (train, cfg) and the generator from (cfg.seed, index), so
+    a single replicate reproduces exactly what a full run computes at that index.
+    """
+    if probs is None:
+        probs = screening_probs(train, cfg)
+    t0 = time.perf_counter()
+    draw = draw_replicate(train, cfg, probs, index)
     mask = draw.mask
+    t1 = time.perf_counter()
     if cfg.backend == BACKEND_RP:
         proj = gen_rp_matrix(mask.p_gamma, draw.m, draw.psi, draw.rng,
                              column_map=mask.selected)
@@ -213,52 +237,50 @@ def _project(train: Dataset, cfg: TarpConfig, draw: ReplicateDraw):
                                     column_map=mask.selected)
     else:
         proj = gen_pcr_matrix(train.X[:, mask.selected], draw.m, column_map=mask.selected)
-    return proj, compress(train.X, proj)
-
-
-def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int,
-                  probs: Optional[InclusionProbs] = None,
-                  y_offset: Optional[float] = None,
-                  want_evidence: bool = False,
-                  fold_plan: Optional[np.ndarray] = None,
-                  phase: Optional[dict] = None) -> ReplicateRecord:
-    """One (m, psi, gamma, R) draw, fit on all training rows, test prediction.
-
-    The generator is derived from (cfg.seed, index) only, so a single
-    replicate reproduces exactly what a full run computes at that index.
-    """
-    if probs is None:
-        probs = screening_probs(train, cfg)
-    if y_offset is None:
-        y_offset = _offset(train, cfg)
-    t0 = time.perf_counter()
-    draw = draw_replicate(train, cfg, probs, index)
-    t1 = time.perf_counter()
-    proj, Z = _project(train, cfg, draw)
+    Z = compress(train.X, proj)
     t2 = time.perf_counter()
-    y_fit = train.y - y_offset
-    post = fit_compressed(Z, y_fit, cfg.prior)
-    log_ev = log_marginal_likelihood(post) if want_evidence else None
-    cv = None
-    if fold_plan is not None:
-        cv = kfold_mse(Z, y_fit, cfg.prior, cfg.k_folds, fold_plan)
-    t3 = time.perf_counter()
-    Z_new = compress(X_new, proj)
-    summary = predict(post, Z_new, cfg.level)
+    if train.response_kind == RESPONSE_BINARY:
+        fit = probit_gibbs(Z, train.y, cfg.probit_iterations, cfg.probit_burnin,
+                           draw.rng, keep_draws=cfg.probit_average)
+        t3 = time.perf_counter()
+        out = dict(yhat=predict_probit(fit, compress(X_new, proj),
+                                       average=cfg.probit_average))
+    else:
+        y_offset = float(train.y.mean()) if cfg.center_y else 0.0
+        y_fit = train.y - y_offset
+        post = fit_compressed(Z, y_fit, cfg.prior)
+        log_ev = log_marginal_likelihood(post) if cfg.aggregation == AGG_MODEL_AVERAGE else None
+        cv = None
+        if cfg.aggregation == AGG_CV:
+            fold_plan = substream(cfg.seed, _DOMAIN_FOLDS).permutation(train.n)
+            cv = kfold_mse(Z, y_fit, cfg.prior, cfg.k_folds, fold_plan)
+        t3 = time.perf_counter()
+        summary = predict(post, compress(X_new, proj), cfg.level)
+        out = dict(yhat=summary.mean + y_offset, lower=summary.lower + y_offset,
+                   upper=summary.upper + y_offset, scale=summary.marginal_scale,
+                   df=summary.df, log_evidence=log_ev, cv_mse=cv)
     t4 = time.perf_counter()
     if phase is not None:
         phase["screen"] += t1 - t0
         phase["project"] += t2 - t1
         phase["fit"] += t3 - t2
         phase["predict"] += t4 - t3
-    return ReplicateRecord(
-        m=draw.m, m_effective=proj.m, psi=draw.psi, p_gamma=draw.mask.p_gamma,
-        mask_digest=draw.mask.digest(),
-        yhat=summary.mean + y_offset,
-        lower=summary.lower + y_offset,
-        upper=summary.upper + y_offset,
-        scale=summary.marginal_scale, df=summary.df,
-        log_evidence=log_ev, cv_mse=cv)
+    return ReplicateRecord(m=draw.m, m_effective=proj.m, psi=draw.psi,
+                           p_gamma=mask.p_gamma, mask_digest=mask.digest(), **out)
+
+
+def _run_replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig):
+    """Screen once, then run every replicate in index order; (records, phase times)."""
+    t0 = time.perf_counter()
+    probs = screening_probs(train, cfg)
+    phase = {"screen": time.perf_counter() - t0, "project": 0.0, "fit": 0.0, "predict": 0.0}
+    records = []
+    for l in range(cfg.n_replicates):
+        try:
+            records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
+        except Exception as exc:  # no silent skipping
+            raise ReplicateError(l, cfg.seed, exc) from exc
+    return records, phase
 
 
 def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
@@ -266,27 +288,10 @@ def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
     _check_inputs(train, X_new)
     if train.response_kind != RESPONSE_CONTINUOUS:
         raise ParameterError("run_tarp is the Gaussian path; use run_tarp_binary")
+    if cfg.aggregation == AGG_CV and cfg.k_folds > train.n:
+        raise ParameterError("k_folds cannot exceed n")
     started = time.perf_counter()
-    phase = {"screen": 0.0, "project": 0.0, "fit": 0.0, "predict": 0.0}
-    t0 = time.perf_counter()
-    probs = screening_probs(train, cfg)
-    phase["screen"] += time.perf_counter() - t0
-    y_offset = _offset(train, cfg)
-    want_ev = cfg.aggregation == AGG_MODEL_AVERAGE
-    fold_plan = None
-    if cfg.aggregation == AGG_CV:
-        if cfg.k_folds > train.n:
-            raise ParameterError("k_folds cannot exceed n")
-        fold_plan = substream(cfg.seed, _DOMAIN_FOLDS).permutation(train.n)
-
-    records = []
-    for l in range(cfg.n_replicates):
-        try:
-            records.append(run_replicate(train, X_new, cfg, l, probs=probs,
-                                         y_offset=y_offset, want_evidence=want_ev,
-                                         fold_plan=fold_plan, phase=phase))
-        except Exception as exc:  # no silent skipping
-            raise ReplicateError(l, cfg.seed, exc) from exc
+    records, phase = _run_replicates(train, X_new, cfg)
 
     yhats = np.stack([r.yhat for r in records])
     lowers = np.stack([r.lower for r in records])
@@ -327,38 +332,9 @@ def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpB
         raise ParameterError("the binary path averages probabilities and forms no interval: "
                              "it needs aggregation='average', pi_method='endpoints', level=0.5")
     started = time.perf_counter()
-    phase = {"screen": 0.0, "project": 0.0, "fit": 0.0, "predict": 0.0}
-    t0 = time.perf_counter()
-    probs = screening_probs(train, cfg)
-    phase["screen"] += time.perf_counter() - t0
-
-    records = []
-    prob_stack = np.empty((cfg.n_replicates, X_new.shape[0]))
-    for l in range(cfg.n_replicates):
-        try:
-            t1 = time.perf_counter()
-            draw = draw_replicate(train, cfg, probs, l)
-            t2 = time.perf_counter()
-            proj, Z = _project(train, cfg, draw)
-            t3 = time.perf_counter()
-            fit = probit_gibbs(Z, train.y, cfg.probit_iterations, cfg.probit_burnin,
-                               draw.rng, keep_draws=cfg.probit_average)
-            t4 = time.perf_counter()
-            p_l = predict_probit(fit, compress(X_new, proj), average=cfg.probit_average)
-            t5 = time.perf_counter()
-            phase["screen"] += t2 - t1
-            phase["project"] += t3 - t2
-            phase["fit"] += t4 - t3
-            phase["predict"] += t5 - t4
-            prob_stack[l] = p_l
-            records.append(ReplicateRecord(
-                m=draw.m, m_effective=proj.m, psi=draw.psi, p_gamma=draw.mask.p_gamma,
-                mask_digest=draw.mask.digest(), yhat=p_l))
-        except Exception as exc:
-            raise ReplicateError(l, cfg.seed, exc) from exc
-
+    records, phase = _run_replicates(train, X_new, cfg)
     return TarpBinaryResult(
-        prob=prob_stack.mean(axis=0),
+        prob=np.stack([r.yhat for r in records]).mean(axis=0),
         per_replicate=tuple(records) if cfg.keep_replicates else None,
         config=cfg, wall_time=time.perf_counter() - started, phase_times=phase)
 
@@ -391,12 +367,6 @@ def kfold_mse(Z: np.ndarray, y: np.ndarray, prior: PriorHyper, k: int,
                           check_finite=False)
         errors[i] = np.mean((Zv @ mu - yv) ** 2)
     return float(errors.mean())
-
-
-def _offset(train: Dataset, cfg: TarpConfig) -> float:
-    if cfg.center_y and train.response_kind == RESPONSE_CONTINUOUS:
-        return float(train.y.mean())
-    return 0.0
 
 
 def _check_inputs(train: Dataset, X_new: np.ndarray) -> None:

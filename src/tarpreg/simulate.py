@@ -58,8 +58,17 @@ class SchemeSpec:
             raise DimensionError("need n >= 2, p >= 1, n_test >= 1")
         if self.scheme != SCHEME_PCR and self.n_active > self.p:
             raise ParameterError("n_active cannot exceed p")
-        if abs(self.rho) >= 1:
-            raise ParameterError("|rho| must be < 1")
+        # passing conditions, so that NaN fails them
+        if not abs(self.rho) < 1:
+            raise ParameterError(f"rho must satisfy |rho| < 1, got {self.rho}")
+        for name in ("rho_low", "rho_high"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ParameterError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not self.noise_sd >= 0:
+            raise ParameterError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        for name in ("outlier_sd", "t_max"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.scheme == SCHEME_BLOCK:
             if self.p < 400:
                 raise ParameterError("block scheme needs p >= 400")
@@ -70,8 +79,6 @@ class SchemeSpec:
                 raise ParameterError("rank-3 scheme needs p >= 3")
             if self.n_outliers >= self.n:
                 raise ParameterError("n_outliers must be < n")
-        if self.noise_sd < 0 or self.outlier_sd <= 0 or self.t_max <= 0:
-            raise ParameterError("scale parameters must be positive")
 
 
 @dataclass(frozen=True)

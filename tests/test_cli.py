@@ -143,8 +143,12 @@ def test_fit_config_bool_typo_fails_with_location(sim_dir, tmp_path, capsys):
     ("fit", ["--b-sigma", "nan"], None),
     ("fit", [], "theta_scale=inf\n"),
     ("screen", ["--delta", "abc"], None),
+    ("fit", ["--kappa", "nan"], None),
+    ("fit", ["--backend", "sparse-ris-rp", "--kappa", "1.5"], None),
+    ("fit", [], "probit_burnin=50\nprobit_iterations=10\n"),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
-        "config-theta-scale-inf", "screen-delta-abc"])
+        "config-theta-scale-inf", "screen-delta-abc", "kappa-nan", "sparse-kappa-1.5",
+        "config-burnin-exceeds-iterations"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [str(sim_dir / "train.csv")]
@@ -165,12 +169,37 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
     assert not list(tmp_path.glob("bad.*"))  # no predictions or summary written
 
 
-def test_replicate_error_json_carries_index_and_seed(sim_dir, tmp_path, capsys):
+def test_replicate_error_json_carries_index_and_seed(sim_dir, tmp_path, capsys,
+                                                     fail_second_call):
+    fail_second_call("fit_compressed")
     assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
-                   "--backend", "sparse-ris-rp", "--kappa", "1.5", "--replicates", "2",
-                   "--out", str(tmp_path / "x")) == 1
+                   "--replicates", "3", "--seed", "5", "--out", str(tmp_path / "x")) == 1
     payload = json.loads(capsys.readouterr().err)
-    assert (payload["error"], payload["index"], payload["seed"]) == ("ReplicateError", 0, 0)
+    assert (payload["error"], payload["index"], payload["seed"]) == ("ReplicateError", 1, 5)
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--rho", "nan"], "rho"),
+    (["--rho", "-1"], "rho"),
+    (["--noise-sd", "nan"], "noise_sd"),
+    (["--scheme", "block", "--rho-high", "1.5"], "rho_high"),
+    (["--scheme", "block", "--rho-low", "-0.1"], "rho_low"),
+    (["--scheme", "pcr", "--outlier-sd", "0"], "outlier_sd"),
+    (["--scheme", "bridge", "--t-max", "nan"], "t_max"),
+], ids=["rho-nan", "rho-minus-one", "noise-sd-nan", "rho-high-1.5", "rho-low-negative",
+        "outlier-sd-zero", "t-max-nan"])
+def test_bad_scheme_setting_is_one_json_parameter_error(tmp_path, capsys, flags, field):
+    scheme = [] if "--scheme" in flags else ["--scheme", "ar1"]
+    out = tmp_path / "sim"
+    assert run_cli("simulate", *scheme, *flags, "--n", "20", "--n-test", "4",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterError"
+    assert payload["message"].startswith(field + " ")
+    assert not (out / "train.csv").exists()
 
 
 def test_fit_rejects_test_columns_in_another_order(sim_dir, tmp_path, capsys):

@@ -129,7 +129,13 @@ def test_empty_m_range_rejected():
     (TarpConfig, {"delta": float("nan")}),
     (PriorHyper, {"b_sigma": float("nan")}),
     (PriorHyper, {"theta_scale": float("inf")}),
-], ids=["delta-abc", "delta-nan", "b_sigma-nan", "theta_scale-inf"])
+    (TarpConfig, {"kappa": float("nan")}),
+    (TarpConfig, {"kappa": 1.5}),
+    (TarpConfig, {"kappa": 0.0}),
+    (TarpConfig, {"probit_iterations": 10, "probit_burnin": 50}),
+    (TarpConfig, {"probit_burnin": -1}),
+], ids=["delta-abc", "delta-nan", "b_sigma-nan", "theta_scale-inf", "kappa-nan",
+        "kappa-1.5", "kappa-0", "burnin-exceeds-iterations", "burnin-negative"])
 def test_settings_reject_unparsed_and_non_finite_values(cls, kwargs):
     with pytest.raises(ParameterError):
         cls(**kwargs)
@@ -146,19 +152,9 @@ def test_result_rejects_nan_interval_endpoint():
         TarpResult(np.zeros(2), lower, np.ones(2), None, TarpConfig(), 0.0, {})
 
 
-def test_replicate_failure_reports_index_and_seed(monkeypatch):
+def test_replicate_failure_reports_index_and_seed(fail_second_call):
     std, Xn, _ = _toy(seed=12)
-    import tarpreg.ensemble as ens
-    real = ens.fit_compressed
-    calls = {"n": 0}
-
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise RuntimeError("synthetic failure")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ens, "fit_compressed", flaky)
+    fail_second_call("fit_compressed")
     with pytest.raises(ReplicateError) as err:
         run_tarp(std, Xn, TarpConfig(n_replicates=4, seed=99))
     assert err.value.index == 1
@@ -270,3 +266,39 @@ def test_binary_path_rejects_settings_it_cannot_honour(setting):
     cfg = TarpConfig(n_replicates=2, probit_iterations=20, probit_burnin=5, **setting)
     with pytest.raises(ParameterError):
         run_tarp_binary(train, Xn, cfg)
+
+
+@pytest.mark.parametrize("backend", ["ris-rp", "ris-pcr", "sparse-ris-rp"])
+def test_binary_single_replicate_equals_that_replicate(backend):
+    train, Xn = _binary_toy(seed=22)
+    cfg = TarpConfig(backend=backend, n_replicates=4, seed=17, probit_iterations=40,
+                     probit_burnin=10)
+    res = run_tarp_binary(train, Xn, cfg)
+    singles = [run_replicate(train, Xn, cfg, l) for l in range(4)]
+    for single, full in zip(singles, res.per_replicate):
+        assert (single.m, single.m_effective, single.psi, single.p_gamma, single.mask_digest) \
+            == (full.m, full.m_effective, full.psi, full.p_gamma, full.mask_digest)
+        assert np.array_equal(single.yhat, full.yhat)
+    assert np.array_equal(np.mean([s.yhat for s in singles], axis=0), res.prob)
+
+
+@pytest.mark.parametrize("aggregation", ["cv", "model-average"])
+def test_single_replicate_carries_the_runs_selection_statistic(aggregation):
+    std, Xn, _ = _toy(seed=23)
+    cfg = TarpConfig(n_replicates=4, seed=21, aggregation=aggregation, k_folds=4)
+    res = run_tarp(std, Xn, cfg)
+    for l, full in enumerate(res.per_replicate):
+        single = run_replicate(std, Xn, cfg, l)
+        assert (single.cv_mse, single.log_evidence) == (full.cv_mse, full.log_evidence)
+        assert np.array_equal(single.yhat, full.yhat)
+    field = "cv_mse" if aggregation == "cv" else "log_evidence"
+    assert all(getattr(r, field) is not None for r in res.per_replicate)
+
+
+def test_binary_replicate_failure_reports_index_and_seed(fail_second_call):
+    train, Xn = _binary_toy(seed=24)
+    fail_second_call("probit_gibbs")
+    with pytest.raises(ReplicateError) as err:
+        run_tarp_binary(train, Xn, TarpConfig(n_replicates=3, seed=31, probit_iterations=20,
+                                              probit_burnin=5))
+    assert (err.value.index, err.value.seed) == (1, 31)
