@@ -29,13 +29,13 @@ import numpy as np
 from . import __version__
 from .data import (RESPONSE_BINARY, apply_standardization, read_csv,
                    standardize, write_csv, write_matrix_csv)
-from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig,
-                       dataset_seed, draw_replicate, run_tarp, run_tarp_binary)
+from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
+                       draw_replicate, run_tarp, run_tarp_binary, screening_probs)
 from .errors import ParameterError, ReplicateError, TarpError
 from .metrics import ecp_width, mspe
 from .posterior import PriorHyper
 from .screening import (GammaMask, expected_selection_count, export_screened,
-                        inclusion_probabilities, marginal_utility)
+                        marginal_utility)
 from .simulate import SCHEMES, SchemeSpec, generate
 
 _CONFIG_SCHEMA = {
@@ -55,10 +55,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TarpError as exc:
-        _emit_error(exc)
-        return 1
-    except OSError as exc:
+    except (TarpError, OSError) as exc:
         _emit_error(exc)
         return 1
 
@@ -81,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--config", help="key=value config file")
     fit.add_argument("--response", help="response column name or index (default: last)")
     _model_flags(fit)
+    fit.add_argument("--seed", type=int)
     fit.add_argument("--out", required=True, help="output prefix")
     fit.set_defaults(func=cmd_fit)
 
@@ -92,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=int, default=0, help="0 = one per CPU")
     bench.add_argument("--no-aggregate", action="store_true",
                        help="single replicate per dataset at fixed --m/--psi")
-    bench.add_argument("--m", type=int, help="fixed compression dimension")
-    bench.add_argument("--psi", type=float, help="fixed projection sparsity")
+    bench.add_argument("--m", type=int, help="fixed compression dimension (needs --no-aggregate)")
+    bench.add_argument("--psi", type=float, help="fixed projection sparsity (needs --no-aggregate)")
     bench.add_argument("--out", required=True, help="output prefix")
     bench.set_defaults(func=cmd_benchmark)
 
@@ -138,8 +136,6 @@ def _model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", type=float)
     p.add_argument("--a-sigma", type=float)
     p.add_argument("--b-sigma", type=float)
-    if not any(a.dest == "seed" for a in p._actions):
-        p.add_argument("--seed", type=int)
 
 
 def cmd_simulate(args) -> int:
@@ -212,8 +208,12 @@ def cmd_benchmark(args) -> int:
         cfg = replace(cfg, n_replicates=1, m_range=(args.m, args.m))
         if args.psi is not None:
             cfg = replace(cfg, psi_range=(args.psi, args.psi))
+    elif args.m is not None or args.psi is not None:
+        raise ParameterError("--m and --psi require --no-aggregate")
     if args.datasets < 1:
         raise ParameterError("--datasets must be >= 1")
+    if args.workers < 0:
+        raise ParameterError(f"--workers must be >= 0, got {args.workers}")
 
     seeds = [dataset_seed(cfg.seed, i) for i in range(args.datasets)]
     jobs = [(replace(spec, seed=s), cfg) for s in seeds]
@@ -273,9 +273,8 @@ def cmd_screen(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
     data = read_csv(args.data, response=_response_arg(raw_cfg.get("response", -1)))
     std = standardize(data)
-    delta = cfg.resolved_delta(std.n, std.p)
+    probs = screening_probs(std, cfg)
     r = marginal_utility(std)
-    probs = inclusion_probabilities(r, delta)
     counts = np.zeros(std.p)
     selections = []
     for l in range(cfg.n_replicates):
@@ -290,7 +289,7 @@ def cmd_screen(args) -> int:
     summary = {
         "command": "screen",
         "version": __version__,
-        "delta": float(delta),
+        "delta": probs.delta,
         "replicates": cfg.n_replicates,
         "seed": cfg.seed,
         "expected_selected": expected_selection_count(probs),

@@ -25,10 +25,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def infer_response_kind(y: np.ndarray) -> str:
-    return RESPONSE_BINARY if np.isin(y, (0.0, 1.0)).all() else RESPONSE_CONTINUOUS
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable design matrix + response with its standardization statistics.
@@ -82,11 +78,6 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def constant_columns(self) -> np.ndarray:
-        """Boolean mask of columns flagged constant (scale 0)."""
-        return self.col_scales == 0.0
-
     @classmethod
     def from_arrays(cls, X, y, response_kind=None, col_names=()) -> "Dataset":
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -95,7 +86,8 @@ class Dataset:
             raise DimensionError("X must be 2-d")
         if not np.isfinite(X).all():
             raise IngestionError("X contains non-finite entries")
-        kind = response_kind or infer_response_kind(y)
+        kind = response_kind or (RESPONSE_BINARY if np.isin(y, (0.0, 1.0)).all()
+                                 else RESPONSE_CONTINUOUS)
         means, scales = column_statistics(X)
         return cls(X, y, kind, means, scales, standardized=False, col_names=col_names)
 
@@ -103,14 +95,15 @@ class Dataset:
 def column_statistics(X: np.ndarray):
     """Per-column sample mean and sample standard deviation (divisor n-1).
 
-    Constant columns get scale 0 exactly.  A non-constant column whose
-    magnitudes overflow either statistic is rejected rather than scaled to zero.
+    Constant columns get scale 0 exactly; a single row is constant in every
+    column.  A non-constant column whose magnitudes overflow either statistic
+    is rejected rather than scaled to zero.
     """
-    if X.shape[0] < 2:
-        raise DimensionError("standardization statistics need at least 2 rows")
+    if X.shape[0] < 1:
+        raise DimensionError("standardization statistics need at least 1 row")
     with np.errstate(over="ignore", invalid="ignore"):
         means = X.mean(axis=0)
-        scales = X.std(axis=0, ddof=1)
+        scales = X.std(axis=0, ddof=1 if X.shape[0] > 1 else 0)
     constant = np.ptp(X, axis=0) == 0.0
     bad = np.flatnonzero(~constant & ~(np.isfinite(means) & np.isfinite(scales)))
     if bad.size:

@@ -125,9 +125,6 @@ class TarpConfig:
             raise ParameterError("need probit_iterations > probit_burnin >= 0, got "
                                  f"{self.probit_iterations} and {self.probit_burnin}")
 
-    def resolved_delta(self, n: int, p: int) -> float:
-        return default_delta(n, p) if self.delta == "auto" else self.delta
-
     def resolved_m_range(self, n: int, p: int) -> tuple:
         if self.m_range is not None:
             lo, hi = int(self.m_range[0]), int(self.m_range[1])
@@ -163,7 +160,6 @@ class TarpResult:
     lower: np.ndarray
     upper: np.ndarray
     per_replicate: Optional[tuple]
-    config: TarpConfig
     wall_time: float
     phase_times: dict
     weights: Optional[np.ndarray] = None     # model averaging
@@ -182,7 +178,6 @@ class TarpResult:
 class TarpBinaryResult:
     prob: np.ndarray
     per_replicate: Optional[tuple]
-    config: TarpConfig
     wall_time: float
     phase_times: dict
 
@@ -198,8 +193,8 @@ class ReplicateDraw:
 
 def screening_probs(train: Dataset, cfg: TarpConfig) -> InclusionProbs:
     """Inclusion probabilities from the training data; pure in (train, cfg)."""
-    r = marginal_utility(train)
-    return inclusion_probabilities(r, cfg.resolved_delta(train.n, train.p))
+    delta = default_delta(train.n, train.p) if cfg.delta == "auto" else cfg.delta
+    return inclusion_probabilities(marginal_utility(train), delta)
 
 
 def draw_replicate(train: Dataset, cfg: TarpConfig, probs: InclusionProbs,
@@ -240,8 +235,7 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
     Z = compress(train.X, proj)
     t2 = time.perf_counter()
     if train.response_kind == RESPONSE_BINARY:
-        fit = probit_gibbs(Z, train.y, cfg.probit_iterations, cfg.probit_burnin,
-                           draw.rng, keep_draws=cfg.probit_average)
+        fit = probit_gibbs(Z, train.y, cfg.probit_iterations, cfg.probit_burnin, draw.rng)
         t3 = time.perf_counter()
         out = dict(yhat=predict_probit(fit, compress(X_new, proj),
                                        average=cfg.probit_average))
@@ -319,7 +313,7 @@ def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
     return TarpResult(
         yhat=yhat, lower=lower, upper=upper,
         per_replicate=tuple(records) if cfg.keep_replicates else None,
-        config=cfg, wall_time=time.perf_counter() - started, phase_times=phase,
+        wall_time=time.perf_counter() - started, phase_times=phase,
         weights=weights, cv_mse=cv_mse, selected_replicate=selected)
 
 
@@ -336,7 +330,7 @@ def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpB
     return TarpBinaryResult(
         prob=np.stack([r.yhat for r in records]).mean(axis=0),
         per_replicate=tuple(records) if cfg.keep_replicates else None,
-        config=cfg, wall_time=time.perf_counter() - started, phase_times=phase)
+        wall_time=time.perf_counter() - started, phase_times=phase)
 
 
 def kfold_mse(Z: np.ndarray, y: np.ndarray, prior: PriorHyper, k: int,

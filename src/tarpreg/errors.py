@@ -23,5 +23,4 @@ class ReplicateError(TarpError):
     def __init__(self, index: int, seed: int, cause: BaseException):
         self.index = index
         self.seed = seed
-        self.cause = cause
         super().__init__(f"replicate {index} (seed {seed}) failed: {cause!r}")

@@ -21,7 +21,6 @@ theta | y* ~ N((Z'Z + I)^{-1} Z'y*, (Z'Z + I)^{-1}).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 from scipy import linalg, special
@@ -70,15 +69,12 @@ class PredictiveSummary:
     df: float
     lower: np.ndarray
     upper: np.ndarray
-    level: float
 
 
 @dataclass(frozen=True)
 class ProbitFit:
     theta_mean: np.ndarray
-    draws: int
-    burnin: int
-    theta_draws: Optional[np.ndarray] = None  # post-burnin draws, draws x m
+    theta_draws: np.ndarray  # post-burnin draws, draws x m
 
 
 def fit_compressed(Z: np.ndarray, y: np.ndarray, prior: PriorHyper) -> CompressedPosterior:
@@ -125,7 +121,7 @@ def predict(post: CompressedPosterior, Z_new: np.ndarray, level: float) -> Predi
     quad = np.einsum("ij,ij->j", V, V)
     scale = np.sqrt(post.scale_factor * (1.0 + quad) / post.df)
     half = t_interval_halfwidth(level, post.df) * scale
-    return PredictiveSummary(mean, scale, post.df, mean - half, mean + half, level)
+    return PredictiveSummary(mean, scale, post.df, mean - half, mean + half)
 
 
 def log_marginal_likelihood(post: CompressedPosterior) -> float:
@@ -144,12 +140,12 @@ def log_marginal_likelihood(post: CompressedPosterior) -> float:
 
 
 def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
-                 rng: np.random.Generator, keep_draws: bool = True) -> ProbitFit:
+                 rng: np.random.Generator) -> ProbitFit:
     """Data-augmentation Gibbs sampler for probit regression on compressed rows.
 
     Alternates theta | y* ~ N((Z'Z + I)^{-1} Z'y*, (Z'Z + I)^{-1}) with
     truncated-normal updates of the latent y* (positive iff y = 1).  Returns
-    the post-burnin mean of theta (and the draws for optional averaging).
+    the post-burnin mean of theta and the draws, for optional averaging.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -171,8 +167,7 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
         theta = mean + noise
         if it >= burnin:
             kept[it - burnin] = theta
-    return ProbitFit(kept.mean(axis=0), iterations - burnin, burnin,
-                     kept if keep_draws else None)
+    return ProbitFit(kept.mean(axis=0), kept)
 
 
 def predict_probit(fit: ProbitFit, Z_new: np.ndarray, average: bool = False) -> np.ndarray:
@@ -182,8 +177,6 @@ def predict_probit(fit: ProbitFit, Z_new: np.ndarray, average: bool = False) -> 
     if Z_new.shape[1] != fit.theta_mean.shape[0]:
         raise DimensionError("Z_new column count does not match fit")
     if average:
-        if fit.theta_draws is None:
-            raise ParameterError("fit retained no draws; rerun with keep_draws=True")
         return special.ndtr(Z_new @ fit.theta_draws.T).mean(axis=1)
     return special.ndtr(Z_new @ fit.theta_mean)
 

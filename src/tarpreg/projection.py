@@ -17,7 +17,6 @@ selected columns and multiplies, so the implicit full R has zero blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,9 +33,6 @@ class ProjectionMatrix:
     entries: np.ndarray            # m x p_gamma, row-major float64
     column_map: np.ndarray         # indices into the original p columns
     m: int                         # effective row count
-    m_requested: int
-    psi: Optional[float] = None
-    kappa: Optional[float] = None
     rank_truncated: bool = False
 
     def __post_init__(self):
@@ -70,8 +66,7 @@ def gen_rp_matrix(p_gamma: int, m: int, psi: float, rng: np.random.Generator,
     value = 1.0 / np.sqrt(2.0 * psi)
     u = rng.random((m, p_gamma))
     entries = np.where(u < psi, value, np.where(u < 2.0 * psi, -value, 0.0))
-    return ProjectionMatrix(KIND_RP, entries, _cmap(column_map, p_gamma),
-                            m=m, m_requested=m, psi=float(psi))
+    return ProjectionMatrix(KIND_RP, entries, _cmap(column_map, p_gamma), m=m)
 
 
 def gen_sparse_rp_matrix(p_gamma: int, m: int, kappa: float, n: int,
@@ -87,8 +82,7 @@ def gen_sparse_rp_matrix(p_gamma: int, m: int, kappa: float, n: int,
     prob = 1.0 / (2.0 * n ** kappa)
     u = rng.random((m, p_gamma))
     entries = np.where(u < prob, value, np.where(u < 2.0 * prob, -value, 0.0))
-    return ProjectionMatrix(KIND_SPARSE_RP, entries, _cmap(column_map, p_gamma),
-                            m=m, m_requested=m, kappa=float(kappa))
+    return ProjectionMatrix(KIND_SPARSE_RP, entries, _cmap(column_map, p_gamma), m=m)
 
 
 def gen_pcr_matrix(X_gamma: np.ndarray, m: int, column_map=None) -> ProjectionMatrix:
@@ -115,7 +109,7 @@ def gen_pcr_matrix(X_gamma: np.ndarray, m: int, column_map=None) -> ProjectionMa
         if row[lead] < 0:
             row *= -1.0
     return ProjectionMatrix(KIND_PCR, rows, _cmap(column_map, X_gamma.shape[1]),
-                            m=m_eff, m_requested=m, rank_truncated=m_eff < m)
+                            m=m_eff, rank_truncated=m_eff < m)
 
 
 def compress(X: np.ndarray, proj: ProjectionMatrix) -> np.ndarray:
@@ -130,9 +124,4 @@ def compress(X: np.ndarray, proj: ProjectionMatrix) -> np.ndarray:
 
 
 def _cmap(column_map, p_gamma: int) -> np.ndarray:
-    if column_map is None:
-        return np.arange(p_gamma, dtype=np.int64)
-    cmap = np.asarray(column_map, dtype=np.int64)
-    if cmap.shape != (p_gamma,):
-        raise DimensionError("column_map length must equal p_gamma")
-    return cmap
+    return np.arange(p_gamma, dtype=np.int64) if column_map is None else column_map

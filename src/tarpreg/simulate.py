@@ -47,7 +47,6 @@ class SchemeSpec:
     rho_high: float = 0.9
     n_outliers: int = 5               # pcr
     outlier_sd: float = 10.0
-    residual_sd: float = 0.0          # optional isotropic term for the rank-3 design
     t_max: float = 10.0               # bridge
     seed: int = 0
 
@@ -88,7 +87,6 @@ class SimulatedData:
     test_y: np.ndarray
     true_beta: np.ndarray
     active_idx: np.ndarray
-    spec: SchemeSpec
 
 
 def generate(spec: SchemeSpec) -> SimulatedData:
@@ -167,8 +165,6 @@ def gen_scheme3(spec: SchemeSpec) -> SimulatedData:
     P, _ = np.linalg.qr(rng.standard_normal((spec.p, 3)))
     d_half = np.array([15.0, 10.0, 7.0])
     X = rng.standard_normal((rows, 3)) * d_half @ P.T
-    if spec.residual_sd > 0:
-        X += spec.residual_sd * rng.standard_normal((rows, spec.p))
     beta = P[:, 0].copy()
     y = make_response(X, beta, spec.noise_sd, rng)
     if spec.n_outliers:
@@ -213,4 +209,4 @@ def _package(spec: SchemeSpec, X, y, beta, active) -> SimulatedData:
     beta.setflags(write=False)
     active = np.asarray(active, dtype=np.int64)
     active.setflags(write=False)
-    return SimulatedData(train, X[spec.n:].copy(), y[spec.n:].copy(), beta, active, spec)
+    return SimulatedData(train, X[spec.n:].copy(), y[spec.n:].copy(), beta, active)

@@ -3,7 +3,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import tarpreg
 from tarpreg import SchemeSpec, TarpConfig, dataset_seed, read_csv, run_tarp, standardize
-from tarpreg.cli import main
+from tarpreg.cli import _build_parser, main
 
 
 def run_cli(*argv):
@@ -136,6 +137,10 @@ def test_fit_config_bool_typo_fails_with_location(sim_dir, tmp_path, capsys):
     assert f"{cfg}:2:" in payload["message"]
 
 
+_BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
+                "--n-active", "3", "--datasets", "1"]
+
+
 @pytest.mark.parametrize("command, flags, cfg_text", [
     ("fit", [], "replicates=abc\n"),
     ("fit", ["--delta", "abc"], None),
@@ -146,12 +151,16 @@ def test_fit_config_bool_typo_fails_with_location(sim_dir, tmp_path, capsys):
     ("fit", ["--kappa", "nan"], None),
     ("fit", ["--backend", "sparse-ris-rp", "--kappa", "1.5"], None),
     ("fit", [], "probit_burnin=50\nprobit_iterations=10\n"),
+    ("benchmark", _BENCH_FLAGS + ["--m", "5"], None),
+    ("benchmark", _BENCH_FLAGS + ["--psi", "0.3"], None),
+    ("benchmark", _BENCH_FLAGS + ["--workers", "-4"], None),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
         "config-theta-scale-inf", "screen-delta-abc", "kappa-nan", "sparse-kappa-1.5",
-        "config-burnin-exceeds-iterations"])
+        "config-burnin-exceeds-iterations", "benchmark-m-without-no-aggregate",
+        "benchmark-psi-without-no-aggregate", "benchmark-workers-negative"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
-    files = [str(sim_dir / "train.csv")]
+    files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
     if command == "fit":
         files.append(str(sim_dir / "test.csv"))
     if cfg_text is not None:
@@ -200,6 +209,30 @@ def test_bad_scheme_setting_is_one_json_parameter_error(tmp_path, capsys, flags,
     assert payload["error"] == "ParameterError"
     assert payload["message"].startswith(field + " ")
     assert not (out / "train.csv").exists()
+
+
+def test_fit_predicts_a_one_row_test_file(sim_dir, tmp_path):
+    lines = (sim_dir / "test.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "two.csv").write_text("".join(lines[:3]))
+    (tmp_path / "one.csv").write_text("".join(lines[:2]))
+    preds = {}
+    for name in ("two", "one"):
+        prefix = tmp_path / f"{name}_run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("fit", str(sim_dir / "train.csv"), str(tmp_path / f"{name}.csv"),
+                           "--replicates", "4", "--seed", "2", "--out", str(prefix)) == 0
+        preds[name] = np.loadtxt(str(prefix) + ".predictions.csv", delimiter=",",
+                                 skiprows=1, ndmin=2)
+    assert preds["one"].shape == (1, 4)
+    np.testing.assert_allclose(preds["one"][0], preds["two"][0], rtol=1e-12)
+
+
+def test_every_scheme_field_is_a_simulate_flag():
+    args = _build_parser().parse_args(["simulate", "--scheme", "ar1", "--out", "x"])
+    missing = [f.name for f in fields(SchemeSpec)
+               if f.name != "scheme" and f.name not in vars(args)]
+    assert missing == []
 
 
 def test_fit_rejects_test_columns_in_another_order(sim_dir, tmp_path, capsys):

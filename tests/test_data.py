@@ -40,7 +40,7 @@ def test_standardize_constant_column_flagged_and_zeroed():
     out = standardize(Dataset.from_arrays(X, np.zeros(5)))
     assert out.X[:, 0] == pytest.approx(np.zeros(5))
     assert out.col_scales[0] == 0.0
-    assert out.constant_columns.tolist() == [True, False]
+    assert (out.col_scales == 0).tolist() == [True, False]
 
 
 def test_standardize_rejects_tiny_n():
@@ -64,7 +64,7 @@ def test_dataset_rejects_overflowing_column():
     with pytest.raises(IngestionError, match="column 1"):
         Dataset.from_arrays(X, np.zeros(4))
     X[:, 1] = 1e308  # constant: flagged by scale 0 even though its mean overflows
-    assert Dataset.from_arrays(X, np.zeros(4)).constant_columns.tolist() == [False, True, True]
+    assert (Dataset.from_arrays(X, np.zeros(4)).col_scales == 0).tolist() == [False, True, True]
 
 
 def test_read_csv_rejects_overflowing_column(tmp_path):

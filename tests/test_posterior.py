@@ -223,7 +223,7 @@ def test_probit_gibbs_validates():
 
 def test_predict_probit_values():
     from tarpreg.posterior import ProbitFit
-    fit = ProbitFit(np.array([1.0]), draws=10, burnin=0)
+    fit = ProbitFit(np.array([1.0]), theta_draws=np.array([[1.0]]))
     probs = predict_probit(fit, np.array([[0.0], [1.0], [8.0]]))
     assert probs[0] == pytest.approx(0.5)
     assert probs[1] == pytest.approx(0.8413447460685429, abs=1e-10)

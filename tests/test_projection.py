@@ -71,7 +71,6 @@ def test_pcr_rank_truncation_reported():
     X = np.column_stack([base, base[:, 0]])  # rank 3, p_gamma landing at 4
     proj = gen_pcr_matrix(X, 4)
     assert proj.m == 3
-    assert proj.m_requested == 4
     assert proj.rank_truncated
 
 
@@ -89,8 +88,7 @@ def test_compress_examples():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(10, 3))
     from tarpreg.projection import ProjectionMatrix
-    proj = ProjectionMatrix("rp", np.array([[2.0]]), np.array([1]),
-                            m=1, m_requested=1, psi=0.5)
+    proj = ProjectionMatrix("rp", np.array([[2.0]]), np.array([1]), m=1)
     assert np.allclose(compress(X, proj), 2.0 * X[:, [1]])
     assert np.allclose(compress(np.zeros((4, 3)), proj), 0.0)
     with pytest.raises(DimensionError):
