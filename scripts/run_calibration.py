@@ -10,12 +10,9 @@ Usage: python scripts/run_calibration.py [outdir]
 (~10 minutes on two cores; the committed JSON was produced with seed 20250808)
 """
 import json
-import os
 import pathlib
 import sys
 import tempfile
-
-os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from tarpreg.cli import main as cli
 

@@ -1,0 +1,60 @@
+"""Hold numpy's and scipy's bundled OpenBLAS at one thread while replicates run:
+on many small products and solves, BLAS threads cost more than they save.  The
+setting is process-wide.  An explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+wins; without a bundled OpenBLAS (MKL, a system BLAS) nothing is touched."""
+import ctypes
+import glob
+import os
+import platform
+from contextlib import contextmanager
+from functools import cache
+
+import numpy
+import scipy
+
+
+@cache
+def _openblas() -> tuple:
+    """(file name, getter, setter) of each bundled OpenBLAS, resolved once."""
+    found = []
+    for pkg, suffix in ((numpy, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((os.path.basename(path), get, set_))
+    return tuple(found)
+
+
+def _env_choice() -> bool:
+    return any(os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+
+
+@contextmanager
+def one_thread():
+    """Run the body with every bundled OpenBLAS at 1 thread; restore each count after."""
+    libs = () if _env_choice() else _openblas()
+    before = [get() for _, get, _ in libs]
+    try:
+        for _, _, set_ in libs:
+            set_(1)
+        yield
+    finally:
+        for (_, _, set_), count in zip(libs, before):
+            set_(count)
+
+
+def runtime() -> dict:
+    """Thread counts outside and inside the guard, CPU count and versions."""
+    libs = _openblas()
+    outside = [get() for _, get, _ in libs]
+    with one_thread():
+        threads = {name: {"outside": count, "inside": get()}
+                   for (name, get, _), count in zip(libs, outside)}
+    return {"blas_threads": threads or "unknown", "thread_env_honoured": _env_choice(),
+            "cpu_count": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__}

@@ -27,6 +27,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import __version__
+from ._blas import one_thread, runtime
 from .data import (RESPONSE_BINARY, apply_standardization, read_csv,
                    standardize, write_csv, write_matrix_csv)
 from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
@@ -194,6 +195,7 @@ def cmd_fit(args) -> int:
                     "max": int(np.max(pg))},
         "phase_times": result.phase_times,
         "wall_time": time.perf_counter() - started,
+        "runtime": runtime(),
     }
     _write_json(args.out + ".summary.json", summary)
     return 0
@@ -253,17 +255,19 @@ def cmd_benchmark(args) -> int:
         "workers": workers,
         "per_dataset_wall_time": [row["wall_time"] for row in rows],
         "phase_times": _sum_phases(rows),
+        "runtime": runtime(),
     })
     return 0
 
 
 def _benchmark_one(job) -> dict:
     spec, cfg = job
-    data = generate(spec)
-    std_train = standardize(data.train)
-    X_new = apply_standardization(std_train, data.test_X)
-    run_cfg = replace(cfg, seed=spec.seed, keep_replicates=False)
-    result = run_tarp(std_train, X_new, run_cfg)
+    with one_thread():
+        data = generate(spec)
+        std_train = standardize(data.train)
+        X_new = apply_standardization(std_train, data.test_X)
+        run_cfg = replace(cfg, seed=spec.seed, keep_replicates=False)
+        result = run_tarp(std_train, X_new, run_cfg)
     ecp, width = ecp_width(result.lower, result.upper, data.test_y)
     return {"mspe": mspe(result.yhat, data.test_y), "ecp": ecp, "width": width,
             "wall_time": result.wall_time, "phase_times": result.phase_times}

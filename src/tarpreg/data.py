@@ -201,7 +201,10 @@ def read_csv(path, header="auto", response=-1):
     col_names = ()
     if names is not None:
         col_names = tuple(nm for j, nm in enumerate(names) if j != rcol)
-    return Dataset.from_arrays(X, y, col_names=col_names)
+    try:
+        return Dataset.from_arrays(X, y, col_names=col_names)
+    except IngestionError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 def write_csv(path, columns, names):

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
+from ._blas import one_thread
 from .data import Dataset, RESPONSE_BINARY, RESPONSE_CONTINUOUS
 from .errors import (DimensionError, IngestionError, ParameterError, ReplicateError,
                      TarpError)
@@ -265,15 +266,16 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
 
 def _run_replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig):
     """Screen once, then run every replicate in index order; (records, phase times)."""
-    t0 = time.perf_counter()
-    probs = screening_probs(train, cfg)
-    phase = {"screen": time.perf_counter() - t0, "project": 0.0, "fit": 0.0, "predict": 0.0}
-    records = []
-    for l in range(cfg.n_replicates):
-        try:
-            records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
-        except Exception as exc:  # no silent skipping
-            raise ReplicateError(l, cfg.seed, exc) from exc
+    with one_thread():
+        t0 = time.perf_counter()
+        probs = screening_probs(train, cfg)
+        phase = {"screen": time.perf_counter() - t0, "project": 0.0, "fit": 0.0, "predict": 0.0}
+        records = []
+        for l in range(cfg.n_replicates):
+            try:
+                records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
+            except Exception as exc:  # no silent skipping
+                raise ReplicateError(l, cfg.seed, exc) from exc
     return records, phase
 
 

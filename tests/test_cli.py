@@ -74,6 +74,7 @@ def test_fit_predict_on_csv(sim_dir, tmp_path):
     assert summary["config"]["level"] == 0.5  # defaults echoed
     assert summary["p_gamma"]["max"] <= 60
     assert summary["train"]["response_kind"] == "continuous"
+    assert summary["runtime"]["thread_env_honoured"] is True  # conftest sets the variables
 
 
 def test_fit_in_sample_allowed(sim_dir, tmp_path):
@@ -310,6 +311,9 @@ def test_benchmark_timing_reports_elapsed_and_summed_time(tmp_path):
     timing = json.loads((tmp_path / "t.timing.json").read_text())
     assert timing["dataset_time_sum"] == sum(timing["per_dataset_wall_time"])
     assert timing["wall_time"] >= timing["dataset_time_sum"]
+    assert set(timing["runtime"]) == {"blas_threads", "thread_env_honoured", "cpu_count",
+                                      "python", "numpy", "scipy"}
+    assert "runtime" not in json.loads((tmp_path / "t.json").read_text())
 
 
 def test_cli_import_loads_no_scipy_stats_or_signal():

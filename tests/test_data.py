@@ -70,8 +70,9 @@ def test_dataset_rejects_overflowing_column():
 def test_read_csv_rejects_overflowing_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n1,1e300,0\n2,-1e300,1\n3,1e300,2\n")
-    with pytest.raises(IngestionError, match="column 1"):
+    with pytest.raises(IngestionError, match="column 1") as err:
         read_csv(path)
+    assert str(err.value).startswith(f"{path}: ")  # the file is named
 
 
 def test_dataset_binary_kind_enforced():
