@@ -161,8 +161,10 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
     response = raw_cfg.get("response", -1)
+    read_started = time.perf_counter()
     train = read_csv(args.train, response=_response_arg(response))
     test = read_csv(args.test, response=_response_arg(response))
+    read_time = time.perf_counter() - read_started
     if test.p != train.p:
         raise ParameterError(f"test has {test.p} predictor columns, train has {train.p}")
     for j, (got, want) in enumerate(zip(test.col_names, train.col_names)):
@@ -174,15 +176,20 @@ def cmd_fit(args) -> int:
     started = time.perf_counter()
     if train.response_kind == RESPONSE_BINARY:
         result = run_tarp_binary(std_train, X_new, cfg)
-        write_csv(args.out + ".predictions.csv",
-                  [np.arange(test.n), result.prob],
-                  ["index", "probability"])
+        columns = {"index": np.arange(test.n), "probability": result.prob}
+        weights = selected = None
     else:
         result = run_tarp(std_train, X_new, cfg)
-        write_csv(args.out + ".predictions.csv",
-                  [np.arange(test.n), result.yhat, result.lower, result.upper],
-                  ["index", "yhat", "lower", "upper"])
-    pg = [r.p_gamma for r in result.per_replicate]
+        columns = {"index": np.arange(test.n), "yhat": result.yhat,
+                   "lower": result.lower, "upper": result.upper}
+        weights, selected = result.weights, result.selected_replicate
+    write_started = time.perf_counter()
+    write_csv(args.out + ".predictions.csv", list(columns.values()), list(columns))
+    write_time = time.perf_counter() - write_started
+    records = result.per_replicate
+    pg = [r.p_gamma for r in records]
+    m_eff = [r.m_effective for r in records]
+    psi = [r.psi for r in records if r.psi is not None]
     summary = {
         "command": "fit",
         "version": __version__,
@@ -193,7 +200,13 @@ def cmd_fit(args) -> int:
         "test_rows": test.n,
         "p_gamma": {"mean": float(np.mean(pg)), "min": int(np.min(pg)),
                     "max": int(np.max(pg))},
+        "m_effective": {"min": min(m_eff), "max": max(m_eff),
+                        "below_m": sum(r.m_effective < r.m for r in records)},
+        "psi": {"min": min(psi), "max": max(psi)} if psi else None,
+        "weights_ess": None if weights is None else float(1.0 / np.sum(weights ** 2)),
+        "selected_replicate": selected,
         "phase_times": result.phase_times,
+        "io_times": {"read": read_time, "write": write_time},
         "wall_time": time.perf_counter() - started,
         "runtime": runtime(),
     }

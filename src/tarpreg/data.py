@@ -10,6 +10,8 @@ by the ensemble layer instead.
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,10 +155,60 @@ def read_csv(path, header="auto", response=-1):
     header: True, False, or "auto" (first row is a header iff any cell in it
     fails to parse as a number).  response: column name or zero-based index;
     default -1 selects the last column.  Response kind is binary iff every
-    response value is 0 or 1.
+    response value is 0 or 1.  A UTF-8 byte-order mark is dropped.  One
+    ``np.loadtxt`` call parses the body; what it cannot parse goes through the
+    per-cell parse, whose errors name the row and column.
     """
+    data, names = _read_fast(path, header) or _read_cells(path, header)
+    width = data.shape[1]
+    if not np.isfinite(data).all():
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise IngestionError(f"{path}: non-finite value at row {i}, column {j}")
+
+    if isinstance(response, str):
+        if names is None or response not in names:
+            raise IngestionError(f"{path}: response column {response!r} not found")
+        rcol = names.index(response)
+    else:
+        rcol = int(response) % width if -width <= int(response) < width else None
+        if rcol is None:
+            raise IngestionError(f"{path}: response column index {response} out of range")
+    y = data[:, rcol]
+    X = np.delete(data, rcol, axis=1)
+    col_names = ()
+    if names is not None:
+        col_names = tuple(nm for j, nm in enumerate(names) if j != rcol)
+    try:
+        return Dataset.from_arrays(X, y, col_names=col_names)
+    except IngestionError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
+
+
+def _read_fast(path, header):
+    """(data, names) from one np.loadtxt call, or None to fall back to _read_cells."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        first = fh.readline()
+        if not first.strip() or '"' in first:
+            return None
+        row0 = first.rstrip("\r\n").split(",")  # the csv record of an unquoted line
+        if header == "auto":
+            header = not _all_numeric(row0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt(fh if header else itertools.chain([first], fh),
+                                  delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if data.shape[0] == 0:
+        return None
+    return data, ([c.strip() for c in row0] if header else None)
+
+
+def _read_cells(path, header):
+    """(data, names) parsed cell by cell with csv and float."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if row:
@@ -184,27 +236,7 @@ def read_csv(path, header="auto", response=-1):
             except ValueError:
                 raise IngestionError(
                     f"{path}: non-numeric cell {cell!r} at row {i}, column {j}") from None
-    if not np.isfinite(data).all():
-        i, j = np.argwhere(~np.isfinite(data))[0]
-        raise IngestionError(f"{path}: non-finite value at row {i}, column {j}")
-
-    if isinstance(response, str):
-        if names is None or response not in names:
-            raise IngestionError(f"{path}: response column {response!r} not found")
-        rcol = names.index(response)
-    else:
-        rcol = int(response) % width if -width <= int(response) < width else None
-        if rcol is None:
-            raise IngestionError(f"{path}: response column index {response} out of range")
-    y = data[:, rcol]
-    X = np.delete(data, rcol, axis=1)
-    col_names = ()
-    if names is not None:
-        col_names = tuple(nm for j, nm in enumerate(names) if j != rcol)
-    try:
-        return Dataset.from_arrays(X, y, col_names=col_names)
-    except IngestionError as exc:
-        raise IngestionError(f"{path}: {exc}") from None
+    return data, names
 
 
 def write_csv(path, columns, names):

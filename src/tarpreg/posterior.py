@@ -146,6 +146,11 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
     Alternates theta | y* ~ N((Z'Z + I)^{-1} Z'y*, (Z'Z + I)^{-1}) with
     truncated-normal updates of the latent y* (positive iff y = 1).  Returns
     the post-burnin mean of theta and the draws, for optional averaging.
+
+    The chain runs on the reflected latent w = S y* with S = diag(+-1) from
+    the labels, so every w is truncated to [0, inf).  All linear algebra is
+    done once: with U'U = Z'Z + I, the mean map (Z'Z + I)^{-1} (SZ)' and
+    U^{-1} turn each iteration into three matrix-vector products.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -153,18 +158,16 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
         raise ParameterError("probit_gibbs requires a binary response in {0, 1}")
     if not iterations > burnin >= 0:
         raise ParameterError("need iterations > burnin >= 0")
-    n, m = Z.shape
-    upper = linalg.cho_factor(Z.T @ Z + np.eye(m), lower=False, check_finite=False)
-    pos = y == 1.0
+    m = Z.shape[1]
+    upper = linalg.cholesky(Z.T @ Z + np.eye(m), lower=False, check_finite=False)
+    upper_inv = linalg.solve_triangular(upper, np.eye(m), lower=False, check_finite=False)
+    SZ = np.where(y == 1.0, 1.0, -1.0)[:, None] * Z
+    mean_map = upper_inv @ (upper_inv.T @ SZ.T)
     theta = np.zeros(m)
     kept = np.empty((iterations - burnin, m))
     for it in range(iterations):
-        eta = Z @ theta
-        ystar = _truncated_latent(eta, pos, rng)
-        mean = linalg.cho_solve(upper, Z.T @ ystar, check_finite=False)
-        noise = linalg.solve_triangular(upper[0], rng.standard_normal(m),
-                                        lower=False, check_finite=False)
-        theta = mean + noise
+        w = _truncated_latent(SZ @ theta, rng)
+        theta = mean_map @ w + upper_inv @ rng.standard_normal(m)
         if it >= burnin:
             kept[it - burnin] = theta
     return ProbitFit(kept.mean(axis=0), kept)
@@ -181,21 +184,19 @@ def predict_probit(fit: ProbitFit, Z_new: np.ndarray, average: bool = False) -> 
     return special.ndtr(Z_new @ fit.theta_mean)
 
 
-def _truncated_latent(eta: np.ndarray, pos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sample y*_i ~ N(eta_i, 1) truncated to (0, inf) if pos_i else (-inf, 0].
+def _truncated_latent(e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sample w_i ~ N(e_i, 1) truncated to [0, inf).
 
+    This is the latent y*_i ~ N(eta_i, 1), truncated to (0, inf) if y_i = 1
+    and to (-inf, 0] otherwise, reflected by s_i = +-1: e = s eta, y* = s w.
     Inverse-CDF in the complementary tail (stable down to ~1e-300 tail mass);
     in the extreme far tail the conditional law is approximated by the
-    boundary exponential with rate |eta|.
+    boundary exponential with rate |e|.
     """
-    u = rng.random(eta.shape[0])
-    sign = np.where(pos, 1.0, -1.0)
-    e = sign * eta                   # reflected problem: sample w >= -e, add back
-    q = special.ndtr(e)              # tail mass beyond the truncation point
+    u = rng.random(e.shape[0])
+    q = special.ndtr(e)              # mass of N(e, 1) above the truncation point
+    w = e - special.ndtri(np.maximum(u * q, 1e-308))
     deep = q < 1e-300
-    z = -special.ndtri(np.clip(u * q, 1e-308, 1.0))
-    ystar = sign * (e + z)
     if deep.any():
-        rate = np.maximum(-e[deep], 1.0)
-        ystar[deep] = sign[deep] * (-np.log(u[deep]) / rate)
-    return ystar
+        w[deep] = -np.log(u[deep]) / np.maximum(-e[deep], 1.0)
+    return w

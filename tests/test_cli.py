@@ -75,6 +75,29 @@ def test_fit_predict_on_csv(sim_dir, tmp_path):
     assert summary["p_gamma"]["max"] <= 60
     assert summary["train"]["response_kind"] == "continuous"
     assert summary["runtime"]["thread_env_honoured"] is True  # conftest sets the variables
+    assert summary["io_times"]["read"] > 0 and summary["io_times"]["write"] > 0
+    m_lo, m_hi = TarpConfig().resolved_m_range(40, 60)
+    assert m_lo <= summary["m_effective"]["min"] <= summary["m_effective"]["max"] <= m_hi
+    assert summary["m_effective"]["below_m"] == 0
+    assert 0.1 <= summary["psi"]["min"] <= summary["psi"]["max"] <= 0.4
+    assert summary["weights_ess"] is None and summary["selected_replicate"] is None
+
+    # m above the rank of the 40 centred rows: ris-pcr truncates every replicate
+    cfg = tmp_path / "pcr.cfg"
+    cfg.write_text("m_lo=45\nm_hi=50\n")
+    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                   "--backend", "ris-pcr", "--aggregation", "model-average",
+                   "--config", str(cfg), "--replicates", "6", "--seed", "4",
+                   "--out", str(tmp_path / "ma")) == 0
+    summary = json.loads((tmp_path / "ma.summary.json").read_text())
+    assert summary["m_effective"]["max"] <= 39 and summary["m_effective"]["below_m"] == 6
+    assert summary["psi"] is None
+    assert 1.0 <= summary["weights_ess"] <= 6.0
+    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                   "--aggregation", "cv", "--replicates", "6", "--seed", "4",
+                   "--out", str(tmp_path / "cv")) == 0
+    summary = json.loads((tmp_path / "cv.summary.json").read_text())
+    assert summary["selected_replicate"] in range(6) and summary["weights_ess"] is None
 
 
 def test_fit_in_sample_allowed(sim_dir, tmp_path):

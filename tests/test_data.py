@@ -1,11 +1,15 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tarpreg import (Dataset, DimensionError, IngestionError, apply_standardization,
-                     read_csv, standardize, write_csv, write_matrix_csv)
+import tarpreg.data
+from tarpreg import (Dataset, DimensionError, IngestionError, TarpError,
+                     apply_standardization, read_csv, standardize, write_csv,
+                     write_matrix_csv)
 
 MAX = 1.7976931348623157e308
 
@@ -156,6 +160,134 @@ def test_read_csv_missing_response_column(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(IngestionError):
         read_csv(path, response="nope")
+
+
+def test_read_csv_strips_byte_order_mark(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n7,8,9\n")
+    ds = read_csv(path)
+    assert ds.X.tolist() == [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]]
+    assert ds.col_names == ("x0", "x1")
+    for first in (b"a,b,y", b'"a",b,y'):  # the one-call and the per-cell parse
+        path.write_bytes(b"\xef\xbb\xbf" + first + b"\n1,2,3\n4,5,6\n")
+        ds = read_csv(path)
+        assert ds.col_names == ("a", "b")
+        assert ds.y.tolist() == [3.0, 6.0]
+
+
+def test_read_csv_parses_clean_files_in_one_call(tmp_path, monkeypatch):
+    def per_cell(*args):
+        raise AssertionError("per-cell parse ran on a clean file")
+    monkeypatch.setattr(tarpreg.data, "_read_cells", per_cell)
+    path = tmp_path / "d.csv"
+    for text in ("a,b,y\r\n1, 2,3\r\n\r\n4,5e-1,6\r\n", "1,2,0\r4,5,1\r", "y\n1\n2"):
+        path.write_bytes(text.encode())
+        assert read_csv(path).n == 2
+
+
+def _read_csv_per_cell(path, header, response):
+    # the csv + float parse that read_csv used before the one-call parse
+    rows = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for row in csv.reader(fh):
+            if row:
+                rows.append(row)
+    if not rows:
+        raise IngestionError(f"{path}: empty file")
+    names = None
+    if header == "auto":
+        header = not all(_is_float(c) for c in rows[0])
+    if header:
+        names = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+        if not rows:
+            raise IngestionError(f"{path}: header but no data rows")
+    width = len(rows[0])
+    data = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise IngestionError(f"{path}: ragged row {i} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise IngestionError(
+                    f"{path}: non-numeric cell {cell!r} at row {i}, column {j}") from None
+    if not np.isfinite(data).all():
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise IngestionError(f"{path}: non-finite value at row {i}, column {j}")
+    if isinstance(response, str):
+        if names is None or response not in names:
+            raise IngestionError(f"{path}: response column {response!r} not found")
+        rcol = names.index(response)
+    else:
+        rcol = response % width if -width <= response < width else None
+        if rcol is None:
+            raise IngestionError(f"{path}: response column index {response} out of range")
+    col_names = () if names is None else tuple(nm for j, nm in enumerate(names) if j != rcol)
+    try:
+        return Dataset.from_arrays(np.delete(data, rcol, axis=1), data[:, rcol],
+                                   col_names=col_names)
+    except IngestionError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
+
+
+def _is_float(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+_CLEAN_CELLS = ["0", "1", "-2.5", "3e-7", "1e5", "+4", ".5", "6.", "0.1"]
+_ODD_CELLS = [" 7 ", "\t8", "9\xa0", '"10"', '"1,2"', "#11", "1_000", "NA", "inf",
+              "-Infinity", "nan", "1e999", "", "  ", "x", "0x10", "1d5", "1 2"]
+_NAMES = ["a", "b", "y", " c ", '"q"', "#h", "1", ""]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_read_csv_matches_per_cell_parse(tmp_path_factory, data):
+    width = data.draw(st.integers(1, 3), label="width")
+    nrows = data.draw(st.integers(1, 3), label="rows")
+    rows = [data.draw(st.lists(st.sampled_from(_CLEAN_CELLS), min_size=width, max_size=width))
+            for _ in range(nrows)]
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]), label="odd cells")):
+        i = data.draw(st.integers(0, nrows - 1))
+        rows[i][data.draw(st.integers(0, width - 1))] = data.draw(st.sampled_from(_ODD_CELLS))
+    if data.draw(st.integers(0, 4), label="ragged") == 0:
+        i = data.draw(st.integers(0, nrows - 1))
+        rows[i] = rows[i] + ["5"] if data.draw(st.booleans()) else rows[i][:-1]
+    if data.draw(st.booleans(), label="header line"):
+        rows.insert(0, data.draw(st.lists(st.sampled_from(_NAMES + _CLEAN_CELLS),
+                                          min_size=width, max_size=width)))
+    if data.draw(st.integers(0, 3), label="quoted line") == 0:  # as QUOTE_ALL writes
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = [f'"{c}"' for c in rows[i]]
+    lines = [",".join(r) + ("," if data.draw(st.integers(0, 9)) == 0 else "") for r in rows]
+    for _ in range(data.draw(st.integers(0, 2), label="blank lines")):
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(["", "", "", " ", "\t"])))
+    eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line ending")
+    text = eol.join(lines) + data.draw(st.sampled_from(["", eol]))
+    if data.draw(st.booleans(), label="byte-order mark"):
+        text = "\ufeff" + text
+    header = data.draw(st.sampled_from([True, False, "auto"]), label="header")
+    response = data.draw(st.sampled_from([-1, -1, 0, "y"]), label="response")
+
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for read in (read_csv, _read_csv_per_cell):
+        try:
+            ds = read(path, header, response)
+        except TarpError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((ds.X.tobytes(), ds.X.shape, ds.y.tobytes(), ds.col_names,
+                             ds.response_kind))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=60, deadline=None)

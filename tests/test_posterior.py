@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, linalg, special, stats
 
 from tarpreg import (DimensionError, ParameterError, PriorHyper, fit_compressed,
                      log_marginal_likelihood, predict, predict_probit,
@@ -236,13 +236,75 @@ def test_truncated_latent_far_tail_robust():
     from tarpreg.posterior import _truncated_latent
     rng = np.random.default_rng(9)
     eta = np.array([-50.0, -8.0, 0.0, 8.0, 50.0])
-    pos = np.array([True, True, True, True, True])
+    # the helper draws the reflected latent w = s y* given e = s eta, with
+    # s = +1 for a positive label and -1 for a negative one
     for _ in range(200):
-        v = _truncated_latent(eta, pos, rng)
+        v = _truncated_latent(eta, rng)
         assert np.isfinite(v).all()
         assert (v > 0).all()
-    neg = ~pos
     for _ in range(200):
-        v = _truncated_latent(eta, neg, rng)
+        v = -_truncated_latent(-eta, rng)
         assert np.isfinite(v).all()
         assert (v <= 0).all()
+
+
+def _probit_gibbs_reference(Z, y, iterations, burnin, rng):
+    # the sampler as first written: a Cholesky solve and a triangular solve per
+    # iteration, with the unreflected latent draw below
+    n, m = Z.shape
+    upper = linalg.cho_factor(Z.T @ Z + np.eye(m), lower=False, check_finite=False)
+    pos = y == 1.0
+    theta = np.zeros(m)
+    kept = np.empty((iterations - burnin, m))
+    deep_draws = 0
+    for it in range(iterations):
+        eta = Z @ theta
+        deep_draws += int((np.where(pos, eta, -eta) < -38.0).sum())
+        ystar = _truncated_latent_reference(eta, pos, rng)
+        mean = linalg.cho_solve(upper, Z.T @ ystar, check_finite=False)
+        noise = linalg.solve_triangular(upper[0], rng.standard_normal(m),
+                                        lower=False, check_finite=False)
+        theta = mean + noise
+        if it >= burnin:
+            kept[it - burnin] = theta
+    return kept, deep_draws
+
+
+def _truncated_latent_reference(eta, pos, rng):
+    u = rng.random(eta.shape[0])
+    sign = np.where(pos, 1.0, -1.0)
+    e = sign * eta
+    q = special.ndtr(e)
+    deep = q < 1e-300
+    z = -special.ndtri(np.clip(u * q, 1e-308, 1.0))
+    ystar = sign * (e + z)
+    if deep.any():
+        rate = np.maximum(-e[deep], 1.0)
+        ystar[deep] = sign[deep] * (-np.log(u[deep]) / rate)
+    return ystar
+
+
+def _separated_with_far_outlier():
+    # 5000 separated rows drive theta to about 1; the one mislabelled row at
+    # z = 40 then sits at eta < -38, beyond the inverse-CDF range
+    z = np.where(np.arange(5000) % 2 == 0, 1.0, -1.0)
+    return (np.append(z, 40.0)[:, None], np.append(z > 0, False).astype(float), 60, 10)
+
+
+@pytest.mark.parametrize("case", ["random", "far-tail"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_probit_gibbs_matches_reference_sampler(case, seed):
+    if case == "random":
+        rng = np.random.default_rng(100 + seed)
+        Z = rng.normal(size=(120, 25)) * rng.uniform(0.2, 3.0, size=25)
+        y = (Z @ rng.normal(size=25) + rng.normal(size=120) > 0).astype(float)
+        iterations, burnin = 400, 100
+    else:
+        Z, y, iterations, burnin = _separated_with_far_outlier()
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, deep_draws = _probit_gibbs_reference(Z, y, iterations, burnin, ref_rng)
+    fit = probit_gibbs(Z, y, iterations, burnin, rng)
+    assert (deep_draws > 0) == (case == "far-tail")
+    assert np.abs(fit.theta_draws - want).max() <= 1e-10
+    assert fit.theta_mean == pytest.approx(want.mean(axis=0), abs=1e-10)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
