@@ -1,32 +1,33 @@
-"""Hold numpy's and scipy's bundled OpenBLAS at one thread while replicates run:
-on many small products and solves, BLAS threads cost more than they save.  The
-setting is process-wide.  An explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
-wins; without a bundled OpenBLAS (MKL, a system BLAS) nothing is touched."""
+"""Hold numpy's bundled OpenBLAS at one thread while replicates run: on many
+small products and solves, BLAS threads cost more than they save.  The setting
+is process-wide.  tarpreg does all its linear algebra through numpy, so
+scipy's own OpenBLAS copy (loaded only by the probit path's scipy.special) is
+left alone.  An explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins; without
+a bundled OpenBLAS (MKL, a system BLAS) nothing is touched."""
 import ctypes
 import glob
 import os
 import platform
+import sys
 from contextlib import contextmanager
 from functools import cache
 
 import numpy
-import scipy
 
 
 @cache
 def _openblas() -> tuple:
-    """(file name, getter, setter) of each bundled OpenBLAS, resolved once."""
+    """(file name, getter, setter) of numpy's bundled OpenBLAS, resolved once."""
     found = []
-    for pkg, suffix in ((numpy, "64_"), (scipy, "")):
-        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
-        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-            lib = ctypes.CDLL(path)
-            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
-            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((os.path.basename(path), get, set_))
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)  # numpy has loaded it already: this only takes a handle
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append((os.path.basename(path), get, set_))
     return tuple(found)
 
 
@@ -36,7 +37,7 @@ def _env_choice() -> bool:
 
 @contextmanager
 def one_thread():
-    """Run the body with every bundled OpenBLAS at 1 thread; restore each count after."""
+    """Run the body with numpy's bundled OpenBLAS at 1 thread; restore its count after."""
     libs = () if _env_choice() else _openblas()
     before = [get() for _, get, _ in libs]
     try:
@@ -49,7 +50,7 @@ def one_thread():
 
 
 def runtime() -> dict:
-    """Thread counts outside and inside the guard, CPU count and versions."""
+    """Thread counts outside and inside the guard, CPU count, versions (scipy None if unused)."""
     libs = _openblas()
     outside = [get() for _, get, _ in libs]
     with one_thread():
@@ -57,4 +58,5 @@ def runtime() -> dict:
                    for (name, get, _), count in zip(libs, outside)}
     return {"blas_threads": threads or "unknown", "thread_env_honoured": _env_choice(),
             "cpu_count": os.cpu_count(), "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__}
+            "numpy": numpy.__version__,
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None)}

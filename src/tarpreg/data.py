@@ -155,12 +155,15 @@ def read_csv(path, header="auto", response=-1):
     header: True, False, or "auto" (first row is a header iff any cell in it
     fails to parse as a number).  response: column name or zero-based index;
     default -1 selects the last column.  Response kind is binary iff every
-    response value is 0 or 1.  A UTF-8 byte-order mark is dropped.  One
-    ``np.loadtxt`` call parses the body; what it cannot parse goes through the
-    per-cell parse, whose errors name the row and column.
+    response value is 0 or 1.  A header must be as wide as the body.  A UTF-8
+    byte-order mark is dropped.  One ``np.loadtxt`` call parses the body; what
+    it cannot parse goes through the per-cell parse, whose errors name the row
+    and column.
     """
     data, names = _read_fast(path, header) or _read_cells(path, header)
     width = data.shape[1]
+    if names is not None and len(names) != width:
+        raise IngestionError(f"{path}: header has {len(names)} columns, body has {width}")
     if not np.isfinite(data).all():
         i, j = np.argwhere(~np.isfinite(data))[0]
         raise IngestionError(f"{path}: non-finite value at row {i}, column {j}")
@@ -173,13 +176,10 @@ def read_csv(path, header="auto", response=-1):
         rcol = int(response) % width if -width <= int(response) < width else None
         if rcol is None:
             raise IngestionError(f"{path}: response column index {response} out of range")
-    y = data[:, rcol]
-    X = np.delete(data, rcol, axis=1)
-    col_names = ()
-    if names is not None:
-        col_names = tuple(nm for j, nm in enumerate(names) if j != rcol)
+    col_names = () if names is None else tuple(nm for j, nm in enumerate(names) if j != rcol)
     try:
-        return Dataset.from_arrays(X, y, col_names=col_names)
+        return Dataset.from_arrays(np.delete(data, rcol, axis=1), data[:, rcol],
+                                   col_names=col_names)
     except IngestionError as exc:
         raise IngestionError(f"{path}: {exc}") from None
 
@@ -207,12 +207,8 @@ def _read_fast(path, header):
 
 def _read_cells(path, header):
     """(data, names) parsed cell by cell with csv and float."""
-    rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if row:
-                rows.append(row)
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise IngestionError(f"{path}: empty file")
 

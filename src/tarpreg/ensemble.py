@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from ._blas import one_thread
 from .data import Dataset, RESPONSE_BINARY, RESPONSE_CONTINUOUS
 from .errors import (DimensionError, IngestionError, ParameterError, ReplicateError,
                      TarpError)
-from .posterior import (PriorHyper, fit_compressed, log_marginal_likelihood,
-                        predict, predict_probit, probit_gibbs)
+from .posterior import (CompressedPosterior, PriorHyper, fit_compressed,
+                        log_marginal_likelihood, predict, predict_probit, probit_gibbs)
 from .projection import compress, gen_pcr_matrix, gen_rp_matrix, gen_sparse_rp_matrix
 from .screening import (GammaMask, InclusionProbs, inclusion_probabilities, default_delta,
                         marginal_utility, sample_gamma)
@@ -248,7 +247,7 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
         cv = None
         if cfg.aggregation == AGG_CV:
             fold_plan = substream(cfg.seed, _DOMAIN_FOLDS).permutation(train.n)
-            cv = kfold_mse(Z, y_fit, cfg.prior, cfg.k_folds, fold_plan)
+            cv = kfold_mse(Z, y_fit, post, cfg.k_folds, fold_plan)
         t3 = time.perf_counter()
         summary = predict(post, compress(X_new, proj), cfg.level)
         out = dict(yhat=summary.mean + y_offset, lower=summary.lower + y_offset,
@@ -335,18 +334,22 @@ def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpB
         wall_time=time.perf_counter() - started, phase_times=phase)
 
 
-def kfold_mse(Z: np.ndarray, y: np.ndarray, prior: PriorHyper, k: int,
+def kfold_mse(Z: np.ndarray, y: np.ndarray, post: CompressedPosterior, k: int,
               fold_plan: np.ndarray) -> float:
     """Mean over K folds of the mean squared validation error of the conjugate fit.
 
     Folds are contiguous blocks of ``fold_plan``, a permutation of the n rows
-    shared across candidates; k = n gives leave-one-out.  A = Z'Z + I/sigma_theta^2
-    and b = Z'y are formed once, and each fold solves
-    (A - Z_v'Z_v) mu = b - Z_v'y_v for its held-out rows v.
+    shared across candidates; k = n gives leave-one-out.  ``post`` is the fit
+    on all n rows of (Z, y), and no fold refits: with the hat matrix
+    H = Z (Z'Z + I/sigma_theta^2)^{-1} Z', the fit without the rows v leaves
+    the residuals (I - H_vv)^{-1} (y_v - Z_v mu) on them, and H_vv is read
+    off the columns v of L^{-1} Z', L^{-1} being the fit's inverse factor.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, m = Z.shape
+    if (post.n, post.m) != (n, m) or y.shape != (n,):
+        raise DimensionError("kfold_mse needs the posterior fitted on (Z, y)")
     if k < 2:
         raise ParameterError("k must be >= 2")
     if k > n:
@@ -354,15 +357,10 @@ def kfold_mse(Z: np.ndarray, y: np.ndarray, prior: PriorHyper, k: int,
     fold_plan = np.asarray(fold_plan)
     if not np.array_equal(np.sort(fold_plan), np.arange(n)):
         raise ParameterError("fold_plan must be a permutation of the n rows")
-    A = Z.T @ Z + np.eye(m) / prior.theta_scale ** 2
-    b = Z.T @ y
-    errors = np.empty(k)
-    for i, val in enumerate(np.array_split(fold_plan, k)):
-        Zv, yv = Z[val], y[val]
-        mu = linalg.solve(A - Zv.T @ Zv, b - Zv.T @ yv, assume_a="pos",
-                          check_finite=False)
-        errors[i] = np.mean((Zv @ mu - yv) ** 2)
-    return float(errors.mean())
+    G, resid = post.chol_inv @ Z.T, y - Z @ post.mu_t         # H = G'G
+    errors = [np.mean(np.linalg.solve(np.eye(v.size) - G[:, v].T @ G[:, v], resid[v]) ** 2)
+              for v in np.array_split(fold_plan, k)]
+    return float(np.mean(errors))
 
 
 def _check_inputs(train: Dataset, X_new: np.ndarray) -> None:

@@ -8,22 +8,22 @@ Inv-Gamma(a + n/2, (y'y - mu' W^{-1} mu)/2 + b); and the predictive at a
 compressed row z is a scaled t with the same df, mean z'mu and squared scale
 (y'y - mu' W^{-1} mu + 2b)(1 + z' W z) / df.
 
-A fit factors W^{-1} = U'U (upper Cholesky) once and keeps U on the
-posterior; fitting and prediction never form W (the ``W`` property builds it
-on request).  Prediction gets z' W z as the squared norm of the triangular
-solve U^{-T} z, and the log evidence, the model-averaging weight, reads
-log det W from the diagonal of the same U.
+A fit factors W^{-1} = L L' (lower Cholesky) once and keeps the inverse
+factor L^{-1}, built by matrix products since numpy has no triangular solve.
+It gives mu = L^{-T} L^{-1} Z'y, z' W z = |L^{-1} z|^2 for all test rows in
+one product, log det W (the evidence) from its diagonal, and W on request.
 
 For binary responses a probit data-augmentation Gibbs sampler replaces the
 closed form: latent y*_i ~ N(z_i'theta, 1) with y*_i > 0 iff y_i = 1, and
-theta | y* ~ N((Z'Z + I)^{-1} Z'y*, (Z'Z + I)^{-1}).
+theta | y* ~ N((Z'Z + I)^{-1} Z'y*, (Z'Z + I)^{-1}).  Only this binary path
+imports ``scipy.special`` (on first use); the Gaussian one needs numpy alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import linalg, special
 
 from .errors import DimensionError, IngestionError, ParameterError, TarpError
 from .studentt import t_interval_halfwidth
@@ -45,7 +45,7 @@ class PriorHyper:
 @dataclass(frozen=True)
 class CompressedPosterior:
     mu_t: np.ndarray         # posterior location, length m
-    chol: np.ndarray         # upper Cholesky factor U of I/sigma_theta^2 + Z'Z = U'U
+    chol_inv: np.ndarray     # L^{-1}, L the lower Cholesky factor of I/sigma_theta^2 + Z'Z
     df: float                # n + 2 a_sigma
     scale_factor: float      # y'y - mu' W^{-1} mu + 2 b_sigma
     n: int
@@ -58,8 +58,7 @@ class CompressedPosterior:
     @property
     def W(self) -> np.ndarray:
         """(I/sigma_theta^2 + Z'Z)^{-1}, formed from the factor on request."""
-        W = linalg.cho_solve((self.chol, False), np.eye(self.m), check_finite=False)
-        return (W + W.T) / 2.0
+        return self.chol_inv.T @ self.chol_inv
 
 
 @dataclass(frozen=True)
@@ -88,13 +87,13 @@ def fit_compressed(Z: np.ndarray, y: np.ndarray, prior: PriorHyper) -> Compresse
         raise IngestionError("fit_compressed requires finite inputs")
     n, m = Z.shape
     A = Z.T @ Z + np.eye(m) / prior.theta_scale ** 2
-    U = linalg.cholesky(A, lower=False, check_finite=False)
+    chol_inv = _lower_inverse(np.linalg.cholesky(A))
     Zty = Z.T @ y
-    mu = linalg.cho_solve((U, False), Zty, check_finite=False)
+    mu = chol_inv.T @ (chol_inv @ Zty)
     scale_factor = float(y @ y - mu @ Zty + 2.0 * prior.b_sigma)
     if scale_factor <= 0:
         raise TarpError("scale factor must be positive; numerical failure in fit")
-    return CompressedPosterior(mu, U, float(n + 2.0 * prior.a_sigma),
+    return CompressedPosterior(mu, chol_inv, float(n + 2.0 * prior.a_sigma),
                                scale_factor, n, prior)
 
 
@@ -115,10 +114,8 @@ def predict(post: CompressedPosterior, Z_new: np.ndarray, level: float) -> Predi
     if not 0.0 < level < 1.0:
         raise ParameterError("level must lie in (0, 1)")
     mean = Z_new @ post.mu_t
-    # z' W z = |U^{-T} z|^2, one triangular solve for all rows
-    V = linalg.solve_triangular(post.chol, Z_new.T, trans="T", lower=False,
-                                check_finite=False)
-    quad = np.einsum("ij,ij->j", V, V)
+    V = Z_new @ post.chol_inv.T              # z' W z = |L^{-1} z|^2, all rows at once
+    quad = np.einsum("ij,ij->i", V, V)
     scale = np.sqrt(post.scale_factor * (1.0 + quad) / post.df)
     half = t_interval_halfwidth(level, post.df) * scale
     return PredictiveSummary(mean, scale, post.df, mean - half, mean + half)
@@ -127,15 +124,15 @@ def predict(post: CompressedPosterior, Z_new: np.ndarray, level: float) -> Predi
 def log_marginal_likelihood(post: CompressedPosterior) -> float:
     """Log evidence of the fitted conjugate model, the model-averaging weight.
 
-    Reads log det W off the fit's Cholesky factor; constant terms are kept so
+    Reads log det W off the fit's inverse factor; constant terms are kept so
     the value is comparable across models on the same data.
     """
     n, m, prior = post.n, post.m, post.prior
-    log_det_W = -2.0 * float(np.sum(np.log(np.diag(post.chol))))
+    log_det_W = 2.0 * float(np.sum(np.log(np.diag(post.chol_inv))))
     return (-(n / 2.0) * np.log(2.0 * np.pi)
             + 0.5 * log_det_W - m * np.log(prior.theta_scale)
-            + prior.a_sigma * np.log(prior.b_sigma) - special.gammaln(prior.a_sigma)
-            + special.gammaln(post.df / 2.0)
+            + prior.a_sigma * np.log(prior.b_sigma) - math.lgamma(prior.a_sigma)
+            + math.lgamma(post.df / 2.0)
             - (post.df / 2.0) * np.log(post.scale_factor / 2.0))
 
 
@@ -158,15 +155,15 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
         raise ParameterError("probit_gibbs requires a binary response in {0, 1}")
     if not iterations > burnin >= 0:
         raise ParameterError("need iterations > burnin >= 0")
+    from scipy import special
     m = Z.shape[1]
-    upper = linalg.cholesky(Z.T @ Z + np.eye(m), lower=False, check_finite=False)
-    upper_inv = linalg.solve_triangular(upper, np.eye(m), lower=False, check_finite=False)
+    upper_inv = _lower_inverse(np.linalg.cholesky(Z.T @ Z + np.eye(m))).T  # U = L'
     SZ = np.where(y == 1.0, 1.0, -1.0)[:, None] * Z
     mean_map = upper_inv @ (upper_inv.T @ SZ.T)
     theta = np.zeros(m)
     kept = np.empty((iterations - burnin, m))
     for it in range(iterations):
-        w = _truncated_latent(SZ @ theta, rng)
+        w = _truncated_latent(SZ @ theta, rng, special)
         theta = mean_map @ w + upper_inv @ rng.standard_normal(m)
         if it >= burnin:
             kept[it - burnin] = theta
@@ -179,24 +176,37 @@ def predict_probit(fit: ProbitFit, Z_new: np.ndarray, average: bool = False) -> 
     Z_new = np.atleast_2d(np.asarray(Z_new, dtype=np.float64))
     if Z_new.shape[1] != fit.theta_mean.shape[0]:
         raise DimensionError("Z_new column count does not match fit")
+    from scipy import special
     if average:
         return special.ndtr(Z_new @ fit.theta_draws.T).mean(axis=1)
     return special.ndtr(Z_new @ fit.theta_mean)
 
 
-def _truncated_latent(e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L by halves: the lower-left block of L^{-1}
+    is -L22^{-1} L21 L11^{-1}, so all but the small leaves is matrix products."""
+    if L.shape[0] <= 32:
+        return np.linalg.inv(L)
+    h = L.shape[0] // 2
+    out = np.zeros_like(L)
+    out[:h, :h], out[h:, h:] = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
+    return out
+
+
+def _truncated_latent(e: np.ndarray, rng: np.random.Generator, special) -> np.ndarray:
     """Sample w_i ~ N(e_i, 1) truncated to [0, inf).
 
     This is the latent y*_i ~ N(eta_i, 1), truncated to (0, inf) if y_i = 1
     and to (-inf, 0] otherwise, reflected by s_i = +-1: e = s eta, y* = s w.
     Inverse-CDF in the complementary tail (stable down to ~1e-300 tail mass);
     in the extreme far tail the conditional law is approximated by the
-    boundary exponential with rate |e|.
+    boundary exponential with rate |e|.  ``special`` is scipy.special.
     """
     u = rng.random(e.shape[0])
     q = special.ndtr(e)              # mass of N(e, 1) above the truncation point
     w = e - special.ndtri(np.maximum(u * q, 1e-308))
-    deep = q < 1e-300
-    if deep.any():
+    if np.minimum.reduce(q) < 1e-300:     # one C-level reduction per iteration
+        deep = q < 1e-300
         w[deep] = -np.log(u[deep]) / np.maximum(-e[deep], 1.0)
     return w

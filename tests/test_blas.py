@@ -72,6 +72,32 @@ def _python(*argv, **env_extra):
     return out.stdout
 
 
+# Lists the OpenBLAS files mapped after `import numpy`, then after importing
+# tarpreg, running the guard and reading `runtime()`.
+LOADED = """
+import json, sys
+import numpy
+
+def openblas_files():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        return sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]})
+
+before = openblas_files()
+from tarpreg._blas import one_thread, runtime
+with one_thread():
+    info = runtime()
+print(json.dumps({"before": before, "after": openblas_files(), "scipy": info["scipy"],
+                  "modules": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_guard_loads_no_openblas_the_process_had_not_loaded():
+    out = json.loads(_python("-c", LOADED))
+    assert out["before"] and out["after"] == out["before"]
+    assert out["scipy"] is None and out["modules"] == []
+
+
 def test_run_holds_one_thread_and_restores_the_count():
     out = json.loads(_python("-c", RUN, "2"))
     assert set(out["before"].values()) == {2}

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import tarpreg
-from tarpreg import SchemeSpec, TarpConfig, dataset_seed, read_csv, run_tarp, standardize
+from tarpreg import (SchemeSpec, TarpConfig, dataset_seed, read_csv, run_tarp, standardize,
+                     write_matrix_csv)
 from tarpreg.cli import _build_parser, main
 
 
@@ -339,14 +341,61 @@ def test_benchmark_timing_reports_elapsed_and_summed_time(tmp_path):
     assert "runtime" not in json.loads((tmp_path / "t.json").read_text())
 
 
-def test_cli_import_loads_no_scipy_stats_or_signal():
-    # a fresh interpreter, so modules other tests imported do not count
+# Runs in a fresh interpreter, so modules other tests imported do not count.
+NO_SCIPY = """
+import json, sys
+from tarpreg.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+train, test, binary, out = sys.argv[1:]
+loaded = {"import": scipy_modules()}
+for name, flags in (("default", []), ("model-average", ["--aggregation", "model-average"]),
+                    ("cv", ["--aggregation", "cv"])):
+    assert main(["fit", train, test, "--replicates", "3", *flags, "--out", out + name]) == 0
+    loaded[name] = scipy_modules()
+assert main(["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
+             "--n-active", "4", "--datasets", "2", "--replicates", "2", "--workers", "1",
+             "--out", out + "bench"]) == 0
+loaded["benchmark"] = scipy_modules()
+assert main(["fit", binary, binary, "--replicates", "2", "--out", out + "binary"]) == 0
+loaded["binary"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_import_and_gaussian_runs_load_no_scipy(sim_dir, tmp_path):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(30, 3))
+    binary = tmp_path / "bin.csv"
+    write_matrix_csv(binary, X, (X[:, 0] > 0).astype(float))
     env = dict(os.environ, PYTHONPATH=str(Path(tarpreg.__file__).parents[1]))
-    code = ("import sys, tarpreg.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.signal'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY, str(sim_dir / "train.csv"),
+                          str(sim_dir / "test.csv"), str(binary), str(tmp_path / "r")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout)
+    assert {k: v for k, v in loaded.items() if k != "binary"} == dict.fromkeys(
+        ["import", "default", "model-average", "cv", "benchmark"], [])
+    assert "scipy.special" in loaded["binary"]  # the probit sampler loads it on first use
+    for name, scipy_version in (("cv", None), ("binary", scipy.__version__)):
+        summary = json.loads((tmp_path / f"r{name}.summary.json").read_text())
+        assert summary["runtime"]["scipy"] == scipy_version
+    timing = json.loads((tmp_path / "rbench.timing.json").read_text())
+    assert timing["runtime"]["scipy"] is None
+
+
+def test_fit_rejects_header_of_another_width(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_text("a,b\n1,2,3\n4,5,6\n7,8,9\n")
+    for flags in ([], ["--response", "0"]):
+        assert run_cli("fit", str(path), str(path), *flags, "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "IngestionError",
+                                   "message": f"{path}: header has 2 columns, body has 3"}
+    assert not (tmp_path / "x.predictions.csv").exists()
 
 
 def test_benchmark_workers_do_not_change_outputs(tmp_path):

@@ -126,6 +126,19 @@ def test_read_csv_with_header(tmp_path):
     assert ds.response_kind == "continuous"
 
 
+@pytest.mark.parametrize("header_line", ["a,b", '"a","b"', "a,b,c,y", "a,b,y,"],
+                         ids=["narrow", "narrow-quoted", "wide", "trailing-comma"])
+def test_read_csv_rejects_header_of_another_width(tmp_path, header_line):
+    # the quoted header goes through the per-cell parse, the others through np.loadtxt
+    path = tmp_path / "w.csv"
+    path.write_text(header_line + "\n1,2,3\n4,5,6\n")
+    names = header_line.count(",") + 1
+    for response in (-1, 0):
+        with pytest.raises(IngestionError) as err:
+            read_csv(path, response=response)
+        assert str(err.value) == f"{path}: header has {names} columns, body has 3"
+
+
 def test_read_csv_binary_response_inferred(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,0.5,0\n2,0.25,1\n3,0.125,1\n")
@@ -186,7 +199,8 @@ def test_read_csv_parses_clean_files_in_one_call(tmp_path, monkeypatch):
 
 
 def _read_csv_per_cell(path, header, response):
-    # the csv + float parse that read_csv used before the one-call parse
+    # the csv + float parse that read_csv used before the one-call parse, with
+    # the header width check both parses now share
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
@@ -213,6 +227,8 @@ def _read_csv_per_cell(path, header, response):
             except ValueError:
                 raise IngestionError(
                     f"{path}: non-numeric cell {cell!r} at row {i}, column {j}") from None
+    if names is not None and len(names) != width:
+        raise IngestionError(f"{path}: header has {len(names)} columns, body has {width}")
     if not np.isfinite(data).all():
         i, j = np.argwhere(~np.isfinite(data))[0]
         raise IngestionError(f"{path}: non-finite value at row {i}, column {j}")

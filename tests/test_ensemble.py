@@ -192,14 +192,16 @@ def test_kfold_perfect_fit_is_zero():
     Z = rng.normal(size=(40, 3)) * 300.0
     beta = np.array([1.0, -2.0, 0.5]) / 300.0
     y = Z @ beta  # order-1 responses, exactly linear, no noise
-    got = kfold_mse(Z, y, PriorHyper(), 5, np.random.default_rng(0).permutation(40))
+    got = kfold_mse(Z, y, fit_compressed(Z, y, PriorHyper()), 5,
+                    np.random.default_rng(0).permutation(40))
     assert got < 1e-10
 
 
 def test_kfold_null_candidate_matches_variance():
     rng = np.random.default_rng(17)
     y = rng.normal(size=400)
-    got = kfold_mse(np.zeros((400, 1)), y, PriorHyper(), 5,
+    Z = np.zeros((400, 1))
+    got = kfold_mse(Z, y, fit_compressed(Z, y, PriorHyper()), 5,
                     np.random.default_rng(1).permutation(400))
     assert got == pytest.approx(np.mean(y ** 2), rel=1e-12)  # predicts 0 everywhere
 
@@ -209,7 +211,7 @@ def test_kfold_loo_matches_bruteforce():
     Z = rng.normal(size=(12, 2))
     y = rng.normal(size=12)
     plan = np.random.default_rng(2).permutation(12)
-    got = kfold_mse(Z, y, PriorHyper(), 12, plan)
+    got = kfold_mse(Z, y, fit_compressed(Z, y, PriorHyper()), 12, plan)
     errs = []
     for i in plan:
         keep = np.array([j for j in plan if j != i])
@@ -218,18 +220,22 @@ def test_kfold_loo_matches_bruteforce():
     assert got == pytest.approx(np.mean(errs), rel=1e-12)
 
 
+def _null_fit(n=5):
+    return fit_compressed(np.zeros((n, 1)), np.zeros(n), PriorHyper())
+
+
 def test_kfold_validates_k():
     with pytest.raises(ParameterError):
-        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 6, np.arange(5))
+        kfold_mse(np.zeros((5, 1)), np.zeros(5), _null_fit(), 6, np.arange(5))
     with pytest.raises(ParameterError):
-        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 1, np.arange(5))
+        kfold_mse(np.zeros((5, 1)), np.zeros(5), _null_fit(), 1, np.arange(5))
 
 
 def test_kfold_rejects_plan_that_is_not_a_permutation():
     with pytest.raises(ParameterError):
-        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 2, np.array([0, 1, 2, 3, 3]))
+        kfold_mse(np.zeros((5, 1)), np.zeros(5), _null_fit(), 2, np.array([0, 1, 2, 3, 3]))
     with pytest.raises(ParameterError):
-        kfold_mse(np.zeros((5, 1)), np.zeros(5), PriorHyper(), 2, np.arange(4))
+        kfold_mse(np.zeros((5, 1)), np.zeros(5), _null_fit(), 2, np.arange(4))
 
 
 def _binary_toy(seed=20, n=40, p=8):

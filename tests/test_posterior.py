@@ -239,11 +239,11 @@ def test_truncated_latent_far_tail_robust():
     # the helper draws the reflected latent w = s y* given e = s eta, with
     # s = +1 for a positive label and -1 for a negative one
     for _ in range(200):
-        v = _truncated_latent(eta, rng)
+        v = _truncated_latent(eta, rng, special)
         assert np.isfinite(v).all()
         assert (v > 0).all()
     for _ in range(200):
-        v = -_truncated_latent(-eta, rng)
+        v = -_truncated_latent(-eta, rng, special)
         assert np.isfinite(v).all()
         assert (v <= 0).all()
 

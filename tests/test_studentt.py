@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from tarpreg import ParameterError, t_cdf, t_interval_halfwidth, t_ppf
 
@@ -46,3 +48,27 @@ def test_rejects_bad_arguments():
         t_ppf(0.5, -1.0)
     with pytest.raises(ParameterError):
         t_interval_halfwidth(1.0, 5.0)
+
+
+def test_matches_stdtrit_on_a_grid():
+    # scipy's quantile is relative-accurate only from about 1e-3 away from p = 1/2;
+    # test_centre_is_offset_over_density covers the centre
+    p = np.geomspace(1e-8, 0.499, 30)
+    p = np.concatenate([p, 1.0 - p])
+    for df in np.geomspace(0.3, 1e5, 41):
+        rel = np.abs(t_ppf(p, df) / special.stdtrit(df, p) - 1.0).max()
+        assert rel <= (1e-12 if df <= 1e3 else 1e-10), df
+
+
+def test_centre_is_offset_over_density():
+    # t = (p - 1/2) / f(0) up to a relative O((p - 1/2)^2), f the t density
+    for df in (0.3, 1.0, 3.7, 10.0):
+        f0 = 1.0 / (math.sqrt(df) * special.beta(df / 2.0, 0.5))
+        for p in (0.5 + 1e-12, 0.5 - 1e-10, 0.5 + 1e-7):
+            assert t_ppf(p, df) == pytest.approx((p - 0.5) / f0, rel=1e-12)
+
+
+def test_rejects_nan_and_infinite_arguments():
+    for prob, df in ((np.nan, 5.0), (0.5, np.nan), (0.5, np.inf)):
+        with pytest.raises(ParameterError):
+            t_ppf(prob, df)
