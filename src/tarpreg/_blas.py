@@ -3,7 +3,9 @@ small products and solves, BLAS threads cost more than they save.  The setting
 is process-wide.  tarpreg does all its linear algebra through numpy, so
 scipy's own OpenBLAS copy (loaded only by the probit path's scipy.special) is
 left alone.  An explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins; without
-a bundled OpenBLAS (MKL, a system BLAS) nothing is touched."""
+a bundled OpenBLAS (MKL, a system BLAS) nothing is touched.  OpenBLAS starts
+its threads when it loads, so the command line also calls ``pin_at_start``
+before numpy loads.  This module imports numpy only inside its functions."""
 import ctypes
 import glob
 import os
@@ -12,12 +14,22 @@ import sys
 from contextlib import contextmanager
 from functools import cache
 
-import numpy
+_pinned = False     # OPENBLAS_NUM_THREADS=1 was set by pin_at_start, not by the user
+
+
+def pin_at_start() -> None:
+    """Start every OpenBLAS the process loads at 1 thread, unless numpy is loaded
+    already or a thread variable is set: a library caller's process is never changed."""
+    global _pinned
+    if "numpy" not in sys.modules and not _env_choice():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        _pinned = True
 
 
 @cache
 def _openblas() -> tuple:
     """(file name, getter, setter) of numpy's bundled OpenBLAS, resolved once."""
+    import numpy
     found = []
     libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
@@ -32,7 +44,9 @@ def _openblas() -> tuple:
 
 
 def _env_choice() -> bool:
-    return any(os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    """Whether the user set a thread variable; the start-up pin does not count."""
+    return bool(os.environ.get("OMP_NUM_THREADS")
+                or not _pinned and os.environ.get("OPENBLAS_NUM_THREADS"))
 
 
 @contextmanager
@@ -51,6 +65,7 @@ def one_thread():
 
 def runtime() -> dict:
     """Thread counts outside and inside the guard, CPU count, versions (scipy None if unused)."""
+    import numpy
     libs = _openblas()
     outside = [get() for _, get, _ in libs]
     with one_thread():

@@ -12,7 +12,8 @@ command-line flag overrides the file value, and the effective configuration
 is echoed into the run summary.  All failures print a machine-readable JSON
 object on stderr and exit nonzero.  Benchmark outputs are bit-identical for
 any ``--workers`` value; wall-clock timings go to a separate ``.timing.json``
-so the data files stay deterministic.
+so the data files stay deterministic.  Importing this module starts OpenBLAS at
+one thread (``_blas.pin_at_start``) and loads no process pool.
 """
 from __future__ import annotations
 
@@ -21,13 +22,17 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
+
+from . import __version__
+from ._blas import one_thread, pin_at_start, runtime
+
+# OpenBLAS reads its thread count once, when numpy (or scipy) first loads it,
+# so this must run before any import below that loads numpy.
+pin_at_start()
 
 import numpy as np
 
-from . import __version__
-from ._blas import one_thread, runtime
 from .data import (RESPONSE_BINARY, apply_standardization, read_csv,
                    standardize, write_csv, write_matrix_csv)
 from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
@@ -232,11 +237,13 @@ def cmd_benchmark(args) -> int:
 
     seeds = [dataset_seed(cfg.seed, i) for i in range(args.datasets)]
     jobs = [(replace(spec, seed=s), cfg) for s in seeds]
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
+    # the pool starts all its processes up front: never more than there are datasets
+    workers = min(args.workers or os.cpu_count() or 1, args.datasets)
     started = time.perf_counter()
-    if workers == 1 or args.datasets == 1:
+    if workers == 1:
         rows = [_benchmark_one(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_benchmark_one, jobs, chunksize=1))
     elapsed = time.perf_counter() - started

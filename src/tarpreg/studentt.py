@@ -4,8 +4,11 @@ The quantile needs only ``math``: for t > 0, P(|T| > t) = I_x(df/2, 1/2) with
 x = df / (df + t^2), whose continued fraction is evaluated by the modified
 Lentz method (Press et al., *Numerical Recipes*, 3rd ed., section 6.4).
 Safeguarded Newton steps in log t on the log of the smaller of P(|T| > t) and
-P(|T| < t) find it, once per (probability, df) and process.  The CDF, which
-only the mixture interval uses, imports ``scipy.special.stdtr`` on first use.
+P(|T| < t) find it, once per (probability, df) and process.  At large df,
+where the continued fraction loses accuracy, the four-term Cornish-Fisher
+expansion of Hill (1970) around the normal quantile takes over wherever its
+first neglected term is below 1e-16 relative.  The CDF, which only the
+mixture interval uses, imports ``scipy.special.stdtr`` on first use.
 """
 from __future__ import annotations
 
@@ -18,6 +21,12 @@ from .errors import ParameterError
 
 # B_2k / (2k (2k - 1)): the Stirling series of log Gamma, exact to < 1e-16 from 10 up
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+# Hill (1970), Abramowitz & Stegun 26.7.5: t = z + sum_k g_k(z) / df^k, where
+# g_k(z) = z poly_k(z^2) / divisor_k; coefficients in rising powers of z^2.
+# Four terms are summed; the fifth only sizes the error of the first four.
+_HILL = (((1, 1), 4), ((3, 16, 5), 96), ((-15, 17, 19, 3), 384),
+         ((-945, -1920, 1482, 776, 79), 92160),
+         ((17955, -765, -1782, 930, 339, 27), 368640))
 
 
 def t_cdf(x, df):
@@ -50,6 +59,13 @@ def t_interval_halfwidth(level, df):
 def _quantile(p: float, df: float) -> float:
     if p == 0.5:
         return 0.0
+    if df > 800.0:                                  # below, Hill's series never qualifies
+        from statistics import NormalDist
+        z = NormalDist().inv_cdf(p)
+        *terms, left_out = (z * sum(c * (z * z) ** i for i, c in enumerate(poly)) / divisor
+                            for poly, divisor in _HILL)
+        if abs(left_out) * df ** -5 < 1e-16 * abs(z):
+            return z + sum(g * df ** -k for k, g in enumerate(terms, 1))
     tail = 2.0 * p if p < 0.5 else 2.0 - 2.0 * p    # P(|T| > t), exact in binary
     side = 0 if tail <= 0.5 else 1                  # solve on the smaller mass
     target = math.log(tail if side == 0 else 1.0 - tail)

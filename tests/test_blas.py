@@ -11,10 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tarpreg
+from tarpreg import read_csv, write_matrix_csv
 from tarpreg._blas import _openblas
+from tarpreg.cli import main
 
 SRC = str(Path(tarpreg.__file__).parents[1])
 THREAD_VARS = re.compile(r"^(OMP_|OPENBLAS_|GOTO_|MKL_|VECLIB_|BLIS_|NUMEXPR_)|NUM_THREADS")
@@ -126,3 +129,126 @@ def test_benchmark_outputs_do_not_depend_on_workers_with_threads_unset(tmp_path)
     runtime = json.loads((tmp_path / "w2.timing.json").read_text())["runtime"]
     assert runtime["thread_env_honoured"] is False
     assert all(c["inside"] == 1 for c in runtime["blas_threads"].values())
+
+
+# Imports tarpreg.cli (argv[1] == "numpy": after numpy), then runs main on the
+# rest of argv with run_replicate spied on; reports the thread variables,
+# numpy's count before the run and inside it, and after the run the count of
+# every OpenBLAS the process has mapped, each read through its own getter.
+CLI_RUN = """
+import ctypes, json, os, sys
+if sys.argv[1] == "numpy":
+    import numpy
+env_before = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+import tarpreg.cli
+import tarpreg.ensemble as ens
+from tarpreg._blas import _openblas
+
+def numpy_threads():
+    return {name: get() for name, get, _ in _openblas()}
+
+def mapped_blas_threads():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]})
+    out = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        get = next(getattr(lib, s) for s in ("scipy_openblas_get_num_threads64_",
+                                             "scipy_openblas_get_num_threads") if hasattr(lib, s))
+        get.restype = ctypes.c_int
+        out[os.path.basename(path)] = get()
+    return out
+
+out = {"env_before": env_before, "before": numpy_threads(), "inside": []}
+real = ens.run_replicate
+
+def spy(*args, **kwargs):
+    out["inside"].append(numpy_threads())
+    return real(*args, **kwargs)
+
+ens.run_replicate = spy
+assert tarpreg.cli.main(sys.argv[2:]) == 0
+out["env_after"] = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+out["mapped_after"] = mapped_blas_threads() if os.path.exists("/proc/self/maps") else {}
+print(json.dumps(out))
+"""
+MAPS = pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+
+
+@pytest.fixture(scope="module")
+def csv_pair(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", "--scheme", "ar1", "--n", "40", "--p", "60", "--n-test", "10",
+                 "--n-active", "5", "--seed", "3", "--out", str(out)]) == 0
+    train = read_csv(str(out / "train.csv"))
+    write_matrix_csv(out / "binary.csv", train.X, (train.y > np.median(train.y)) * 1.0,
+                     train.col_names)
+    return out
+
+
+def _fit(csv_pair, tmp_path, binary=False, first="cli", **env):
+    train = str(csv_pair / ("binary.csv" if binary else "train.csv"))
+    test = str(csv_pair / ("binary.csv" if binary else "test.csv"))
+    out = json.loads(_python("-c", CLI_RUN, first, "fit", train, test, "--replicates", "3",
+                             "--out", str(tmp_path / "f"), **env))
+    out["runtime"] = json.loads((tmp_path / "f.summary.json").read_text())["runtime"]
+    return out
+
+
+@MAPS
+def test_cli_starts_openblas_at_one_thread(csv_pair, tmp_path):
+    out = _fit(csv_pair, tmp_path)
+    assert out["env_before"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    assert out["env_after"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert set(out["before"].values()) == {1}
+    assert out["runtime"]["thread_env_honoured"] is False
+    assert all(c == {"outside": 1, "inside": 1} for c in out["runtime"]["blas_threads"].values())
+
+
+@MAPS
+def test_binary_fit_leaves_every_openblas_at_one_thread(csv_pair, tmp_path):
+    out = _fit(csv_pair, tmp_path, binary=True)
+    assert len(out["mapped_after"]) == 2              # numpy's copy and scipy.special's
+    assert set(out["mapped_after"].values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_leaves_a_user_thread_variable_alone(csv_pair, tmp_path, name):
+    out = _fit(csv_pair, tmp_path, **{name: "2"})
+    assert out["env_before"] == out["env_after"]
+    assert out["env_after"][name] == "2"
+    assert out["runtime"]["thread_env_honoured"] is True
+    if (os.cpu_count() or 1) >= 2:
+        assert set(out["before"].values()) == {2}
+        assert all(seen == out["before"] for seen in out["inside"])
+
+
+def test_cli_after_numpy_changes_no_variable_and_still_guards(csv_pair, tmp_path):
+    out = _fit(csv_pair, tmp_path, first="numpy")
+    assert out["env_before"] == out["env_after"] == {"OPENBLAS_NUM_THREADS": None,
+                                                     "OMP_NUM_THREADS": None}
+    assert out["runtime"]["thread_env_honoured"] is False
+    assert len(out["inside"]) == 3
+    assert all(seen == {name: 1 for name in out["before"]} for seen in out["inside"])
+
+
+IMPORT_ONLY = """
+import json, os, sys
+import tarpreg
+out = {"numpy": "numpy" in sys.modules,
+       "env": [k for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if k in os.environ]}
+names = {}
+exec("from tarpreg import *", names)
+out["missing"] = [n for n in tarpreg.__all__ if n not in names]
+out["count"] = len(tarpreg.__all__)
+import tarpreg.cli
+out["pool"] = "concurrent.futures.process" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_package_import_is_lazy_and_cli_import_loads_no_pool():
+    out = json.loads(_python("-c", IMPORT_ONLY))
+    assert out["numpy"] is False and out["env"] == []
+    assert out["missing"] == [] and out["count"] > 50
+    assert out["pool"] is False

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -12,8 +13,8 @@ import pytest
 import scipy
 
 import tarpreg
-from tarpreg import (SchemeSpec, TarpConfig, dataset_seed, read_csv, run_tarp, standardize,
-                     write_matrix_csv)
+from tarpreg import (ReplicateError, SchemeSpec, TarpConfig, dataset_seed, read_csv, run_tarp,
+                     standardize, write_matrix_csv)
 from tarpreg.cli import _build_parser, main
 
 
@@ -212,6 +213,36 @@ def test_replicate_error_json_carries_index_and_seed(sim_dir, tmp_path, capsys,
     payload = json.loads(capsys.readouterr().err)
     assert (payload["error"], payload["index"], payload["seed"]) == ("ReplicateError", 1, 5)
     assert not list(tmp_path.glob("x.*"))
+
+
+def test_replicate_error_is_the_same_for_any_workers(tmp_path, capsys, fail_second_call):
+    common = ["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
+              "--n-active", "4", "--seed", "3", "--datasets", "2", "--replicates", "3"]
+    payloads = []
+    for workers in ("1", "2"):
+        # forked pool workers inherit a fresh patch and send the error back pickled
+        fail_second_call("run_replicate")
+        assert run_cli(*common, "--workers", workers, "--out", str(tmp_path / workers)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payloads.append(json.loads(err))
+    assert payloads[0] == payloads[1]
+    assert (payloads[0]["error"], payloads[0]["index"], payloads[0]["seed"]) == (
+        "ReplicateError", 1, dataset_seed(3, 0))
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_replicate_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(ReplicateError(3, 7, ValueError("boom"))))
+    assert (type(err), err.index, err.seed) == (ReplicateError, 3, 7)
+    assert str(err) == "replicate 3 (seed 7) failed: ValueError('boom')"
+
+
+def test_benchmark_pool_is_capped_at_the_dataset_count(tmp_path):
+    assert run_cli("benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
+                   "--n-active", "4", "--seed", "4", "--datasets", "2", "--replicates", "2",
+                   "--workers", "3", "--out", str(tmp_path / "cap")) == 0
+    assert json.loads((tmp_path / "cap.timing.json").read_text())["workers"] == 2
 
 
 @pytest.mark.parametrize("flags, field", [

@@ -72,3 +72,23 @@ def test_rejects_nan_and_infinite_arguments():
     for prob, df in ((np.nan, 5.0), (0.5, np.nan), (0.5, np.inf)):
         with pytest.raises(ParameterError):
             t_ppf(prob, df)
+
+
+def test_large_df_matches_mpmath():
+    # past df ~ 1e5 the continued fraction loses digits; the Cornish-Fisher expansion takes
+    # over from df ~ 850 (p near 1/2) to 8e3 (p = 1e-8), so 2e3 and 1e4 see both methods
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    p = np.geomspace(1e-8, 0.499, 8)
+    p = np.concatenate([p, 1.0 - p])
+    for df in (2e3, 1e4, 1e5, 1e6, 1e7, 1e9):
+        a = mpmath.mpf(df) / 2
+
+        def cdf(t, target):
+            tail = mpmath.betainc(a, 0.5, 0, a * 2 / (a * 2 + t * t), regularized=True) / 2
+            return (tail if t < 0 else 1 - tail) - target
+
+        got = t_ppf(p, df)
+        for pi, ti in zip(p.tolist(), got.tolist()):
+            want = mpmath.findroot(lambda t: cdf(t, mpmath.mpf(pi)), mpmath.mpf(ti))
+            assert abs(ti / float(want) - 1.0) <= 1e-13, (df, pi)
