@@ -26,8 +26,7 @@ _MODULE_OF = {name: module for module, names in {
     "projection": "ProjectionMatrix compress gen_pcr_matrix gen_rp_matrix gen_sparse_rp_matrix",
     "screening": "GammaMask InclusionProbs default_delta expected_selection_count "
                  "export_screened inclusion_probabilities marginal_utility sample_gamma",
-    "simulate": "SchemeSpec SimulatedData generate gen_scheme1 gen_scheme2 gen_scheme3 "
-                "gen_scheme4 make_response",
+    "simulate": "SchemeSpec SimulatedData generate make_response",
     "studentt": "t_cdf t_interval_halfwidth t_ppf",
 }.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

@@ -115,22 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scheme_flags(p: argparse.ArgumentParser) -> None:
-    # no defaults here: SchemeSpec holds them, and each dest is its field name
+    # one flag per field after scheme, typed by the field's default; no defaults
+    # here: SchemeSpec holds them, and each dest is its field name
     p.add_argument("--scheme", required=True, choices=SCHEMES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-active", type=int)
-    p.add_argument("--coef", dest="coef_value", type=float)
-    p.add_argument("--noise-sd", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--block-size", type=int)
-    p.add_argument("--rho-low", type=float)
-    p.add_argument("--rho-high", type=float)
-    p.add_argument("--n-outliers", type=int)
-    p.add_argument("--outlier-sd", type=float)
-    p.add_argument("--t-max", type=float)
+    for f in fields(SchemeSpec)[1:]:
+        name = "coef" if f.name == "coef_value" else f.name
+        p.add_argument("--" + name.replace("_", "-"), dest=f.name, type=type(f.default))
 
 
 def _model_flags(p: argparse.ArgumentParser) -> None:
@@ -404,9 +394,13 @@ def _sum_phases(rows) -> dict:
 
 
 def _write_json(path, payload) -> None:
+    # serialized before the file is opened, so a NaN leaves no half-written file
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise TarpError(f"{path}: not strict JSON: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _emit_error(exc: BaseException) -> None:

@@ -128,6 +128,8 @@ class TarpConfig:
     def resolved_m_range(self, n: int, p: int) -> tuple:
         if self.m_range is not None:
             lo, hi = int(self.m_range[0]), int(self.m_range[1])
+            if lo > p:  # clipping would run m at values the range excludes
+                raise ParameterError(f"m_range lower end {lo} exceeds p = {p}")
         else:
             lo = int(np.ceil(2.0 * np.log(p)))
             hi = int(np.floor(3.0 * n / 4.0))
@@ -265,6 +267,7 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
 
 def _run_replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig):
     """Screen once, then run every replicate in index order; (records, phase times)."""
+    cfg.resolved_m_range(train.n, train.p)  # a bad m range fails the run, not replicate 0
     with one_thread():
         t0 = time.perf_counter()
         probs = screening_probs(train, cfg)

@@ -90,9 +90,10 @@ def fit_compressed(Z: np.ndarray, y: np.ndarray, prior: PriorHyper) -> Compresse
     chol_inv = _lower_inverse(np.linalg.cholesky(A))
     Zty = Z.T @ y
     mu = chol_inv.T @ (chol_inv @ Zty)
-    scale_factor = float(y @ y - mu @ Zty + 2.0 * prior.b_sigma)
-    if scale_factor <= 0:
-        raise TarpError("scale factor must be positive; numerical failure in fit")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        scale_factor = float(y @ y - mu @ Zty + 2.0 * prior.b_sigma)
+    if not 0 < scale_factor < np.inf:  # NaN fails too
+        raise TarpError(f"scale factor must be positive and finite, got {scale_factor}")
     return CompressedPosterior(mu, chol_inv, float(n + 2.0 * prior.a_sigma),
                                scale_factor, n, prior)
 

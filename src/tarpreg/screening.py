@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, IngestionError, ParameterError
 
 _GAMMA_RETRIES = 16
 
@@ -64,8 +64,11 @@ def marginal_utility(data: Dataset) -> np.ndarray:
         raise ParameterError("marginal_utility expects standardized predictors")
     if data.n < 3:
         raise DimensionError("marginal_utility needs n >= 3")
-    yc = data.y - data.y.mean()
-    ynorm = np.linalg.norm(yc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        yc = data.y - data.y.mean()
+        ynorm = np.linalg.norm(yc)
+    if not ynorm < np.inf:
+        raise IngestionError("the response's sum of squares overflows float64; rescale y")
     if ynorm == 0.0:
         return np.zeros(data.p)
     xnorm = np.linalg.norm(data.X, axis=0)  # columns are already centered

@@ -90,9 +90,23 @@ class SimulatedData:
 
 
 def generate(spec: SchemeSpec) -> SimulatedData:
-    gen = {SCHEME_AR1: gen_scheme1, SCHEME_BLOCK: gen_scheme2,
-           SCHEME_PCR: gen_scheme3, SCHEME_BRIDGE: gen_scheme4}[spec.scheme]
-    return gen(spec)
+    """n training rows, then n_test test rows, drawn from ``spec.seed``; data that
+    overflows float64 is a ParameterError, raised before any of it is written."""
+    rng = np.random.default_rng(spec.seed)
+    design = {SCHEME_AR1: _ar1, SCHEME_BLOCK: _block,
+              SCHEME_PCR: _pcr, SCHEME_BRIDGE: _bridge}[spec.scheme]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the check below
+        X, y, beta, active = design(spec, rng, spec.n + spec.n_test)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        # pcr draws no coef_value: its beta is a unit vector
+        a, b = ("noise_sd", "outlier_sd") if spec.scheme == SCHEME_PCR else ("coef_value", "noise_sd")
+        raise ParameterError(f"{a} and {b} give non-finite data "
+                             f"({a}={getattr(spec, a)}, {b}={getattr(spec, b)})")
+    train = Dataset.from_arrays(X[:spec.n], y[:spec.n])
+    beta.setflags(write=False)
+    active = np.asarray(active, dtype=np.int64)
+    active.setflags(write=False)
+    return SimulatedData(train, X[spec.n:].copy(), y[spec.n:].copy(), beta, active)
 
 
 def make_response(X: np.ndarray, beta: np.ndarray, noise_sd: float,
@@ -104,26 +118,26 @@ def make_response(X: np.ndarray, beta: np.ndarray, noise_sd: float,
     return X @ beta + noise_sd * rng.standard_normal(X.shape[0])
 
 
-def gen_scheme1(spec: SchemeSpec) -> SimulatedData:
+def _sparse_linear(spec: SchemeSpec, X, active, rng):
+    """beta = coef_value on the active columns, zero elsewhere; y = X beta + noise."""
+    beta = np.zeros(spec.p)
+    beta[active] = spec.coef_value
+    return X, make_response(X, beta, spec.noise_sd, rng), beta, active
+
+
+def _ar1(spec: SchemeSpec, rng, rows):
     """Stationary AR(1) predictors: x_1 = e_1, x_j = rho x_{j-1} + sqrt(1-rho^2) e_j."""
-    rng = np.random.default_rng(spec.seed)
-    rows = spec.n + spec.n_test
     X = rng.standard_normal((rows, spec.p))
     X[:, 1:] *= np.sqrt(1.0 - spec.rho ** 2)
     for j in range(1, spec.p):
         X[:, j] += spec.rho * X[:, j - 1]
     active = np.sort(rng.choice(spec.p, spec.n_active, replace=False))
-    beta = np.zeros(spec.p)
-    beta[active] = spec.coef_value
-    y = make_response(X, beta, spec.noise_sd, rng)
-    return _package(spec, X, y, beta, active)
+    return _sparse_linear(spec, X, active, rng)
 
 
-def gen_scheme2(spec: SchemeSpec) -> SimulatedData:
+def _block(spec: SchemeSpec, rng, rows):
     """Equicorrelated blocks via the one-factor construction
     x = sqrt(rho) g_block + sqrt(1-rho) e, plus an independent tail of 200."""
-    rng = np.random.default_rng(spec.seed)
-    rows = spec.n + spec.n_test
     n_blocks = (spec.p - 200) // spec.block_size
     n_low = n_blocks // 2
     X = np.empty((rows, spec.p))
@@ -147,21 +161,16 @@ def gen_scheme2(spec: SchemeSpec) -> SimulatedData:
         active_high = rng.choice(np.asarray(high_cols), spec.n_active - 1, replace=False)
         active_tail = rng.integers(col, spec.p)
         active = np.sort(np.append(active_high, active_tail)).astype(np.int64)
-    beta = np.zeros(spec.p)
-    beta[active] = spec.coef_value
-    y = make_response(X, beta, spec.noise_sd, rng)
-    return _package(spec, X, y, beta, active)
+    return _sparse_linear(spec, X, active, rng)
 
 
-def gen_scheme3(spec: SchemeSpec) -> SimulatedData:
+def _pcr(spec: SchemeSpec, rng, rows):
     """Rank-3 covariance P diag(15^2,10^2,7^2) P'; beta is the first column of P.
 
     The first n rows are training rows; n_outliers of them are replaced by
     isotropic N(0, outlier_sd^2) regressors, with their responses regenerated
     through the same model.
     """
-    rng = np.random.default_rng(spec.seed)
-    rows = spec.n + spec.n_test
     P, _ = np.linalg.qr(rng.standard_normal((spec.p, 3)))
     d_half = np.array([15.0, 10.0, 7.0])
     X = rng.standard_normal((rows, 3)) * d_half @ P.T
@@ -170,18 +179,16 @@ def gen_scheme3(spec: SchemeSpec) -> SimulatedData:
     if spec.n_outliers:
         out_rows = rng.choice(spec.n, spec.n_outliers, replace=False)
         X[out_rows] = spec.outlier_sd * rng.standard_normal((spec.n_outliers, spec.p))
-        y[out_rows] = X[out_rows] @ beta + spec.noise_sd * rng.standard_normal(spec.n_outliers)
-    return _package(spec, X, y, beta, np.empty(0, dtype=np.int64))
+        y[out_rows] = make_response(X[out_rows], beta, spec.noise_sd, rng)
+    return X, y, beta, np.empty(0, dtype=np.int64)
 
 
-def gen_scheme4(spec: SchemeSpec) -> SimulatedData:
+def _bridge(spec: SchemeSpec, rng, rows):
     """Brownian-bridge rows on (0, t_max) by the sequential conditional
     construction, pinned to 0 at both ends and scaled so sd at the midpoint
     is t_max / 4."""
     if spec.p < 2:
         raise DimensionError("bridge scheme needs p >= 2")
-    rng = np.random.default_rng(spec.seed)
-    rows = spec.n + spec.n_test
     T = spec.t_max
     t = T * np.arange(1, spec.p + 1) / (spec.p + 1)
     X = np.empty((rows, spec.p))
@@ -197,16 +204,4 @@ def gen_scheme4(spec: SchemeSpec) -> SimulatedData:
         t_prev = t[j]
     X *= np.sqrt(T / 4.0)  # midpoint sd of the raw bridge is sqrt(T)/2
     active = np.sort(rng.choice(spec.p, spec.n_active, replace=False))
-    beta = np.zeros(spec.p)
-    beta[active] = spec.coef_value
-    y = make_response(X, beta, spec.noise_sd, rng)
-    return _package(spec, X, y, beta, active)
-
-
-def _package(spec: SchemeSpec, X, y, beta, active) -> SimulatedData:
-    train = Dataset.from_arrays(X[:spec.n], y[:spec.n])
-    beta = np.asarray(beta, dtype=np.float64)
-    beta.setflags(write=False)
-    active = np.asarray(active, dtype=np.int64)
-    active.setflags(write=False)
-    return SimulatedData(train, X[spec.n:].copy(), y[spec.n:].copy(), beta, active)
+    return _sparse_linear(spec, X, active, rng)

@@ -181,10 +181,12 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("benchmark", _BENCH_FLAGS + ["--m", "5"], None),
     ("benchmark", _BENCH_FLAGS + ["--psi", "0.3"], None),
     ("benchmark", _BENCH_FLAGS + ["--workers", "-4"], None),
+    ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "50"], None),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
         "config-theta-scale-inf", "screen-delta-abc", "kappa-nan", "sparse-kappa-1.5",
         "config-burnin-exceeds-iterations", "benchmark-m-without-no-aggregate",
-        "benchmark-psi-without-no-aggregate", "benchmark-workers-negative"])
+        "benchmark-psi-without-no-aggregate", "benchmark-workers-negative",
+        "benchmark-m-above-p"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
@@ -253,8 +255,12 @@ def test_benchmark_pool_is_capped_at_the_dataset_count(tmp_path):
     (["--scheme", "block", "--rho-low", "-0.1"], "rho_low"),
     (["--scheme", "pcr", "--outlier-sd", "0"], "outlier_sd"),
     (["--scheme", "bridge", "--t-max", "nan"], "t_max"),
+    (["--n-active", "3", "--noise-sd", "1e308"], "coef_value"),
+    (["--n-active", "3", "--coef", "1e308"], "coef_value"),
+    (["--scheme", "pcr", "--p", "50", "--outlier-sd", "1e308"], "noise_sd"),
 ], ids=["rho-nan", "rho-minus-one", "noise-sd-nan", "rho-high-1.5", "rho-low-negative",
-        "outlier-sd-zero", "t-max-nan"])
+        "outlier-sd-zero", "t-max-nan", "noise-sd-overflows", "coef-overflows",
+        "outliers-overflow"])
 def test_bad_scheme_setting_is_one_json_parameter_error(tmp_path, capsys, flags, field):
     scheme = [] if "--scheme" in flags else ["--scheme", "ar1"]
     out = tmp_path / "sim"
@@ -266,6 +272,31 @@ def test_bad_scheme_setting_is_one_json_parameter_error(tmp_path, capsys, flags,
     assert payload["error"] == "ParameterError"
     assert payload["message"].startswith(field + " ")
     assert not (out / "train.csv").exists()
+
+
+def test_fit_rejects_a_response_whose_sum_of_squares_overflows(tmp_path, capsys):
+    sim = tmp_path / "big"
+    assert run_cli("simulate", "--scheme", "ar1", "--n", "30", "--p", "50", "--n-active", "3",
+                   "--coef", "1e200", "--out", str(sim)) == 0
+    assert run_cli("fit", str(sim / "train.csv"), str(sim / "test.csv"),
+                   "--out", str(tmp_path / "x")) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "IngestionError"
+    assert "sum of squares overflows" in payload["message"]
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_json_output_is_strict_and_never_half_written(sim_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("tarpreg.cli.runtime", lambda: {"nan": float("nan")})
+    prefix = tmp_path / "x"
+    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                   "--replicates", "2", "--out", str(prefix)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "TarpError"
+    assert f"{prefix}.summary.json" in payload["message"]
+    assert not (tmp_path / "x.summary.json").exists()
 
 
 def test_fit_predicts_a_one_row_test_file(sim_dir, tmp_path):

@@ -124,6 +124,15 @@ def test_empty_m_range_rejected():
     assert cfg.resolved_m_range(100, 40) == (30, 40)
 
 
+def test_m_range_fails_the_run_before_any_replicate():
+    std, Xn, _ = _toy(n=3, p=40)
+    with pytest.raises(ParameterError, match="empty m range"):  # [8, 2]: not a ReplicateError
+        run_tarp(std, Xn, TarpConfig(n_replicates=2))
+    # a user range is never narrowed to values it excludes
+    with pytest.raises(ParameterError, match="exceeds p"):
+        TarpConfig(m_range=(50, 50)).resolved_m_range(100, 10)
+
+
 @pytest.mark.parametrize("cls, kwargs", [
     (TarpConfig, {"delta": "abc"}),
     (TarpConfig, {"delta": float("nan")}),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, linalg, special, stats
 
-from tarpreg import (DimensionError, ParameterError, PriorHyper, fit_compressed,
+from tarpreg import (DimensionError, ParameterError, PriorHyper, TarpError, fit_compressed,
                      log_marginal_likelihood, predict, predict_probit,
                      probit_gibbs, sigma2_posterior, t_interval_halfwidth)
 
@@ -41,6 +41,12 @@ def test_fit_rejects_bad_inputs():
     from tarpreg import IngestionError
     with pytest.raises(IngestionError):
         fit_compressed(np.array([[np.inf]]), np.array([1.0]), PRIOR)
+
+
+@pytest.mark.parametrize("y", [[1e200, -1e200], [1e200, 1e200]], ids=["inf", "nan"])
+def test_fit_rejects_an_overflowing_scale_factor(y):
+    with pytest.raises(TarpError, match="scale factor"):
+        fit_compressed(np.ones((2, 1)), np.array(y), PRIOR)
 
 
 def test_sigma2_posterior_hand_values():

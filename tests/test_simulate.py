@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
-from tarpreg import (DimensionError, ParameterError, SchemeSpec, gen_scheme1, generate,
-                     make_response)
+from tarpreg import DimensionError, ParameterError, SchemeSpec, generate, make_response
 
 
 def test_ar1_lag_two_correlation():
@@ -34,7 +33,7 @@ def test_ar1_noiseless_response_exactly_linear():
 @pytest.mark.parametrize("rho", [0.3, 0.0, -0.9])
 def test_ar1_recursion_matches_lfilter(rho):
     spec = SchemeSpec("ar1", n=40, p=300, n_test=7, n_active=5, rho=rho, seed=5)
-    data = gen_scheme1(spec)
+    data = generate(spec)
     # the generator's own draws, filtered by the reference IIR implementation
     rng = np.random.default_rng(spec.seed)
     eps = rng.standard_normal((spec.n + spec.n_test, spec.p))
