@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 
 from . import __version__
@@ -138,18 +139,19 @@ def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     data = generate(spec)
     os.makedirs(args.out, exist_ok=True)
-    train_path = os.path.join(args.out, "train.csv")
-    test_path = os.path.join(args.out, "test.csv")
-    write_matrix_csv(train_path, data.train.X, data.train.y, data.train.col_names)
-    write_matrix_csv(test_path, data.test_X, data.test_y, data.train.col_names)
-    nz = np.flatnonzero(data.true_beta)
-    sidecar = {
-        "seed": spec.seed,
-        "spec": asdict(spec),
-        "active_idx": data.active_idx.tolist(),
-        "true_beta_nonzero": [[int(j), float(data.true_beta[j])] for j in nz],
-    }
-    _write_json(os.path.join(args.out, "sim.json"), sidecar)
+    train_path, test_path, sidecar_path = (os.path.join(args.out, name)
+                                           for name in ("train.csv", "test.csv", "sim.json"))
+    with _removed_on_failure(train_path, test_path, sidecar_path):
+        write_matrix_csv(train_path, data.train.X, data.train.y, data.train.col_names)
+        write_matrix_csv(test_path, data.test_X, data.test_y, data.train.col_names)
+        nz = np.flatnonzero(data.true_beta)
+        sidecar = {
+            "seed": spec.seed,
+            "spec": asdict(spec),
+            "active_idx": data.active_idx.tolist(),
+            "true_beta_nonzero": [[int(j), float(data.true_beta[j])] for j in nz],
+        }
+        _write_json(sidecar_path, sidecar)
     return 0
 
 
@@ -167,45 +169,47 @@ def cmd_fit(args) -> int:
             raise ParameterError(f"test column {j} is {got!r}, train column {j} is {want!r}")
     std_train = standardize(train)
     X_new = apply_standardization(std_train, test.X)
+    del train, test  # the replicate loop holds only the standardized matrices
 
     started = time.perf_counter()
-    if train.response_kind == RESPONSE_BINARY:
+    if std_train.response_kind == RESPONSE_BINARY:
         result = run_tarp_binary(std_train, X_new, cfg)
-        columns = {"index": np.arange(test.n), "probability": result.prob}
+        columns = {"index": np.arange(len(X_new)), "probability": result.prob}
         weights = selected = None
     else:
         result = run_tarp(std_train, X_new, cfg)
-        columns = {"index": np.arange(test.n), "yhat": result.yhat,
+        columns = {"index": np.arange(len(X_new)), "yhat": result.yhat,
                    "lower": result.lower, "upper": result.upper}
         weights, selected = result.weights, result.selected_replicate
-    write_started = time.perf_counter()
-    write_csv(args.out + ".predictions.csv", list(columns.values()), list(columns))
-    write_time = time.perf_counter() - write_started
-    records = result.per_replicate
-    pg = [r.p_gamma for r in records]
-    m_eff = [r.m_effective for r in records]
-    psi = [r.psi for r in records if r.psi is not None]
-    summary = {
-        "command": "fit",
-        "version": __version__,
-        "config": asdict(cfg),
-        "config_file_values": raw_cfg,
-        "train": {"path": args.train, "n": train.n, "p": train.p,
-                  "response_kind": train.response_kind},
-        "test_rows": test.n,
-        "p_gamma": {"mean": float(np.mean(pg)), "min": int(np.min(pg)),
-                    "max": int(np.max(pg))},
-        "m_effective": {"min": min(m_eff), "max": max(m_eff),
-                        "below_m": sum(r.m_effective < r.m for r in records)},
-        "psi": {"min": min(psi), "max": max(psi)} if psi else None,
-        "weights_ess": None if weights is None else float(1.0 / np.sum(weights ** 2)),
-        "selected_replicate": selected,
-        "phase_times": result.phase_times,
-        "io_times": {"read": read_time, "write": write_time},
-        "wall_time": time.perf_counter() - started,
-        "runtime": runtime(),
-    }
-    _write_json(args.out + ".summary.json", summary)
+    with _removed_on_failure(args.out + ".predictions.csv", args.out + ".summary.json"):
+        write_started = time.perf_counter()
+        write_csv(args.out + ".predictions.csv", list(columns.values()), list(columns))
+        write_time = time.perf_counter() - write_started
+        records = result.per_replicate
+        pg = [r.p_gamma for r in records]
+        m_eff = [r.m_effective for r in records]
+        psi = [r.psi for r in records if r.psi is not None]
+        summary = {
+            "command": "fit",
+            "version": __version__,
+            "config": asdict(cfg),
+            "config_file_values": raw_cfg,
+            "train": {"path": args.train, "n": std_train.n, "p": std_train.p,
+                      "response_kind": std_train.response_kind},
+            "test_rows": len(X_new),
+            "p_gamma": {"mean": float(np.mean(pg)), "min": int(np.min(pg)),
+                        "max": int(np.max(pg))},
+            "m_effective": {"min": min(m_eff), "max": max(m_eff),
+                            "below_m": sum(r.m_effective < r.m for r in records)},
+            "psi": {"min": min(psi), "max": max(psi)} if psi else None,
+            "weights_ess": None if weights is None else float(1.0 / np.sum(weights ** 2)),
+            "selected_replicate": selected,
+            "phase_times": result.phase_times,
+            "io_times": {"read": read_time, "write": write_time},
+            "wall_time": time.perf_counter() - started,
+            "runtime": runtime(),
+        }
+        _write_json(args.out + ".summary.json", summary)
     return 0
 
 
@@ -240,33 +244,35 @@ def cmd_benchmark(args) -> int:
 
     metric_names = ["mspe", "ecp", "width"]
     table = {name: np.array([row[name] for row in rows]) for name in metric_names}
-    write_csv(args.out + ".csv",
-              [np.arange(args.datasets, dtype=np.float64),
-               np.array(seeds, dtype=np.float64)] + [table[k] for k in metric_names],
-              ["dataset", "seed"] + metric_names)
-    report = {
-        "command": "benchmark",
-        "version": __version__,
-        "method": cfg.backend,
-        "scheme": asdict(spec),
-        "config": asdict(cfg),
-        "config_file_values": raw_cfg,
-        "datasets": args.datasets,
-        "dataset_seeds": seeds,
-        "no_aggregate": bool(args.no_aggregate),
-        "report": {name: {"mean": float(table[name].mean()),
-                          "sd": float(table[name].std())}
-                   for name in metric_names},
-    }
-    _write_json(args.out + ".json", report)
-    _write_json(args.out + ".timing.json", {
-        "wall_time": elapsed,
-        "dataset_time_sum": sum(row["wall_time"] for row in rows),
-        "workers": workers,
-        "per_dataset_wall_time": [row["wall_time"] for row in rows],
-        "phase_times": _sum_phases(rows),
-        "runtime": runtime(),
-    })
+    with _removed_on_failure(args.out + ".csv", args.out + ".json", args.out + ".timing.json"):
+        write_csv(args.out + ".csv",
+                  [np.arange(args.datasets, dtype=np.float64),
+                   np.array(seeds, dtype=np.float64)] + [table[k] for k in metric_names],
+                  ["dataset", "seed"] + metric_names)
+        report = {
+            "command": "benchmark",
+            "version": __version__,
+            "method": cfg.backend,
+            "scheme": asdict(spec),
+            "config": asdict(cfg),
+            "config_file_values": raw_cfg,
+            "datasets": args.datasets,
+            "dataset_seeds": seeds,
+            "no_aggregate": bool(args.no_aggregate),
+            "report": {name: {"mean": float(table[name].mean()),
+                              "sd": float(table[name].std())}
+                       for name in metric_names},
+        }
+        _write_json(args.out + ".json", report)
+        _write_json(args.out + ".timing.json", {
+            "wall_time": elapsed,
+            "dataset_time_sum": sum(row["wall_time"] for row in rows),
+            "workers": workers,
+            "per_dataset_wall_time": [row["wall_time"] for row in rows],
+            "phase_times": {k: sum(row["phase_times"][k] for row in rows)
+                            for k in rows[0]["phase_times"]},
+            "runtime": runtime(),
+        })
     return 0
 
 
@@ -275,18 +281,18 @@ def _benchmark_one(job) -> dict:
     with one_thread():
         data = generate(spec)
         std_train = standardize(data.train)
-        X_new = apply_standardization(std_train, data.test_X)
+        X_new, test_y = apply_standardization(std_train, data.test_X), data.test_y
+        del data  # the replicate loop holds only the standardized matrices
         run_cfg = replace(cfg, seed=spec.seed, keep_replicates=False)
         result = run_tarp(std_train, X_new, run_cfg)
-    ecp, width = ecp_width(result.lower, result.upper, data.test_y)
-    return {"mspe": mspe(result.yhat, data.test_y), "ecp": ecp, "width": width,
+    ecp, width = ecp_width(result.lower, result.upper, test_y)
+    return {"mspe": mspe(result.yhat, test_y), "ecp": ecp, "width": width,
             "wall_time": result.wall_time, "phase_times": result.phase_times}
 
 
 def cmd_screen(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
-    data = read_csv(args.data, response=_response_arg(raw_cfg.get("response", -1)))
-    std = standardize(data)
+    std = standardize(read_csv(args.data, response=_response_arg(raw_cfg.get("response", -1))))
     probs = screening_probs(std, cfg)
     r = marginal_utility(std)
     counts = np.zeros(std.p)
@@ -296,27 +302,28 @@ def cmd_screen(args) -> int:
         counts[mask.selected] += 1
         selections.append(mask.selected.tolist())
     freq = counts / cfg.n_replicates
-    write_csv(args.out + ".frequency.csv",
-              [np.arange(std.p, dtype=np.float64), r, probs.q, freq],
-              ["column", "utility", "q", "frequency"])
-    union = np.flatnonzero(counts > 0)
-    summary = {
-        "command": "screen",
-        "version": __version__,
-        "delta": probs.delta,
-        "replicates": cfg.n_replicates,
-        "seed": cfg.seed,
-        "expected_selected": expected_selection_count(probs),
-        "degenerate": probs.degenerate,
-        "union_size": int(union.size),
-        "column_names": list(std.col_names),
-        "selected_per_replicate": selections,
-    }
-    _write_json(args.out + ".json", summary)
-    if args.export:
-        mask = GammaMask.from_indicator(counts > 0)
-        sub, names = export_screened(std, mask)
-        write_matrix_csv(args.export, sub, None, names)
+    with _removed_on_failure(args.out + ".frequency.csv", args.out + ".json", args.export):
+        write_csv(args.out + ".frequency.csv",
+                  [np.arange(std.p, dtype=np.float64), r, probs.q, freq],
+                  ["column", "utility", "q", "frequency"])
+        union = np.flatnonzero(counts > 0)
+        summary = {
+            "command": "screen",
+            "version": __version__,
+            "delta": probs.delta,
+            "replicates": cfg.n_replicates,
+            "seed": cfg.seed,
+            "expected_selected": expected_selection_count(probs),
+            "degenerate": probs.degenerate,
+            "union_size": int(union.size),
+            "column_names": list(std.col_names),
+            "selected_per_replicate": selections,
+        }
+        _write_json(args.out + ".json", summary)
+        if args.export:
+            mask = GammaMask.from_indicator(counts > 0)
+            sub, names = export_screened(std, mask)
+            write_matrix_csv(args.export, sub, None, names)
     return 0
 
 
@@ -385,12 +392,15 @@ def _response_arg(value):
     return value
 
 
-def _sum_phases(rows) -> dict:
-    total = {}
-    for row in rows:
-        for k, v in row["phase_times"].items():
-            total[k] = total.get(k, 0.0) + v
-    return total
+@contextmanager
+def _removed_on_failure(*paths):
+    """Delete ``paths`` if the block raises: a command that exits 1 leaves no output."""
+    try:
+        yield
+    except BaseException:
+        for path in filter(os.path.exists, filter(None, paths)):
+            os.remove(path)
+        raise
 
 
 def _write_json(path, payload) -> None:

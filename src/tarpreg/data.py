@@ -51,7 +51,8 @@ class Dataset:
             raise DimensionError(f"X must be 2-d, got ndim={X.ndim}")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise DimensionError(f"y length {y.shape} does not match X rows {X.shape[0]}")
-        if not np.isfinite(X).all():
+        # min and max propagate NaN: two reductions, and no n x p bool mask
+        if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
             raise IngestionError("X contains non-finite entries")
         if not np.isfinite(y).all():
             raise IngestionError("y contains non-finite entries")
@@ -131,7 +132,8 @@ def standardize(raw: Dataset) -> Dataset:
 
 def transform_columns(X: np.ndarray, means: np.ndarray, scales: np.ndarray) -> np.ndarray:
     safe = np.where(scales == 0.0, 1.0, scales)
-    out = (X - means) / safe
+    out = np.subtract(X, means)  # the one full-size allocation
+    np.divide(out, safe, out=out)
     if (scales == 0.0).any():
         out[:, scales == 0.0] = 0.0
     return out

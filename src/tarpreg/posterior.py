@@ -147,8 +147,9 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
 
     The chain runs on the reflected latent w = S y* with S = diag(+-1) from
     the labels, so every w is truncated to [0, inf).  All linear algebra is
-    done once: with U'U = Z'Z + I, the mean map (Z'Z + I)^{-1} (SZ)' and
-    U^{-1} turn each iteration into three matrix-vector products.
+    done once: with U'U = Z'Z + I and B = S Z U^{-1}, the chain carries v = U theta,
+    so each iteration is two products with one n x m operator, v = B'w + N(0, I)
+    and the next latent mean B v; one product maps the kept v back to theta.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -157,17 +158,17 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
     if not iterations > burnin >= 0:
         raise ParameterError("need iterations > burnin >= 0")
     from scipy import special
-    m = Z.shape[1]
+    n, m = Z.shape
     upper_inv = _lower_inverse(np.linalg.cholesky(Z.T @ Z + np.eye(m))).T  # U = L'
-    SZ = np.where(y == 1.0, 1.0, -1.0)[:, None] * Z
-    mean_map = upper_inv @ (upper_inv.T @ SZ.T)
-    theta = np.zeros(m)
-    kept = np.empty((iterations - burnin, m))
+    B = np.where(y == 1.0, 1.0, -1.0)[:, None] * Z @ upper_inv
+    e, scratch = np.zeros(n), np.empty((3, n))
+    kept_v = np.empty((iterations - burnin, m))
     for it in range(iterations):
-        w = _truncated_latent(SZ @ theta, rng, special)
-        theta = mean_map @ w + upper_inv @ rng.standard_normal(m)
+        v = B.T @ _truncated_latent(e, rng, special, scratch) + rng.standard_normal(m)
+        np.matmul(B, v, out=e)
         if it >= burnin:
-            kept[it - burnin] = theta
+            kept_v[it - burnin] = v
+    kept = kept_v @ upper_inv.T
     return ProbitFit(kept.mean(axis=0), kept)
 
 
@@ -195,18 +196,21 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncated_latent(e: np.ndarray, rng: np.random.Generator, special) -> np.ndarray:
+def _truncated_latent(e: np.ndarray, rng, special, scratch=None) -> np.ndarray:
     """Sample w_i ~ N(e_i, 1) truncated to [0, inf).
 
     This is the latent y*_i ~ N(eta_i, 1), truncated to (0, inf) if y_i = 1
     and to (-inf, 0] otherwise, reflected by s_i = +-1: e = s eta, y* = s w.
     Inverse-CDF in the complementary tail (stable down to ~1e-300 tail mass);
     in the extreme far tail the conditional law is approximated by the
-    boundary exponential with rate |e|.  ``special`` is scipy.special.
+    boundary exponential with rate |e|.  ``special`` is scipy.special.  The
+    rows of a 3 x n ``scratch`` array, if given, hold u, the tail mass and w.
     """
-    u = rng.random(e.shape[0])
-    q = special.ndtr(e)              # mass of N(e, 1) above the truncation point
-    w = e - special.ndtri(np.maximum(u * q, 1e-308))
+    u, q, w = np.empty((3, e.shape[0])) if scratch is None else scratch
+    rng.random(out=u)
+    special.ndtr(e, out=q)           # mass of N(e, 1) above the truncation point
+    special.ndtri(np.maximum(np.multiply(u, q, out=w), 1e-308, out=w), out=w)
+    np.subtract(e, w, out=w)
     if np.minimum.reduce(q) < 1e-300:     # one C-level reduction per iteration
         deep = q < 1e-300
         w[deep] = -np.log(u[deep]) / np.maximum(-e[deep], 1.0)

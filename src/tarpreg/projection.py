@@ -63,9 +63,7 @@ def gen_rp_matrix(p_gamma: int, m: int, psi: float, rng: np.random.Generator,
         raise ParameterError(f"psi must lie in (0, 0.5], got {psi}")
     if m < 1 or p_gamma < 1:
         raise DimensionError("m and p_gamma must be >= 1")
-    value = 1.0 / np.sqrt(2.0 * psi)
-    u = rng.random((m, p_gamma))
-    entries = np.where(u < psi, value, np.where(u < 2.0 * psi, -value, 0.0))
+    entries = _three_point(rng, (m, p_gamma), psi, 1.0 / np.sqrt(2.0 * psi))
     return ProjectionMatrix(KIND_RP, entries, _cmap(column_map, p_gamma), m=m)
 
 
@@ -78,10 +76,8 @@ def gen_sparse_rp_matrix(p_gamma: int, m: int, kappa: float, n: int,
         raise DimensionError("n must be >= 2 for the sparse variant")
     if m < 1 or p_gamma < 1:
         raise DimensionError("m and p_gamma must be >= 1")
-    value = n ** (kappa / 2.0) / np.sqrt(m)
-    prob = 1.0 / (2.0 * n ** kappa)
-    u = rng.random((m, p_gamma))
-    entries = np.where(u < prob, value, np.where(u < 2.0 * prob, -value, 0.0))
+    entries = _three_point(rng, (m, p_gamma), 1.0 / (2.0 * n ** kappa),
+                           n ** (kappa / 2.0) / np.sqrt(m))
     return ProjectionMatrix(KIND_SPARSE_RP, entries, _cmap(column_map, p_gamma), m=m)
 
 
@@ -121,6 +117,12 @@ def compress(X: np.ndarray, proj: ProjectionMatrix) -> np.ndarray:
     if cmap.size and (cmap.min() < 0 or cmap.max() >= X.shape[1]):
         raise DimensionError("column_map index outside X columns")
     return X[:, cmap] @ proj.entries.T
+
+
+def _three_point(rng: np.random.Generator, shape, prob: float, value: float) -> np.ndarray:
+    """i.i.d. entries +value w.p. prob, -value w.p. prob, else 0, from one uniform each."""
+    u = rng.random(shape)
+    return np.where(u < prob, value, np.where(u < 2.0 * prob, -value, 0.0))
 
 
 def _cmap(column_map, p_gamma: int) -> np.ndarray:

@@ -91,7 +91,9 @@ class SimulatedData:
 
 def generate(spec: SchemeSpec) -> SimulatedData:
     """n training rows, then n_test test rows, drawn from ``spec.seed``; data that
-    overflows float64 is a ParameterError, raised before any of it is written."""
+    overflows float64 is a ParameterError, raised before any of it is written.
+    ``train.X`` and ``test_X`` are read-only views of the first n and the last
+    n_test rows of one drawn matrix, as are ``train.y`` and ``test_y``."""
     rng = np.random.default_rng(spec.seed)
     design = {SCHEME_AR1: _ar1, SCHEME_BLOCK: _block,
               SCHEME_PCR: _pcr, SCHEME_BRIDGE: _bridge}[spec.scheme]
@@ -103,10 +105,10 @@ def generate(spec: SchemeSpec) -> SimulatedData:
         raise ParameterError(f"{a} and {b} give non-finite data "
                              f"({a}={getattr(spec, a)}, {b}={getattr(spec, b)})")
     train = Dataset.from_arrays(X[:spec.n], y[:spec.n])
-    beta.setflags(write=False)
     active = np.asarray(active, dtype=np.int64)
-    active.setflags(write=False)
-    return SimulatedData(train, X[spec.n:].copy(), y[spec.n:].copy(), beta, active)
+    for a in (X, y, beta, active):  # so every view of X and y is read-only too
+        a.setflags(write=False)
+    return SimulatedData(train, X[spec.n:], y[spec.n:], beta, active)
 
 
 def make_response(X: np.ndarray, beta: np.ndarray, noise_sd: float,

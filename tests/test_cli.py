@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import scipy
 
 import tarpreg
+import tarpreg.cli as cli
 from tarpreg import (ReplicateError, SchemeSpec, TarpConfig, dataset_seed, read_csv, run_tarp,
                      standardize, write_matrix_csv)
 from tarpreg.cli import _build_parser, main
@@ -556,3 +558,56 @@ def test_screen_masks_are_the_masks_fit_draws(sim_dir, tmp_path):
                for sel in screened]
     assert digests == [r.mask_digest for r in fitted.per_replicate]
     assert len({len(sel) for sel in screened}) > 1  # the screen is not keeping every column
+
+
+@pytest.mark.parametrize("command, patched", [("fit", "runtime"), ("benchmark", "runtime"),
+                                              ("screen", "expected_selection_count"),
+                                              ("simulate", "asdict")])
+def test_failed_command_leaves_no_output_file(sim_dir, tmp_path, capsys, monkeypatch,
+                                              command, patched):
+    # a NaN in the last JSON payload fails the command after its first file is written
+    monkeypatch.setattr("tarpreg.cli." + patched, lambda *a: {"nan": float("nan")})
+    argv = {
+        "fit": ["fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                "--replicates", "2"],
+        "benchmark": ["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
+                      "--n-active", "4", "--datasets", "2", "--replicates", "2",
+                      "--workers", "1"],
+        "screen": ["screen", str(sim_dir / "train.csv"), "--export", str(tmp_path / "x.sub.csv")],
+        "simulate": ["simulate", "--scheme", "ar1", "--n", "20", "--p", "10", "--n-active", "3"],
+    }[command]
+    assert run_cli(*argv, "--out", str(tmp_path / "x")) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "TarpError"
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize("command", ["fit", "benchmark"])
+def test_replicate_loop_holds_no_raw_design(sim_dir, tmp_path, monkeypatch, command):
+    real_read, real_generate, real_run = cli.read_csv, cli.generate, cli.run_tarp
+    raw, seen = [], []
+
+    def reading(*args, **kwargs):
+        ds = real_read(*args, **kwargs)
+        raw.extend([weakref.ref(ds), weakref.ref(ds.X)])
+        return ds
+
+    def generating(spec):
+        data = real_generate(spec)
+        raw.extend([weakref.ref(data), weakref.ref(data.train), weakref.ref(data.train.X.base)])
+        return data
+
+    def spy(*args):
+        seen.append([ref() is None for ref in raw])
+        return real_run(*args)
+
+    monkeypatch.setattr(cli, "read_csv", reading)
+    monkeypatch.setattr(cli, "generate", generating)
+    monkeypatch.setattr(cli, "run_tarp", spy)
+    if command == "fit":
+        argv = ["fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"), "--replicates", "2"]
+    else:
+        argv = ["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
+                "--n-active", "4", "--datasets", "1", "--replicates", "2", "--workers", "1"]
+    assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
+    assert len(seen) == 1 and raw and all(seen[0])

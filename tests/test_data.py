@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,3 +333,21 @@ def test_write_csv_bytes_match_reference_format(tmp_path):
     want = 'plain,"a,b","q""x"\r\n' + "".join(
         ",".join(format(float(c[i]), ".17g") for c in cols) + "\r\n" for i in range(6))
     assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("step", ["standardize", "apply_standardization"])
+def test_standardization_allocates_one_output_matrix(step):
+    # tracemalloc sees numpy's buffers; the bound leaves room for the per-column
+    # vectors and the ufunc iterator's fixed 64 KiB buffer, not for a second matrix
+    rng = np.random.default_rng(4)
+    raw = Dataset.from_arrays(rng.normal(3.0, 2.0, size=(400, 1000)), rng.normal(size=400))
+    std = standardize(raw)
+    new_X = rng.normal(size=(300, 1000))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = standardize(raw).X if step == "standardize" else apply_standardization(std, new_X)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out.nbytes

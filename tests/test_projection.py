@@ -184,3 +184,19 @@ def test_generation_deterministic_given_seed():
     c = gen_sparse_rp_matrix(30, 10, 0.4, 100, np.random.default_rng(42))
     d = gen_sparse_rp_matrix(30, 10, 0.4, 100, np.random.default_rng(42))
     assert np.array_equal(c.entries, d.entries)
+
+
+def test_three_point_generators_draw_one_uniform_per_entry():
+    # the construction both generators share, written out: one uniform per entry,
+    # +v below prob, -v below 2 prob, else 0, and nothing else drawn
+    def expected(rng, shape, prob, value):
+        u = rng.random(shape)
+        return np.where(u < prob, value, np.where(u < 2.0 * prob, -value, 0.0))
+
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    proj = gen_rp_matrix(30, 10, 0.2, rng)
+    assert np.array_equal(proj.entries, expected(ref, (10, 30), 0.2, 1.0 / np.sqrt(0.4)))
+    proj = gen_sparse_rp_matrix(30, 10, 0.4, 100, rng)
+    want = expected(ref, (10, 30), 1.0 / (2.0 * 100 ** 0.4), 100 ** 0.2 / np.sqrt(10))
+    assert np.array_equal(proj.entries, want)
+    assert rng.bit_generator.state == ref.bit_generator.state

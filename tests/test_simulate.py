@@ -173,3 +173,14 @@ def test_scheme_validation():
         SchemeSpec("ar1", p=10, n_active=20)
     with pytest.raises(ParameterError):
         SchemeSpec("pcr", n=10, n_outliers=10)
+
+
+@pytest.mark.parametrize("scheme, p", [("ar1", 100), ("block", 600), ("pcr", 100),
+                                       ("bridge", 50)])
+def test_test_rows_are_read_only_views_of_the_drawn_matrix(scheme, p):
+    data = generate(SchemeSpec(scheme, n=30, p=p, n_test=5, n_active=3, seed=1))
+    for test, train in ((data.test_X, data.train.X), (data.test_y, data.train.y)):
+        assert not test.flags.writeable
+        assert test.base is not None and test.base is train.base
+    with pytest.raises(ValueError):
+        data.test_X[0, 0] = 0.0
