@@ -157,10 +157,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
-    response = raw_cfg.get("response", -1)
     read_started = time.perf_counter()
-    train = read_csv(args.train, response=_response_arg(response))
-    test = read_csv(args.test, response=_response_arg(response))
+    train = read_csv(args.train, response=_response(raw_cfg))
+    test = read_csv(args.test, response=_response(raw_cfg))
     read_time = time.perf_counter() - read_started
     if test.p != train.p:
         raise ParameterError(f"test has {test.p} predictor columns, train has {train.p}")
@@ -292,7 +291,7 @@ def _benchmark_one(job) -> dict:
 
 def cmd_screen(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
-    std = standardize(read_csv(args.data, response=_response_arg(raw_cfg.get("response", -1))))
+    std = standardize(read_csv(args.data, response=_response(raw_cfg)))
     probs = screening_probs(std, cfg)
     r = marginal_utility(std)
     counts = np.zeros(std.p)
@@ -339,6 +338,8 @@ def _config_from_args(args):
     hold the defaults and the checks.
     """
     raw = _read_config(args.config) if getattr(args, "config", None) else {}
+    if "response" in raw and not hasattr(args, "response"):  # benchmark's data is simulated
+        raise ParameterError(f"{args.config}: key 'response' does not apply to {args.command}")
     if getattr(args, "response", None):
         raw["response"] = args.response
     given = dict(raw)
@@ -383,13 +384,13 @@ def _read_config(path) -> dict:
     return values
 
 
-def _response_arg(value):
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            return value
-    return value
+def _response(raw_cfg):
+    """The response column: an index if its value parses as an int, else a name."""
+    value = raw_cfg.get("response", "-1")
+    try:
+        return int(value)
+    except ValueError:
+        return value
 
 
 @contextmanager

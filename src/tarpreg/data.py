@@ -22,11 +22,6 @@ RESPONSE_CONTINUOUS = "continuous"
 RESPONSE_BINARY = "binary"
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable design matrix + response with its standardization statistics.
@@ -47,30 +42,28 @@ class Dataset:
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=np.float64)
         y = np.ascontiguousarray(self.y, dtype=np.float64)
+        means, scales = (np.asarray(a, dtype=np.float64) for a in (self.col_means, self.col_scales))
         if X.ndim != 2:
             raise DimensionError(f"X must be 2-d, got ndim={X.ndim}")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise DimensionError(f"y length {y.shape} does not match X rows {X.shape[0]}")
-        # min and max propagate NaN: two reductions, and no n x p bool mask
-        if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
-            raise IngestionError("X contains non-finite entries")
-        if not np.isfinite(y).all():
-            raise IngestionError("y contains non-finite entries")
+        for name, a in (("X", X), ("y", y)):
+            if not all_finite(a):
+                raise IngestionError(f"{name} contains non-finite entries")
         if self.response_kind not in (RESPONSE_CONTINUOUS, RESPONSE_BINARY):
             raise IngestionError(f"unknown response kind {self.response_kind!r}")
         if self.response_kind == RESPONSE_BINARY and not np.isin(y, (0.0, 1.0)).all():
             raise IngestionError("binary response must take values in {0, 1}")
-        if self.col_means.shape != (X.shape[1],) or self.col_scales.shape != (X.shape[1],):
+        if means.shape != (X.shape[1],) or scales.shape != (X.shape[1],):
             raise DimensionError("standardization statistics must have length p")
-        if (self.col_scales < 0).any():
+        if (scales < 0).any():
             raise IngestionError("column scales must be >= 0")
         names = tuple(self.col_names) if self.col_names else tuple(f"x{j}" for j in range(X.shape[1]))
         if len(names) != X.shape[1]:
             raise DimensionError("col_names length does not match p")
-        object.__setattr__(self, "X", _freeze(X))
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "col_means", _freeze(np.asarray(self.col_means, dtype=np.float64)))
-        object.__setattr__(self, "col_scales", _freeze(np.asarray(self.col_scales, dtype=np.float64)))
+        for name, a in (("X", X), ("y", y), ("col_means", means), ("col_scales", scales)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "col_names", names)
 
     @property
@@ -84,30 +77,32 @@ class Dataset:
     @classmethod
     def from_arrays(cls, X, y, response_kind=None, col_names=()) -> "Dataset":
         X = np.ascontiguousarray(X, dtype=np.float64)
-        y = np.ascontiguousarray(y, dtype=np.float64)
-        if X.ndim != 2:
-            raise DimensionError("X must be 2-d")
-        if not np.isfinite(X).all():
-            raise IngestionError("X contains non-finite entries")
         kind = response_kind or (RESPONSE_BINARY if np.isin(y, (0.0, 1.0)).all()
                                  else RESPONSE_CONTINUOUS)
-        means, scales = column_statistics(X)
-        return cls(X, y, kind, means, scales, standardized=False, col_names=col_names)
+        return cls(X, y, kind, *column_statistics(X), standardized=False, col_names=col_names)
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Every entry finite, by min and max (which propagate NaN): no bool mask."""
+    return not a.size or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def column_statistics(X: np.ndarray):
     """Per-column sample mean and sample standard deviation (divisor n-1).
 
-    Constant columns get scale 0 exactly; a single row is constant in every
-    column.  A non-constant column whose magnitudes overflow either statistic
-    is rejected rather than scaled to zero.
+    One min and max per column reject non-finite entries and find the constant
+    columns, which get scale 0 exactly.  A non-constant column whose magnitudes
+    overflow either statistic is rejected rather than scaled to zero.
     """
-    if X.shape[0] < 1:
-        raise DimensionError("standardization statistics need at least 1 row")
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise DimensionError(f"column statistics need a 2-d X with a row, got shape {X.shape}")
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise IngestionError("X contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
         means = X.mean(axis=0)
         scales = X.std(axis=0, ddof=1 if X.shape[0] > 1 else 0)
-    constant = np.ptp(X, axis=0) == 0.0
+    constant = lo == hi
     bad = np.flatnonzero(~constant & ~(np.isfinite(means) & np.isfinite(scales)))
     if bad.size:
         raise IngestionError(
@@ -117,25 +112,23 @@ def column_statistics(X: np.ndarray):
 
 
 def standardize(raw: Dataset) -> Dataset:
-    """Center and scale every non-constant column by its own mean and sample sd.
-
-    Statistics are recorded on the returned Dataset so test rows can be
-    transformed with training statistics.  Constant columns map to 0.
-    """
+    """Center and scale each non-constant column by the mean and sample sd that
+    ``raw`` holds (constant columns map to 0), and keep them for test rows.
+    A Dataset that is already standardized is returned unchanged."""
+    if raw.standardized:
+        return raw
     if raw.n < 2:
         raise DimensionError("standardize needs n >= 2")
-    means, scales = column_statistics(raw.X)
-    Xs = transform_columns(raw.X, means, scales)
-    return Dataset(Xs, raw.y, raw.response_kind, means, scales,
+    return Dataset(transform_columns(raw.X, raw.col_means, raw.col_scales), raw.y,
+                   raw.response_kind, raw.col_means, raw.col_scales,
                    standardized=True, col_names=raw.col_names)
 
 
 def transform_columns(X: np.ndarray, means: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    safe = np.where(scales == 0.0, 1.0, scales)
+    constant = scales == 0.0
     out = np.subtract(X, means)  # the one full-size allocation
-    np.divide(out, safe, out=out)
-    if (scales == 0.0).any():
-        out[:, scales == 0.0] = 0.0
+    np.divide(out, np.where(constant, 1.0, scales), out=out)
+    out[:, constant] = 0.0
     return out
 
 
@@ -166,7 +159,7 @@ def read_csv(path, header="auto", response=-1):
     width = data.shape[1]
     if names is not None and len(names) != width:
         raise IngestionError(f"{path}: header has {len(names)} columns, body has {width}")
-    if not np.isfinite(data).all():
+    if not all_finite(data):  # the n x p mask only to name the first bad cell
         i, j = np.argwhere(~np.isfinite(data))[0]
         raise IngestionError(f"{path}: non-finite value at row {i}, column {j}")
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._blas import one_thread
-from .data import Dataset, RESPONSE_BINARY, RESPONSE_CONTINUOUS
+from .data import Dataset, RESPONSE_BINARY, RESPONSE_CONTINUOUS, all_finite
 from .errors import (DimensionError, IngestionError, ParameterError, ReplicateError,
                      TarpError)
 from .posterior import (CompressedPosterior, PriorHyper, fit_compressed,
@@ -118,6 +118,9 @@ class TarpConfig:
             raise ParameterError("k_folds must be >= 2")
         if self.pi_method not in ("endpoints", "mixture"):
             raise ParameterError("pi_method must be 'endpoints' or 'mixture'")
+        if self.pi_method == "mixture" and self.aggregation != AGG_AVERAGE:  # equal weights
+            raise ParameterError(f"pi_method 'mixture' needs aggregation 'average', not "
+                                 f"{self.aggregation!r}")
         # passing conditions, so that NaN fails them
         if not 0.0 < self.kappa < 1.0:
             raise ParameterError(f"kappa must lie strictly in (0, 1), got {self.kappa}")
@@ -294,9 +297,7 @@ def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
     yhats = np.stack([r.yhat for r in records])
     lowers = np.stack([r.lower for r in records])
     uppers = np.stack([r.upper for r in records])
-    weights = None
-    cv_mse = None
-    selected = None
+    weights = cv_mse = selected = None
     if cfg.aggregation == AGG_AVERAGE:
         yhat = yhats.mean(axis=0)
         if cfg.pi_method == "mixture":
@@ -372,7 +373,7 @@ def _check_inputs(train: Dataset, X_new: np.ndarray) -> None:
     X_new = np.asarray(X_new)
     if X_new.ndim != 2 or X_new.shape[1] != train.p:
         raise DimensionError("X_new must be 2-d with p columns (training statistics applied)")
-    if not np.isfinite(X_new).all():
+    if not all_finite(X_new):
         raise IngestionError("X_new contains non-finite entries")
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DimensionError, ParameterError
+from .data import Dataset, all_finite
+from .errors import DimensionError, IngestionError, ParameterError
 
 SCHEME_AR1 = "ar1"
 SCHEME_BLOCK = "block"
@@ -66,8 +66,8 @@ class SchemeSpec:
         if not self.noise_sd >= 0:
             raise ParameterError(f"noise_sd must be >= 0, got {self.noise_sd}")
         for name in ("outlier_sd", "t_max"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         if self.scheme == SCHEME_BLOCK:
             if self.p < 400:
                 raise ParameterError("block scheme needs p >= 400")
@@ -99,12 +99,16 @@ def generate(spec: SchemeSpec) -> SimulatedData:
               SCHEME_PCR: _pcr, SCHEME_BRIDGE: _bridge}[spec.scheme]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the check below
         X, y, beta, active = design(spec, rng, spec.n + spec.n_test)
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        # pcr draws no coef_value: its beta is a unit vector
-        a, b = ("noise_sd", "outlier_sd") if spec.scheme == SCHEME_PCR else ("coef_value", "noise_sd")
-        raise ParameterError(f"{a} and {b} give non-finite data "
-                             f"({a}={getattr(spec, a)}, {b}={getattr(spec, b)})")
-    train = Dataset.from_arrays(X[:spec.n], y[:spec.n])
+    try:  # from_arrays checks the training rows, and rejects a column whose variance overflows
+        train = Dataset.from_arrays(X[:spec.n], y[:spec.n])
+        if not (all_finite(X[spec.n:]) and all_finite(y[spec.n:])):
+            raise IngestionError("non-finite test rows")
+    except IngestionError:  # pcr's beta is a unit vector; only t_max scales a bridge's X
+        x_at_fault = all_finite(y) or not all_finite(X)
+        names = (("noise_sd", "outlier_sd") if spec.scheme == SCHEME_PCR else ("t_max",)
+                 if spec.scheme == SCHEME_BRIDGE and x_at_fault else ("coef_value", "noise_sd"))
+        raise ParameterError(f"{' and '.join(names)} give{'s' * (len(names) == 1)} non-finite "
+                             "data (" + ", ".join(f"{a}={getattr(spec, a)}" for a in names) + ")")
     active = np.asarray(active, dtype=np.int64)
     for a in (X, y, beta, active):  # so every view of X and y is read-only too
         a.setflags(write=False)

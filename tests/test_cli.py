@@ -15,6 +15,7 @@ import scipy
 
 import tarpreg
 import tarpreg.cli as cli
+import tarpreg.data
 from tarpreg import (ReplicateError, SchemeSpec, TarpConfig, dataset_seed, read_csv, run_tarp,
                      standardize, write_matrix_csv)
 from tarpreg.cli import _build_parser, main
@@ -184,11 +185,13 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("benchmark", _BENCH_FLAGS + ["--psi", "0.3"], None),
     ("benchmark", _BENCH_FLAGS + ["--workers", "-4"], None),
     ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "50"], None),
+    ("fit", ["--aggregation", "cv"], "pi_method=mixture\n"),
+    ("fit", ["--aggregation", "model-average"], "pi_method=mixture\n"),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
         "config-theta-scale-inf", "screen-delta-abc", "kappa-nan", "sparse-kappa-1.5",
         "config-burnin-exceeds-iterations", "benchmark-m-without-no-aggregate",
         "benchmark-psi-without-no-aggregate", "benchmark-workers-negative",
-        "benchmark-m-above-p"])
+        "benchmark-m-above-p", "mixture-cv", "mixture-model-average"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
@@ -260,9 +263,16 @@ def test_benchmark_pool_is_capped_at_the_dataset_count(tmp_path):
     (["--n-active", "3", "--noise-sd", "1e308"], "coef_value"),
     (["--n-active", "3", "--coef", "1e308"], "coef_value"),
     (["--scheme", "pcr", "--p", "50", "--outlier-sd", "1e308"], "noise_sd"),
+    (["--t-max", "inf"], "t_max"),
+    (["--scheme", "pcr", "--p", "50", "--outlier-sd", "inf"], "outlier_sd"),
+    (["--scheme", "bridge", "--p", "50", "--t-max", "1e308"], "t_max"),
+    (["--scheme", "bridge", "--p", "50", "--t-max", "1e160"], "t_max"),
+    (["--scheme", "bridge", "--p", "50", "--n-active", "3", "--coef", "1e308"], "coef_value"),
+    (["--scheme", "pcr", "--p", "50", "--outlier-sd", "1e200"], "noise_sd"),
 ], ids=["rho-nan", "rho-minus-one", "noise-sd-nan", "rho-high-1.5", "rho-low-negative",
         "outlier-sd-zero", "t-max-nan", "noise-sd-overflows", "coef-overflows",
-        "outliers-overflow"])
+        "outliers-overflow", "t-max-inf", "outlier-sd-inf", "bridge-overflows",
+        "bridge-variance-overflows", "bridge-coef-overflows", "outlier-variance-overflows"])
 def test_bad_scheme_setting_is_one_json_parameter_error(tmp_path, capsys, flags, field):
     scheme = [] if "--scheme" in flags else ["--scheme", "ar1"]
     out = tmp_path / "sim"
@@ -345,6 +355,25 @@ def test_cli_defaults_are_the_dataclass_defaults(sim_dir, tmp_path):
     assert run_cli("simulate", "--scheme", "ar1", "--out", str(tmp_path / "sim")) == 0
     sidecar = json.loads((tmp_path / "sim" / "sim.json").read_text())
     assert sidecar["spec"] == asdict(SchemeSpec("ar1"))
+
+
+def test_benchmark_config_response_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("replicates=2\nresponse=y\n")
+    assert run_cli("benchmark", *_BENCH_FLAGS, "--config", str(cfg),
+                   "--out", str(tmp_path / "b")) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert "'response'" in payload["message"] and str(cfg) in payload["message"]
+    assert not list(tmp_path.glob("b.*"))
+
+
+def test_benchmark_t_max_inf_fails_before_any_dataset(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_benchmark_one", lambda job: pytest.fail("a dataset ran"))
+    assert run_cli("benchmark", *_BENCH_FLAGS, "--t-max", "inf", "--out", str(tmp_path / "b")) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError" and payload["message"].startswith("t_max ")
+    assert not list(tmp_path.glob("b.*"))
 
 
 def test_fit_binary_writes_probabilities(tmp_path):
@@ -611,3 +640,42 @@ def test_replicate_loop_holds_no_raw_design(sim_dir, tmp_path, monkeypatch, comm
                 "--n-active", "4", "--datasets", "1", "--replicates", "2", "--workers", "1"]
     assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
     assert len(seen) == 1 and raw and all(seen[0])
+
+
+def _binary_csv(tmp_path):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(30, 3))
+    path = tmp_path / "bin.csv"
+    write_matrix_csv(path, X, (X[:, 0] + 0.5 * rng.normal(size=30) > 0).astype(float))
+    return path
+
+
+def test_fit_binary_probit_average_is_echoed_and_changes_probabilities(tmp_path):
+    path = _binary_csv(tmp_path)
+    cfg = tmp_path / "avg.cfg"
+    cfg.write_text("probit_average=on\n")
+    for prefix, extra in (("plug", []), ("avg", ["--config", str(cfg)])):
+        assert run_cli("fit", str(path), str(path), "--replicates", "2", "--seed", "8",
+                       *extra, "--out", str(tmp_path / prefix)) == 0
+    summary = json.loads((tmp_path / "avg.summary.json").read_text())
+    assert summary["config"]["probit_average"] is True
+    assert summary["config_file_values"] == {"probit_average": True}
+    plug = json.loads((tmp_path / "plug.summary.json").read_text())
+    assert plug["config"]["probit_average"] is False
+    avg = read_csv(tmp_path / "avg.predictions.csv").y
+    assert not np.array_equal(avg, read_csv(tmp_path / "plug.predictions.csv").y)
+
+
+@pytest.mark.parametrize("command, shapes", [("fit", [(40, 60), (10, 60)]),
+                                             ("benchmark", [(30, 40)] * 3)])
+def test_each_raw_matrix_is_summarised_once(sim_dir, tmp_path, monkeypatch, command, shapes):
+    real, seen = tarpreg.data.column_statistics, []
+    monkeypatch.setattr(tarpreg.data, "column_statistics",
+                        lambda X: seen.append(X.shape) or real(X))
+    if command == "fit":
+        argv = ["fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"), "--replicates", "2"]
+    else:
+        argv = ["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
+                "--n-active", "4", "--datasets", "3", "--replicates", "2", "--workers", "1"]
+    assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
+    assert seen == shapes

@@ -55,6 +55,51 @@ def test_standardize_rejects_tiny_n():
         standardize(ds)
 
 
+def test_standardize_returns_a_standardized_dataset_unchanged():
+    rng = np.random.default_rng(5)
+    raw = Dataset.from_arrays(rng.normal(5.0, 3.0, size=(50, 4)), rng.normal(size=50))
+    std = standardize(raw)
+    assert standardize(std) is std
+    # the recorded transform is still the raw one, so raw test rows map onto std.X
+    assert np.array_equal(apply_standardization(standardize(standardize(raw)), raw.X), std.X)
+
+
+def test_standardize_reuses_the_statistics_of_the_raw_dataset(monkeypatch):
+    rng = np.random.default_rng(6)
+    raw = Dataset.from_arrays(rng.normal(2.0, 4.0, size=(30, 5)), rng.normal(size=30))
+    monkeypatch.setattr(tarpreg.data, "column_statistics",
+                        lambda X: pytest.fail("column statistics computed again"))
+    std = standardize(raw)
+    assert std.col_means is raw.col_means and std.col_scales is raw.col_scales
+
+
+def test_finite_input_builds_no_mask_the_size_of_the_matrix(tmp_path, monkeypatch):
+    from tarpreg.ensemble import _check_inputs
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(30, 20))
+    path = tmp_path / "d.csv"
+    write_matrix_csv(path, X, rng.normal(size=30))
+    sizes = []
+    for name in ("isfinite", "isnan", "isinf"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda a, *args, _real=real, **kwargs:
+                            sizes.append(np.size(a)) or _real(a, *args, **kwargs))
+    std = standardize(read_csv(path))
+    std = standardize(Dataset.from_arrays(X, rng.normal(size=30)))
+    _check_inputs(std, apply_standardization(std, X[:7]))
+    assert sizes and max(sizes) <= 30  # vectors of n or p+1 entries, no 7 x 20 or 30 x 20 mask
+
+
+def test_column_statistics_find_non_finite_and_constant_columns():
+    X = np.array([[1.0, 2.0, 5.0], [1.0, 3.0, 5.0]])
+    means, scales = tarpreg.data.column_statistics(X)
+    assert scales.tolist() == [0.0, np.sqrt(0.5), 0.0]
+    for bad in (np.nan, np.inf, -np.inf):
+        X[1, 2] = bad
+        with pytest.raises(IngestionError, match="X contains non-finite entries"):
+            tarpreg.data.column_statistics(X)
+
+
 def test_dataset_rejects_non_finite():
     with pytest.raises(IngestionError):
         Dataset.from_arrays(np.array([[1.0, np.nan]]), np.zeros(1))

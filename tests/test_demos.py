@@ -21,3 +21,16 @@ def test_demo_exits_zero(demo):
     out = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
+
+
+def test_cli_workflow_demo_exits_zero(tmp_path):
+    # the shell demo calls `tarpreg`; a shim on PATH runs the module from this checkout
+    shim = tmp_path / "tarpreg"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m tarpreg.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PYTHONPATH=str(Path(tarpreg.__file__).parents[1]),
+               PATH=f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
+    demo = Path(__file__).resolve().parents[1] / "demos" / "05_cli_workflow.sh"
+    out = subprocess.run(["bash", str(demo)], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr

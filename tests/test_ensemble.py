@@ -150,6 +150,12 @@ def test_settings_reject_unparsed_and_non_finite_values(cls, kwargs):
         cls(**kwargs)
 
 
+@pytest.mark.parametrize("aggregation", ["model-average", "cv"])
+def test_mixture_interval_needs_average_aggregation(aggregation):
+    with pytest.raises(ParameterError, match=f"mixture.*{aggregation}"):
+        TarpConfig(pi_method="mixture", aggregation=aggregation)
+
+
 def test_delta_string_is_stored_as_its_float():
     assert TarpConfig(delta="0.5").delta == 0.5
     assert TarpConfig(delta="auto").delta == "auto"
