@@ -35,8 +35,9 @@ print(f"\ndrawn screen keeps {mask.p_gamma} columns ({hit} of the {spec.n_active
 
 m = 40
 proj = gen_rp_matrix(mask.p_gamma, m, psi=0.25, rng=rng, column_map=mask.selected)
-print(f"projection: {proj.kind}, {proj.m} x {proj.p_gamma}, "
-      f"nonzero fraction {proj.density:.2f} (2*psi = 0.5)")
+nonzero = np.count_nonzero(proj.entries) / proj.entries.size
+print(f"projection: rp, {proj.m} x {proj.p_gamma}, "
+      f"nonzero fraction {nonzero:.2f} (2*psi = 0.5)")
 
 # 3. conjugate fit on the compressed features and t prediction intervals
 Z = compress(train.X, proj)

@@ -18,15 +18,15 @@ __version__ = "0.1.0"
 _MODULE_OF = {name: module for module, names in {
     "data": "Dataset apply_standardization read_csv standardize write_csv write_matrix_csv",
     "ensemble": "TarpBinaryResult TarpConfig TarpResult ReplicateRecord dataset_seed kfold_mse "
-                "replicate_stream run_replicate run_tarp run_tarp_binary screening_probs substream",
+                "run_replicate run_tarp run_tarp_binary screening_probs",
     "errors": "DimensionError IngestionError ParameterError ReplicateError TarpError",
     "metrics": "calibration_msd ecp_width misclass mspe roc_auc",
     "posterior": "CompressedPosterior PredictiveSummary PriorHyper ProbitFit fit_compressed "
                  "log_marginal_likelihood predict predict_probit probit_gibbs sigma2_posterior",
     "projection": "ProjectionMatrix compress gen_pcr_matrix gen_rp_matrix gen_sparse_rp_matrix",
-    "screening": "GammaMask InclusionProbs default_delta expected_selection_count "
-                 "export_screened inclusion_probabilities marginal_utility sample_gamma",
-    "simulate": "SchemeSpec SimulatedData generate make_response",
+    "screening": "GammaMask InclusionProbs default_delta inclusion_probabilities "
+                 "marginal_utility sample_gamma",
+    "simulate": "SchemeSpec SimulatedData generate",
     "studentt": "t_cdf t_interval_halfwidth t_ppf",
 }.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

@@ -41,8 +41,6 @@ from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
 from .errors import ParameterError, ReplicateError, TarpError
 from .metrics import ecp_width, mspe
 from .posterior import PriorHyper
-from .screening import (GammaMask, expected_selection_count, export_screened,
-                        marginal_utility)
 from .simulate import SCHEMES, SchemeSpec, generate
 
 _CONFIG_SCHEMA = {
@@ -157,9 +155,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
+    response = _response(args, raw_cfg)
     read_started = time.perf_counter()
-    train = read_csv(args.train, response=_response(raw_cfg))
-    test = read_csv(args.test, response=_response(raw_cfg))
+    train = read_csv(args.train, response=response)
+    test = read_csv(args.test, response=response)
     read_time = time.perf_counter() - read_started
     if test.p != train.p:
         raise ParameterError(f"test has {test.p} predictor columns, train has {train.p}")
@@ -194,7 +193,7 @@ def cmd_fit(args) -> int:
             "config": asdict(cfg),
             "config_file_values": raw_cfg,
             "train": {"path": args.train, "n": std_train.n, "p": std_train.p,
-                      "response_kind": std_train.response_kind},
+                      "response": response, "response_kind": std_train.response_kind},
             "test_rows": len(X_new),
             "p_gamma": {"mean": float(np.mean(pg)), "min": int(np.min(pg)),
                         "max": int(np.max(pg))},
@@ -291,9 +290,8 @@ def _benchmark_one(job) -> dict:
 
 def cmd_screen(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
-    std = standardize(read_csv(args.data, response=_response(raw_cfg)))
+    std = standardize(read_csv(args.data, response=_response(args, raw_cfg)))
     probs = screening_probs(std, cfg)
-    r = marginal_utility(std)
     counts = np.zeros(std.p)
     selections = []
     for l in range(cfg.n_replicates):
@@ -303,7 +301,7 @@ def cmd_screen(args) -> int:
     freq = counts / cfg.n_replicates
     with _removed_on_failure(args.out + ".frequency.csv", args.out + ".json", args.export):
         write_csv(args.out + ".frequency.csv",
-                  [np.arange(std.p, dtype=np.float64), r, probs.q, freq],
+                  [np.arange(std.p, dtype=np.float64), probs.utility, probs.q, freq],
                   ["column", "utility", "q", "frequency"])
         union = np.flatnonzero(counts > 0)
         summary = {
@@ -312,7 +310,7 @@ def cmd_screen(args) -> int:
             "delta": probs.delta,
             "replicates": cfg.n_replicates,
             "seed": cfg.seed,
-            "expected_selected": expected_selection_count(probs),
+            "expected_selected": float(probs.q.sum()),
             "degenerate": probs.degenerate,
             "union_size": int(union.size),
             "column_names": list(std.col_names),
@@ -320,9 +318,8 @@ def cmd_screen(args) -> int:
         }
         _write_json(args.out + ".json", summary)
         if args.export:
-            mask = GammaMask.from_indicator(counts > 0)
-            sub, names = export_screened(std, mask)
-            write_matrix_csv(args.export, sub, None, names)
+            write_matrix_csv(args.export, std.X[:, union], None,
+                             [std.col_names[j] for j in union])
     return 0
 
 
@@ -335,13 +332,12 @@ def _config_from_args(args):
     """Merge config-file values and CLI flags (flags win) into a TarpConfig.
 
     Only the values the user gave are passed on; TarpConfig and PriorHyper
-    hold the defaults and the checks.
+    hold the defaults and the checks.  Returns the config and the file's own
+    values, unmerged.
     """
     raw = _read_config(args.config) if getattr(args, "config", None) else {}
     if "response" in raw and not hasattr(args, "response"):  # benchmark's data is simulated
         raise ParameterError(f"{args.config}: key 'response' does not apply to {args.command}")
-    if getattr(args, "response", None):
-        raw["response"] = args.response
     given = dict(raw)
     given.update((key, getattr(args, key)) for key in _CONFIG_SCHEMA
                  if getattr(args, key, None) is not None)
@@ -384,9 +380,10 @@ def _read_config(path) -> dict:
     return values
 
 
-def _response(raw_cfg):
-    """The response column: an index if its value parses as an int, else a name."""
-    value = raw_cfg.get("response", "-1")
+def _response(args, raw_cfg):
+    """The response column from the flag, else the config file, else the last column:
+    an index if its value parses as an int, else a name."""
+    value = args.response or raw_cfg.get("response", "-1")
     try:
         return int(value)
     except ValueError:

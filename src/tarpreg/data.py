@@ -244,12 +244,12 @@ def write_csv(path, columns, names):
                    newline="\r\n")
 
 
-def write_matrix_csv(path, X, y=None, col_names=None, response_name="y"):
+def write_matrix_csv(path, X, y=None, col_names=None):
     X = np.asarray(X, dtype=np.float64)
     names = list(col_names) if col_names else [f"x{j}" for j in range(X.shape[1])]
     cols = [X[:, j] for j in range(X.shape[1])]
     if y is not None:
-        names.append(response_name)
+        names.append("y")
         cols.append(np.asarray(y, dtype=np.float64))
     write_csv(path, cols, names)
 

@@ -56,10 +56,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
                                                         spawn_key=tuple(key)))
 
 
-def replicate_stream(seed: int, index: int) -> np.random.Generator:
-    return substream(seed, _DOMAIN_REPLICATE, index)
-
-
 def dataset_seed(seed: int, index: int) -> int:
     """Published per-dataset seed so any benchmark dataset is re-runnable alone.
 
@@ -127,6 +123,13 @@ class TarpConfig:
         if not self.probit_iterations > self.probit_burnin >= 0:
             raise ParameterError("need probit_iterations > probit_burnin >= 0, got "
                                  f"{self.probit_iterations} and {self.probit_burnin}")
+        # a setting the backend never reads is an error, not a silent no-op
+        if self.kappa != TarpConfig.kappa and self.backend != BACKEND_SPARSE_RP:
+            raise ParameterError(f"kappa applies only to backend {BACKEND_SPARSE_RP!r}, "
+                                 f"not {self.backend!r}")
+        if tuple(self.psi_range) != TarpConfig.psi_range and self.backend != BACKEND_RP:
+            raise ParameterError(f"psi_range applies only to backend {BACKEND_RP!r}, "
+                                 f"not {self.backend!r}")
 
     def resolved_m_range(self, n: int, p: int) -> tuple:
         if self.m_range is not None:
@@ -205,7 +208,7 @@ def screening_probs(train: Dataset, cfg: TarpConfig) -> InclusionProbs:
 def draw_replicate(train: Dataset, cfg: TarpConfig, probs: InclusionProbs,
                    index: int) -> ReplicateDraw:
     """m, then psi (ris-rp only), then gamma, from replicate ``index``'s substream."""
-    rng = replicate_stream(cfg.seed, index)
+    rng = substream(cfg.seed, _DOMAIN_REPLICATE, index)
     m_lo, m_hi = cfg.resolved_m_range(train.n, train.p)
     m = int(rng.integers(m_lo, m_hi + 1))
     psi = float(rng.uniform(*cfg.psi_range)) if cfg.backend == BACKEND_RP else None

@@ -22,14 +22,9 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 
-KIND_RP = "rp"
-KIND_SPARSE_RP = "sparse-rp"
-KIND_PCR = "pcr"
-
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    kind: str
     entries: np.ndarray            # m x p_gamma, row-major float64
     column_map: np.ndarray         # indices into the original p columns
     m: int                         # effective row count
@@ -51,10 +46,6 @@ class ProjectionMatrix:
     def p_gamma(self) -> int:
         return self.column_map.shape[0]
 
-    @property
-    def density(self) -> float:
-        return float(np.count_nonzero(self.entries)) / max(1, self.entries.size)
-
 
 def gen_rp_matrix(p_gamma: int, m: int, psi: float, rng: np.random.Generator,
                   column_map=None) -> ProjectionMatrix:
@@ -64,7 +55,7 @@ def gen_rp_matrix(p_gamma: int, m: int, psi: float, rng: np.random.Generator,
     if m < 1 or p_gamma < 1:
         raise DimensionError("m and p_gamma must be >= 1")
     entries = _three_point(rng, (m, p_gamma), psi, 1.0 / np.sqrt(2.0 * psi))
-    return ProjectionMatrix(KIND_RP, entries, _cmap(column_map, p_gamma), m=m)
+    return ProjectionMatrix(entries, _cmap(column_map, p_gamma), m=m)
 
 
 def gen_sparse_rp_matrix(p_gamma: int, m: int, kappa: float, n: int,
@@ -78,7 +69,7 @@ def gen_sparse_rp_matrix(p_gamma: int, m: int, kappa: float, n: int,
         raise DimensionError("m and p_gamma must be >= 1")
     entries = _three_point(rng, (m, p_gamma), 1.0 / (2.0 * n ** kappa),
                            n ** (kappa / 2.0) / np.sqrt(m))
-    return ProjectionMatrix(KIND_SPARSE_RP, entries, _cmap(column_map, p_gamma), m=m)
+    return ProjectionMatrix(entries, _cmap(column_map, p_gamma), m=m)
 
 
 def gen_pcr_matrix(X_gamma: np.ndarray, m: int, column_map=None) -> ProjectionMatrix:
@@ -104,8 +95,8 @@ def gen_pcr_matrix(X_gamma: np.ndarray, m: int, column_map=None) -> ProjectionMa
         lead = int(np.argmax(np.abs(row)))
         if row[lead] < 0:
             row *= -1.0
-    return ProjectionMatrix(KIND_PCR, rows, _cmap(column_map, X_gamma.shape[1]),
-                            m=m_eff, rank_truncated=m_eff < m)
+    return ProjectionMatrix(rows, _cmap(column_map, X_gamma.shape[1]), m=m_eff,
+                            rank_truncated=m_eff < m)
 
 
 def compress(X: np.ndarray, proj: ProjectionMatrix) -> np.ndarray:

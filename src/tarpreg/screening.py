@@ -23,32 +23,33 @@ _GAMMA_RETRIES = 16
 @dataclass(frozen=True)
 class InclusionProbs:
     q: np.ndarray
+    utility: np.ndarray       # the marginal utilities q was built from
     delta: float
     degenerate: bool = False  # all utilities zero; caller decides fallback
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
+        utility = np.array(self.utility, dtype=np.float64)
         if q.ndim != 1:
             raise DimensionError("q must be a vector")
         if ((q < 0) | (q > 1)).any():
             raise ParameterError("inclusion probabilities must lie in [0, 1]")
         q.setflags(write=False)
+        utility.setflags(write=False)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "utility", utility)
 
 
 @dataclass(frozen=True)
 class GammaMask:
-    gamma: np.ndarray
     selected: np.ndarray
     p_gamma: int
 
     @classmethod
     def from_indicator(cls, gamma: np.ndarray) -> "GammaMask":
-        gamma = np.asarray(gamma, dtype=bool)
         selected = np.flatnonzero(gamma).astype(np.int64)
-        gamma.setflags(write=False)
         selected.setflags(write=False)
-        return cls(gamma, selected, int(selected.size))
+        return cls(selected, int(selected.size))
 
     def digest(self) -> str:
         return hashlib.sha1(self.selected.tobytes()).hexdigest()[:12]
@@ -94,13 +95,14 @@ def inclusion_probabilities(r: np.ndarray, delta: float) -> InclusionProbs:
     """
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
-    a = np.abs(np.asarray(r, dtype=np.float64))
+    r = np.asarray(r, dtype=np.float64)
+    a = np.abs(r)
     if delta == 0.0:
-        return InclusionProbs(np.ones_like(a), 0.0)
+        return InclusionProbs(np.ones_like(a), r, 0.0)
     amax = a.max() if a.size else 0.0
     if amax == 0.0:
-        return InclusionProbs(np.zeros_like(a), float(delta), degenerate=True)
-    return InclusionProbs((a / amax) ** delta, float(delta))
+        return InclusionProbs(np.zeros_like(a), r, float(delta), degenerate=True)
+    return InclusionProbs((a / amax) ** delta, r, float(delta))
 
 
 def sample_gamma(q: InclusionProbs, rng: np.random.Generator) -> GammaMask:
@@ -117,18 +119,3 @@ def sample_gamma(q: InclusionProbs, rng: np.random.Generator) -> GammaMask:
     gamma = np.zeros(probs.shape[0], dtype=bool)
     gamma[int(np.argmax(probs))] = True
     return GammaMask.from_indicator(gamma)
-
-
-def expected_selection_count(q: InclusionProbs) -> float:
-    """Mean of the Poisson-binomial selection count: sum of q_j."""
-    return float(q.q.sum())
-
-
-def export_screened(data: Dataset, mask: GammaMask):
-    """Column submatrix X_gamma in selected order with its column identifiers."""
-    if mask.gamma.shape[0] != data.p:
-        raise DimensionError("mask length does not match p")
-    if mask.p_gamma == 0:
-        raise ParameterError("cannot export an empty screen")
-    names = tuple(data.col_names[j] for j in mask.selected)
-    return data.X[:, mask.selected], names

@@ -115,12 +115,7 @@ def generate(spec: SchemeSpec) -> SimulatedData:
     return SimulatedData(train, X[spec.n:], y[spec.n:], beta, active)
 
 
-def make_response(X: np.ndarray, beta: np.ndarray, noise_sd: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    if X.shape[1] != beta.shape[0]:
-        raise DimensionError("beta length must match X columns")
+def _make_response(X, beta, noise_sd, rng):
     return X @ beta + noise_sd * rng.standard_normal(X.shape[0])
 
 
@@ -128,7 +123,7 @@ def _sparse_linear(spec: SchemeSpec, X, active, rng):
     """beta = coef_value on the active columns, zero elsewhere; y = X beta + noise."""
     beta = np.zeros(spec.p)
     beta[active] = spec.coef_value
-    return X, make_response(X, beta, spec.noise_sd, rng), beta, active
+    return X, _make_response(X, beta, spec.noise_sd, rng), beta, active
 
 
 def _ar1(spec: SchemeSpec, rng, rows):
@@ -181,11 +176,11 @@ def _pcr(spec: SchemeSpec, rng, rows):
     d_half = np.array([15.0, 10.0, 7.0])
     X = rng.standard_normal((rows, 3)) * d_half @ P.T
     beta = P[:, 0].copy()
-    y = make_response(X, beta, spec.noise_sd, rng)
+    y = _make_response(X, beta, spec.noise_sd, rng)
     if spec.n_outliers:
         out_rows = rng.choice(spec.n, spec.n_outliers, replace=False)
         X[out_rows] = spec.outlier_sd * rng.standard_normal((spec.n_outliers, spec.p))
-        y[out_rows] = make_response(X[out_rows], beta, spec.noise_sd, rng)
+        y[out_rows] = _make_response(X[out_rows], beta, spec.noise_sd, rng)
     return X, y, beta, np.empty(0, dtype=np.int64)
 
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import warnings
 import weakref
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,8 @@ import scipy
 import tarpreg
 import tarpreg.cli as cli
 import tarpreg.data
+import tarpreg.ensemble
+import tarpreg.screening
 from tarpreg import (ReplicateError, SchemeSpec, TarpConfig, dataset_seed, read_csv, run_tarp,
                      standardize, write_matrix_csv)
 from tarpreg.cli import _build_parser, main
@@ -138,6 +140,21 @@ def test_fit_config_file_with_flag_override(sim_dir, tmp_path):
     assert summary["config_file_values"]["replicates"] == 4
 
 
+def test_config_file_values_echo_only_the_file(sim_dir, tmp_path):
+    cfg = tmp_path / "resp.cfg"
+    cfg.write_text("response=y\nreplicates=2\n")
+    runs = {"flag": ["--response", "y", "--replicates", "2"], "file": ["--config", str(cfg)],
+            "both": ["--config", str(cfg), "--response", "0"], "neither": ["--replicates", "2"]}
+    summaries = {}
+    for name, flags in runs.items():
+        assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"), *flags,
+                       "--out", str(tmp_path / name)) == 0
+        summaries[name] = json.loads((tmp_path / f"{name}.summary.json").read_text())
+    in_file = {"response": "y", "replicates": 2}
+    assert [s["config_file_values"] for s in summaries.values()] == [{}, in_file, in_file, {}]
+    assert [s["train"]["response"] for s in summaries.values()] == ["y", "y", 0, -1]
+
+
 def test_fit_unknown_config_key_fails(sim_dir, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense=1\n")
@@ -187,11 +204,19 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "50"], None),
     ("fit", ["--aggregation", "cv"], "pi_method=mixture\n"),
     ("fit", ["--aggregation", "model-average"], "pi_method=mixture\n"),
+    ("fit", ["--kappa", "0.3"], None),
+    ("fit", ["--backend", "ris-pcr", "--kappa", "0.3"], None),
+    ("fit", ["--backend", "ris-pcr"], "psi_lo=0.2\n"),
+    ("fit", ["--backend", "sparse-ris-rp"], "psi_hi=0.3\n"),
+    ("benchmark", _BENCH_FLAGS + ["--backend", "ris-pcr", "--no-aggregate", "--m", "5",
+                                  "--psi", "0.3"], None),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
         "config-theta-scale-inf", "screen-delta-abc", "kappa-nan", "sparse-kappa-1.5",
         "config-burnin-exceeds-iterations", "benchmark-m-without-no-aggregate",
         "benchmark-psi-without-no-aggregate", "benchmark-workers-negative",
-        "benchmark-m-above-p", "mixture-cv", "mixture-model-average"])
+        "benchmark-m-above-p", "mixture-cv", "mixture-model-average", "kappa-on-ris-rp",
+        "kappa-on-ris-pcr", "config-psi-on-ris-pcr", "config-psi-on-sparse-ris-rp",
+        "benchmark-psi-on-ris-pcr"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
@@ -572,8 +597,10 @@ def test_screen_export_writes_union_submatrix(sim_dir, tmp_path):
     union = sorted({j for sel in summary["selected_per_replicate"] for j in sel})
     exported = read_csv(str(export), header=True, response=-1)
     assert exported.p + 1 == len(union)  # last union column is the csv response slot
-    names = json.loads((tmp_path / "se.json").read_text())["column_names"]
-    assert exported.col_names == tuple(names[j] for j in union[:-1])
+    names = summary["column_names"]
+    assert export.read_text().splitlines()[0].split(",") == [names[j] for j in union]
+    std = standardize(read_csv(str(sim_dir / "train.csv")))
+    assert np.array_equal(np.column_stack([exported.X, exported.y]), std.X[:, union])
 
 
 def test_screen_masks_are_the_masks_fit_draws(sim_dir, tmp_path):
@@ -589,13 +616,27 @@ def test_screen_masks_are_the_masks_fit_draws(sim_dir, tmp_path):
     assert len({len(sel) for sel in screened}) > 1  # the screen is not keeping every column
 
 
+def test_screen_computes_the_utilities_once(sim_dir, tmp_path, monkeypatch):
+    real, calls = tarpreg.screening.marginal_utility, []
+    for module in (tarpreg.screening, tarpreg.ensemble, cli):  # every name it is bound to
+        if hasattr(module, "marginal_utility"):
+            monkeypatch.setattr(module, "marginal_utility", lambda d: calls.append(1) or real(d))
+    assert run_cli("screen", str(sim_dir / "train.csv"), "--replicates", "3",
+                   "--out", str(tmp_path / "s1")) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command, patched", [("fit", "runtime"), ("benchmark", "runtime"),
-                                              ("screen", "expected_selection_count"),
+                                              ("screen", "screening_probs"),
                                               ("simulate", "asdict")])
 def test_failed_command_leaves_no_output_file(sim_dir, tmp_path, capsys, monkeypatch,
                                               command, patched):
     # a NaN in the last JSON payload fails the command after its first file is written
-    monkeypatch.setattr("tarpreg.cli." + patched, lambda *a: {"nan": float("nan")})
+    stub = lambda *a: {"nan": float("nan")}
+    if patched == "screening_probs":  # the NaN is the delta that screen's summary echoes
+        real = cli.screening_probs
+        stub = lambda *a: replace(real(*a), delta=float("nan"))
+    monkeypatch.setattr("tarpreg.cli." + patched, stub)
     argv = {
         "fit": ["fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
                 "--replicates", "2"],

@@ -85,6 +85,19 @@ def test_cv_aggregation_picks_minimum():
     assert np.array_equal(res.yhat, chosen.yhat)
 
 
+@pytest.mark.parametrize("aggregation", ["average", "model-average", "cv"])
+def test_center_y_carries_a_response_shift_into_the_predictions(aggregation):
+    std, Xn, data = _toy(seed=31)
+    shifted = standardize(Dataset.from_arrays(data.train.X, data.train.y + 100.0))
+    for center_y in (True, False):
+        cfg = TarpConfig(n_replicates=8, seed=5, aggregation=aggregation, center_y=center_y)
+        base, moved = run_tarp(std, Xn, cfg), run_tarp(shifted, Xn, cfg)
+        gap = max(np.abs(getattr(moved, k) - getattr(base, k) - 100.0).max()
+                  for k in ("yhat", "lower", "upper"))
+        # uncentered, the fit has no intercept: the columns of Z are centered
+        assert gap <= 1e-12 * 100 if center_y else gap > 1.0
+
+
 def test_interval_width_monotone_in_level():
     std, Xn, _ = _toy(seed=9)
     lo = run_tarp(std, Xn, TarpConfig(n_replicates=4, seed=6, level=0.5))

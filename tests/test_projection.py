@@ -88,7 +88,7 @@ def test_compress_examples():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(10, 3))
     from tarpreg.projection import ProjectionMatrix
-    proj = ProjectionMatrix("rp", np.array([[2.0]]), np.array([1]), m=1)
+    proj = ProjectionMatrix(np.array([[2.0]]), np.array([1]), m=1)
     assert np.allclose(compress(X, proj), 2.0 * X[:, [1]])
     assert np.allclose(compress(np.zeros((4, 3)), proj), 0.0)
     with pytest.raises(DimensionError):

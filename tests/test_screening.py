@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tarpreg import (Dataset, DimensionError, ParameterError, default_delta,
-                     expected_selection_count, export_screened,
                      inclusion_probabilities, marginal_utility, sample_gamma,
                      standardize)
 
@@ -124,7 +123,7 @@ def test_sample_gamma_forces_top_column_when_empty():
 def test_sample_gamma_binomial_mean():
     # q_j = 0.5 for p = 1000: E[count] = 500, sd of the 1e4-draw mean = sqrt(250)/100
     from tarpreg.screening import InclusionProbs
-    probs = InclusionProbs(np.full(1000, 0.5), 1.0)
+    probs = InclusionProbs(np.full(1000, 0.5), np.full(1000, 0.5), 1.0)
     rng = np.random.default_rng(6)
     counts = [sample_gamma(probs, rng).p_gamma for _ in range(10_000)]
     assert abs(np.mean(counts) - 500.0) < 3 * np.sqrt(250.0) / 100.0
@@ -141,32 +140,3 @@ def test_selection_frequency_matches_q():
     freq = draws / n
     se = np.sqrt(np.maximum(probs.q * (1 - probs.q), 1e-12) / n)
     assert (np.abs(freq - probs.q) <= 4 * se + 1e-12).all()
-
-
-def test_expected_selection_count_is_sum_q():
-    probs = inclusion_probabilities(np.array([0.2, 0.4, 0.8]), 1.0)
-    assert expected_selection_count(probs) == pytest.approx(probs.q.sum())
-
-
-def test_export_screened():
-    rng = np.random.default_rng(8)
-    ds = _std(rng.normal(size=(10, 3)), rng.normal(size=10))
-    from tarpreg import GammaMask
-    full = GammaMask.from_indicator(np.array([True, True, True]))
-    sub, names = export_screened(ds, full)
-    assert np.array_equal(sub, ds.X)
-    assert names == ds.col_names
-
-    first = GammaMask.from_indicator(np.array([True, False, False]))
-    sub, names = export_screened(ds, first)
-    assert sub.shape == (10, 1)
-    assert np.array_equal(sub[:, 0], ds.X[:, 0])
-
-    pair = GammaMask.from_indicator(np.array([True, False, True]))
-    sub, names = export_screened(ds, pair)
-    assert np.array_equal(sub, ds.X[:, [0, 2]])
-    assert names == (ds.col_names[0], ds.col_names[2])
-
-    empty = GammaMask.from_indicator(np.zeros(3, dtype=bool))
-    with pytest.raises(ParameterError):
-        export_screened(ds, empty)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
-from tarpreg import DimensionError, ParameterError, SchemeSpec, generate, make_response
+from tarpreg import ParameterError, SchemeSpec, generate
 
 
 def test_ar1_lag_two_correlation():
@@ -152,16 +152,17 @@ def test_train_test_same_distribution():
     assert pval > 0.01
 
 
-def test_make_response():
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(2000, 4))
-    beta = np.array([1.0, 0.0, -2.0, 0.5])
-    exact = make_response(X, beta, 0.0, np.random.default_rng(0))
-    assert exact == pytest.approx(X @ beta)
-    noise = make_response(X, np.zeros(4), 3.0, np.random.default_rng(1))
-    assert noise.var() == pytest.approx(9.0, rel=0.1)
-    with pytest.raises(DimensionError):
-        make_response(X, beta[:2], 1.0, rng)
+def test_response_is_x_beta_plus_noise_sd_noise():
+    # pcr draws its own beta and regenerates its outlier rows' responses
+    for scheme, p in (("ar1", 30), ("block", 400), ("pcr", 30), ("bridge", 30)):
+        exact = generate(SchemeSpec(scheme, n=50, p=p, n_test=10, n_active=4,
+                                    noise_sd=0.0, seed=11))
+        assert exact.train.y == pytest.approx(exact.train.X @ exact.true_beta, abs=1e-12)
+        assert exact.test_y == pytest.approx(exact.test_X @ exact.true_beta, abs=1e-12)
+        noisy = generate(SchemeSpec(scheme, n=2000, p=p, n_test=10, n_active=4,
+                                    noise_sd=3.0, seed=12))
+        residual = noisy.train.y - noisy.train.X @ noisy.true_beta
+        assert residual.var() == pytest.approx(9.0, rel=0.1), scheme
 
 
 def test_scheme_validation():
