@@ -21,6 +21,16 @@ print(f"delta = {s['delta']:.3f}, expected screened count = "
 PY
 
 echo
+echo "== the export ends with y, so it screens again as a dataset =="
+tarpreg screen "$out/screened.csv" --replicates 50 --seed 2 --out "$out/rescreen"
+python3 - "$out/screen.json" "$out/rescreen.json" <<'PY'
+import json, sys
+first, again = (json.load(open(path)) for path in sys.argv[1:])
+print(f"{len(again['column_names'])} predictors read back of a union of "
+      f"{first['union_size']}; union size now {again['union_size']}")
+PY
+
+echo
 echo "== fit/predict with a config file, flags overriding =="
 printf 'replicates=40\nlevel=0.5\naggregation=average\n' > "$out/run.cfg"
 tarpreg fit "$out/sim/train.csv" "$out/sim/test.csv" --config "$out/run.cfg" \

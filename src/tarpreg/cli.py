@@ -47,7 +47,7 @@ _CONFIG_SCHEMA = {
     "backend": str, "delta": str, "replicates": int, "level": float,
     "seed": int, "a_sigma": float, "b_sigma": float, "theta_scale": float,
     "aggregation": str, "kappa": float, "psi_lo": float, "psi_hi": float,
-    "m_lo": int, "m_hi": int, "center_y": bool, "k_folds": int,
+    "m_lo": int, "m_hi": int, "k_folds": int,
     "pi_method": str, "probit_iterations": int, "probit_burnin": int,
     "probit_average": bool, "response": str,
 }
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scr.add_argument("--delta", help="screening exponent (number or 'auto')")
     scr.add_argument("--replicates", type=int)
     scr.add_argument("--seed", type=int)
-    scr.add_argument("--export", help="also write the union screened submatrix CSV here")
+    scr.add_argument("--export", help="also write the union screened columns and y as CSV here")
     scr.add_argument("--out", required=True, help="output prefix")
     scr.set_defaults(func=cmd_screen)
     return parser
@@ -318,7 +318,7 @@ def cmd_screen(args) -> int:
         }
         _write_json(args.out + ".json", summary)
         if args.export:
-            write_matrix_csv(args.export, std.X[:, union], None,
+            write_matrix_csv(args.export, std.X[:, union], std.y,
                              [std.col_names[j] for j in union])
     return 0
 
@@ -357,7 +357,7 @@ def _config_from_args(args):
 
 
 def _read_config(path) -> dict:
-    values = {}
+    values, seen = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -370,6 +370,8 @@ def _read_config(path) -> dict:
             value = value.strip()
             if key not in _CONFIG_SCHEMA:
                 raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+            if seen.setdefault(key, lineno) != lineno:
+                raise ParameterError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
             kind = _CONFIG_SCHEMA[key]
             try:
                 values[key] = _BOOL_SPELLINGS[value.lower()] if kind is bool else kind(value)

@@ -144,18 +144,17 @@ def apply_standardization(train: Dataset, new_X) -> np.ndarray:
     return transform_columns(new_X, train.col_means, train.col_scales)
 
 
-def read_csv(path, header="auto", response=-1):
+def read_csv(path, response=-1):
     """Read a rectangular numeric CSV into a Dataset.
 
-    header: True, False, or "auto" (first row is a header iff any cell in it
-    fails to parse as a number).  response: column name or zero-based index;
-    default -1 selects the last column.  Response kind is binary iff every
-    response value is 0 or 1.  A header must be as wide as the body.  A UTF-8
-    byte-order mark is dropped.  One ``np.loadtxt`` call parses the body; what
-    it cannot parse goes through the per-cell parse, whose errors name the row
-    and column.
+    The first row is a header iff any cell in it fails to parse as a number,
+    and a header must be as wide as the body.  response: column name or
+    zero-based index; default -1 selects the last column.  Response kind is
+    binary iff every response value is 0 or 1.  A UTF-8 byte-order mark is
+    dropped.  One ``np.loadtxt`` call parses the body; what it cannot parse
+    goes through the per-cell parse, whose errors name the row and column.
     """
-    data, names = _read_fast(path, header) or _read_cells(path, header)
+    data, names = _read_fast(path) or _read_cells(path)
     width = data.shape[1]
     if names is not None and len(names) != width:
         raise IngestionError(f"{path}: header has {len(names)} columns, body has {width}")
@@ -179,15 +178,14 @@ def read_csv(path, header="auto", response=-1):
         raise IngestionError(f"{path}: {exc}") from None
 
 
-def _read_fast(path, header):
+def _read_fast(path):
     """(data, names) from one np.loadtxt call, or None to fall back to _read_cells."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         first = fh.readline()
         if not first.strip() or '"' in first:
             return None
         row0 = first.rstrip("\r\n").split(",")  # the csv record of an unquoted line
-        if header == "auto":
-            header = not _all_numeric(row0)
+        header = not _all_numeric(row0)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
@@ -200,7 +198,7 @@ def _read_fast(path, header):
     return data, ([c.strip() for c in row0] if header else None)
 
 
-def _read_cells(path, header):
+def _read_cells(path):
     """(data, names) parsed cell by cell with csv and float."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -208,9 +206,7 @@ def _read_cells(path, header):
         raise IngestionError(f"{path}: empty file")
 
     names = None
-    if header == "auto":
-        header = not _all_numeric(rows[0])
-    if header:
+    if not _all_numeric(rows[0]):
         names = [c.strip() for c in rows[0]]
         rows = rows[1:]
         if not rows:
@@ -244,14 +240,11 @@ def write_csv(path, columns, names):
                    newline="\r\n")
 
 
-def write_matrix_csv(path, X, y=None, col_names=None):
+def write_matrix_csv(path, X, y, col_names=None):
+    """Write the predictors under their names, then the response as column ``y``."""
     X = np.asarray(X, dtype=np.float64)
     names = list(col_names) if col_names else [f"x{j}" for j in range(X.shape[1])]
-    cols = [X[:, j] for j in range(X.shape[1])]
-    if y is not None:
-        names.append("y")
-        cols.append(np.asarray(y, dtype=np.float64))
-    write_csv(path, cols, names)
+    write_csv(path, [X[:, j] for j in range(X.shape[1])] + [y], names + ["y"])
 
 
 def _all_numeric(row) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -79,7 +80,6 @@ class TarpConfig:
     k_folds: int = 5
     level: float = 0.5
     seed: int = 0
-    center_y: bool = True
     pi_method: str = "endpoints"      # or "mixture": pooled predictive quantiles
     probit_iterations: int = 2000
     probit_burnin: int = 500
@@ -130,6 +130,9 @@ class TarpConfig:
         if tuple(self.psi_range) != TarpConfig.psi_range and self.backend != BACKEND_RP:
             raise ParameterError(f"psi_range applies only to backend {BACKEND_RP!r}, "
                                  f"not {self.backend!r}")
+        if self.k_folds != TarpConfig.k_folds and self.aggregation != AGG_CV:
+            raise ParameterError(f"k_folds applies only to aggregation {AGG_CV!r}, "
+                                 f"not {self.aggregation!r}")
 
     def resolved_m_range(self, n: int, p: int) -> tuple:
         if self.m_range is not None:
@@ -248,7 +251,7 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
         out = dict(yhat=predict_probit(fit, compress(X_new, proj),
                                        average=cfg.probit_average))
     else:
-        y_offset = float(train.y.mean()) if cfg.center_y else 0.0
+        y_offset = float(train.y.mean())
         y_fit = train.y - y_offset
         post = fit_compressed(Z, y_fit, cfg.prior)
         log_ev = log_marginal_likelihood(post) if cfg.aggregation == AGG_MODEL_AVERAGE else None
@@ -292,6 +295,7 @@ def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
     _check_inputs(train, X_new)
     if train.response_kind != RESPONSE_CONTINUOUS:
         raise ParameterError("run_tarp is the Gaussian path; use run_tarp_binary")
+    _require_defaults(cfg, "Gaussian", ("probit_iterations", "probit_burnin", "probit_average"))
     if cfg.aggregation == AGG_CV and cfg.k_folds > train.n:
         raise ParameterError("k_folds cannot exceed n")
     started = time.perf_counter()
@@ -330,9 +334,8 @@ def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpB
     _check_inputs(train, X_new)
     if train.response_kind != RESPONSE_BINARY:
         raise ParameterError("run_tarp_binary requires a binary response")
-    if (cfg.aggregation, cfg.pi_method, cfg.level) != (AGG_AVERAGE, "endpoints", 0.5):
-        raise ParameterError("the binary path averages probabilities and forms no interval: "
-                             "it needs aggregation='average', pi_method='endpoints', level=0.5")
+    _require_defaults(cfg, "binary", ("aggregation", "pi_method", "level", "k_folds",
+                                      "prior.a_sigma", "prior.b_sigma", "prior.theta_scale"))
     started = time.perf_counter()
     records, phase = _run_replicates(train, X_new, cfg)
     return TarpBinaryResult(
@@ -368,6 +371,14 @@ def kfold_mse(Z: np.ndarray, y: np.ndarray, post: CompressedPosterior, k: int,
     errors = [np.mean(np.linalg.solve(np.eye(v.size) - G[:, v].T @ G[:, v], resid[v]) ** 2)
               for v in np.array_split(fold_plan, k)]
     return float(np.mean(errors))
+
+
+def _require_defaults(cfg: TarpConfig, path: str, names: tuple) -> None:
+    """A setting that the chosen path never reads is an error, not a silent no-op."""
+    default = TarpConfig()
+    off = [name for name in names if attrgetter(name)(cfg) != attrgetter(name)(default)]
+    if off:
+        raise ParameterError(f"the {path} path never reads {', '.join(off)}: leave it at its default")
 
 
 def _check_inputs(train: Dataset, X_new: np.ndarray) -> None:

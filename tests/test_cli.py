@@ -165,19 +165,21 @@ def test_fit_unknown_config_key_fails(sim_dir, tmp_path):
 
 @pytest.mark.parametrize("spelling, value", [("On", True), ("yes", True), ("1", True),
                                              ("OFF", False), ("no", False), ("0", False)])
-def test_fit_config_bool_spellings(sim_dir, tmp_path, spelling, value):
+def test_fit_config_bool_spellings(tmp_path, spelling, value):
+    path = _binary_csv(tmp_path)
     cfg = tmp_path / "b.cfg"
-    cfg.write_text(f"replicates=2\ncenter_y={spelling}\n")
-    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+    cfg.write_text(f"replicates=2\nprobit_average={spelling}\n")
+    assert run_cli("fit", str(path), str(path),
                    "--config", str(cfg), "--out", str(tmp_path / "b")) == 0
     summary = json.loads((tmp_path / "b.summary.json").read_text())
-    assert summary["config"]["center_y"] is value
+    assert summary["config"]["probit_average"] is value
 
 
-def test_fit_config_bool_typo_fails_with_location(sim_dir, tmp_path, capsys):
+def test_fit_config_bool_typo_fails_with_location(tmp_path, capsys):
+    path = _binary_csv(tmp_path)
     cfg = tmp_path / "typo.cfg"
-    cfg.write_text("replicates=2\ncenter_y=flase\n")
-    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+    cfg.write_text("replicates=2\nprobit_average=flase\n")
+    assert run_cli("fit", str(path), str(path),
                    "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "ParameterError"
@@ -210,18 +212,28 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("fit", ["--backend", "sparse-ris-rp"], "psi_hi=0.3\n"),
     ("benchmark", _BENCH_FLAGS + ["--backend", "ris-pcr", "--no-aggregate", "--m", "5",
                                   "--psi", "0.3"], None),
+    ("fit", [], "probit_average=on\n"),
+    ("fit", [], "k_folds=3\n"),
+    ("fit-binary", ["--a-sigma", "3"], None),
+    ("fit-binary", ["--b-sigma", "5"], None),
+    ("fit-binary", [], "theta_scale=3\n"),
+    ("fit-binary", [], "k_folds=3\n"),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
         "config-theta-scale-inf", "screen-delta-abc", "kappa-nan", "sparse-kappa-1.5",
         "config-burnin-exceeds-iterations", "benchmark-m-without-no-aggregate",
         "benchmark-psi-without-no-aggregate", "benchmark-workers-negative",
         "benchmark-m-above-p", "mixture-cv", "mixture-model-average", "kappa-on-ris-rp",
         "kappa-on-ris-pcr", "config-psi-on-ris-pcr", "config-psi-on-sparse-ris-rp",
-        "benchmark-psi-on-ris-pcr"])
+        "benchmark-psi-on-ris-pcr", "config-probit-average-on-gaussian",
+        "config-k-folds-on-average", "binary-a-sigma", "binary-b-sigma",
+        "config-binary-theta-scale", "config-binary-k-folds"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
     if command == "fit":
         files.append(str(sim_dir / "test.csv"))
+    if command == "fit-binary":
+        command, files = "fit", [str(_binary_csv(tmp_path))] * 2
     if cfg_text is not None:
         cfg = tmp_path / "settings.cfg"
         cfg.write_text(cfg_text)
@@ -235,6 +247,20 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
     if cfg_text == "replicates=abc\n":
         assert f"{cfg}:1:" in payload["message"]
     assert not list(tmp_path.glob("bad.*"))  # no predictions or summary written
+
+
+@pytest.mark.parametrize("cfg_text, message", [
+    ("replicates=4\nreplicates=6\n", "{cfg}:2: key 'replicates' repeats line 1"),
+    ("replicates=2\ncenter_y=on\n", "{cfg}:2: unknown key 'center_y'"),
+], ids=["repeated-key", "center-y-removed"])
+def test_config_file_error_names_line_and_key(sim_dir, tmp_path, capsys, cfg_text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                   "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ParameterError",
+                                                   "message": message.format(cfg=cfg)}
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_replicate_error_json_carries_index_and_seed(sim_dir, tmp_path, capsys,
@@ -380,6 +406,34 @@ def test_cli_defaults_are_the_dataclass_defaults(sim_dir, tmp_path):
     assert run_cli("simulate", "--scheme", "ar1", "--out", str(tmp_path / "sim")) == 0
     sidecar = json.loads((tmp_path / "sim" / "sim.json").read_text())
     assert sidecar["spec"] == asdict(SchemeSpec("ar1"))
+
+
+def _config_key_default(key):
+    # the field a key sets, so a key that outlives its field raises AttributeError
+    cfg = TarpConfig()
+    by_key = {"replicates": cfg.n_replicates, "psi_lo": cfg.psi_range[0],
+              "psi_hi": cfg.psi_range[1], "response": "-1"}  # "-1": the last column
+    if key in by_key:
+        return by_key[key]
+    return getattr(cfg.prior if hasattr(cfg.prior, key) else cfg, key)
+
+
+def test_every_config_key_parses_to_its_own_default(tmp_path):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
+                   "--n-active", "3", "--out", str(sim)) == 0
+    data = [str(sim / "train.csv"), str(sim / "test.csv")]
+    assert run_cli("fit", *data, "--out", str(tmp_path / "plain")) == 0
+    plain = (tmp_path / "plain.predictions.csv").read_bytes()
+    cfg = tmp_path / "default.cfg"
+    for key, kind in cli._CONFIG_SCHEMA.items():
+        if key in ("m_lo", "m_hi"):  # their default depends on n and p
+            continue
+        default = _config_key_default(key)
+        assert type(default) is kind, key
+        cfg.write_text(f"{key}={default}\n")
+        assert run_cli("fit", *data, "--config", str(cfg), "--out", str(tmp_path / key)) == 0
+        assert (tmp_path / f"{key}.predictions.csv").read_bytes() == plain, key
 
 
 def test_benchmark_config_response_key_is_named(tmp_path, capsys):
@@ -595,12 +649,28 @@ def test_screen_export_writes_union_submatrix(sim_dir, tmp_path):
                    "--export", str(export)) == 0
     summary = json.loads((tmp_path / "se.json").read_text())
     union = sorted({j for sel in summary["selected_per_replicate"] for j in sel})
-    exported = read_csv(str(export), header=True, response=-1)
-    assert exported.p + 1 == len(union)  # last union column is the csv response slot
     names = summary["column_names"]
-    assert export.read_text().splitlines()[0].split(",") == [names[j] for j in union]
+    assert export.read_text().splitlines()[0].split(",") == [names[j] for j in union] + ["y"]
+    exported = read_csv(str(export))
     std = standardize(read_csv(str(sim_dir / "train.csv")))
-    assert np.array_equal(np.column_stack([exported.X, exported.y]), std.X[:, union])
+    assert np.array_equal(exported.X, std.X[:, union])
+    assert np.array_equal(exported.y, std.y)
+
+
+def test_screen_export_reads_back_as_a_dataset(sim_dir, tmp_path):
+    sub = str(tmp_path / "sub.csv")
+    assert run_cli("screen", str(sim_dir / "train.csv"), "--replicates", "4", "--export", sub,
+                   "--out", str(tmp_path / "all")) == 0
+    assert run_cli("screen", sub, "--out", str(tmp_path / "sub")) == 0
+    first, second = (json.loads((tmp_path / f"{name}.json").read_text())
+                     for name in ("all", "sub"))
+    union = sorted({j for sel in first["selected_per_replicate"] for j in sel})
+    assert len(union) < 60  # the export is a proper subset of the columns
+    assert second["column_names"] == [first["column_names"][j] for j in union]
+    utility = [read_csv(str(tmp_path / f"{name}.frequency.csv"), response="utility").y
+               for name in ("all", "sub")]
+    np.testing.assert_allclose(utility[1], utility[0][union], rtol=0, atol=1e-12)
+    assert run_cli("fit", sub, sub, "--out", str(tmp_path / "fit")) == 0
 
 
 def test_screen_masks_are_the_masks_fit_draws(sim_dir, tmp_path):

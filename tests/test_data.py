@@ -335,15 +335,15 @@ def test_read_csv_matches_per_cell_parse(tmp_path_factory, data):
     text = eol.join(lines) + data.draw(st.sampled_from(["", eol]))
     if data.draw(st.booleans(), label="byte-order mark"):
         text = "\ufeff" + text
-    header = data.draw(st.sampled_from([True, False, "auto"]), label="header")
     response = data.draw(st.sampled_from([-1, -1, 0, "y"]), label="response")
 
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     outcomes = []
-    for read in (read_csv, _read_csv_per_cell):
+    for read in (lambda: read_csv(path, response),
+                 lambda: _read_csv_per_cell(path, "auto", response)):
         try:
-            ds = read(path, header, response)
+            ds = read()
         except TarpError as exc:
             outcomes.append((type(exc), str(exc)))
         else:

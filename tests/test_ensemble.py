@@ -89,13 +89,11 @@ def test_cv_aggregation_picks_minimum():
 def test_center_y_carries_a_response_shift_into_the_predictions(aggregation):
     std, Xn, data = _toy(seed=31)
     shifted = standardize(Dataset.from_arrays(data.train.X, data.train.y + 100.0))
-    for center_y in (True, False):
-        cfg = TarpConfig(n_replicates=8, seed=5, aggregation=aggregation, center_y=center_y)
-        base, moved = run_tarp(std, Xn, cfg), run_tarp(shifted, Xn, cfg)
-        gap = max(np.abs(getattr(moved, k) - getattr(base, k) - 100.0).max()
-                  for k in ("yhat", "lower", "upper"))
-        # uncentered, the fit has no intercept: the columns of Z are centered
-        assert gap <= 1e-12 * 100 if center_y else gap > 1.0
+    cfg = TarpConfig(n_replicates=8, seed=5, aggregation=aggregation)
+    base, moved = run_tarp(std, Xn, cfg), run_tarp(shifted, Xn, cfg)
+    gap = max(np.abs(getattr(moved, k) - getattr(base, k) - 100.0).max()
+              for k in ("yhat", "lower", "upper"))
+    assert gap <= 1e-12 * 100
 
 
 def test_interval_width_monotone_in_level():
@@ -293,13 +291,42 @@ def test_binary_path_rejects_non_finite_test_rows():
 @pytest.mark.parametrize("setting", [dict(aggregation="cv"),
                                      dict(aggregation="model-average"),
                                      dict(pi_method="mixture"),
-                                     dict(level=0.9)],
-                         ids=["cv", "model-average", "mixture", "level"])
+                                     dict(level=0.9),
+                                     dict(prior=PriorHyper(a_sigma=3.0)),
+                                     dict(prior=PriorHyper(b_sigma=5.0)),
+                                     dict(prior=PriorHyper(theta_scale=3.0)),
+                                     dict(aggregation="cv", k_folds=3)],
+                         ids=["cv", "model-average", "mixture", "level", "a_sigma",
+                              "b_sigma", "theta_scale", "k_folds"])
 def test_binary_path_rejects_settings_it_cannot_honour(setting):
     train, Xn = _binary_toy()
     cfg = TarpConfig(n_replicates=2, probit_iterations=20, probit_burnin=5, **setting)
     with pytest.raises(ParameterError):
         run_tarp_binary(train, Xn, cfg)
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(probit_iterations=3000), "Gaussian path never reads probit_iterations"),
+    (dict(probit_burnin=100), "Gaussian path never reads probit_burnin"),
+    (dict(probit_average=True), "Gaussian path never reads probit_average"),
+    (dict(prior=PriorHyper(b_sigma=5.0)), "binary path never reads prior.b_sigma"),
+], ids=["probit-iterations", "probit-burnin", "probit-average", "binary-b-sigma"])
+def test_a_setting_the_path_never_reads_is_named(setting, message):
+    if "binary" in message:
+        train, Xn = _binary_toy()
+        with pytest.raises(ParameterError, match=message):
+            run_tarp_binary(train, Xn, TarpConfig(n_replicates=2, **setting))
+    else:
+        std, Xn, _ = _toy(seed=25)
+        with pytest.raises(ParameterError, match=message):
+            run_tarp(std, Xn, TarpConfig(n_replicates=2, **setting))
+
+
+@pytest.mark.parametrize("aggregation", ["average", "model-average"])
+def test_k_folds_needs_cv_aggregation(aggregation):
+    with pytest.raises(ParameterError, match=f"k_folds applies only.*{aggregation}"):
+        TarpConfig(aggregation=aggregation, k_folds=3)
+    assert TarpConfig(aggregation="cv", k_folds=3).k_folds == 3
 
 
 @pytest.mark.parametrize("backend", ["ris-rp", "ris-pcr", "sparse-ris-rp"])
@@ -319,7 +346,8 @@ def test_binary_single_replicate_equals_that_replicate(backend):
 @pytest.mark.parametrize("aggregation", ["cv", "model-average"])
 def test_single_replicate_carries_the_runs_selection_statistic(aggregation):
     std, Xn, _ = _toy(seed=23)
-    cfg = TarpConfig(n_replicates=4, seed=21, aggregation=aggregation, k_folds=4)
+    cfg = TarpConfig(n_replicates=4, seed=21, aggregation=aggregation,
+                     k_folds=4 if aggregation == "cv" else 5)
     res = run_tarp(std, Xn, cfg)
     for l, full in enumerate(res.per_replicate):
         single = run_replicate(std, Xn, cfg, l)
