@@ -34,11 +34,11 @@ pin_at_start()
 
 import numpy as np
 
-from .data import (RESPONSE_BINARY, apply_standardization, read_csv,
-                   standardize, write_csv, write_matrix_csv)
+from .data import (RESPONSE_BINARY, Dataset, read_csv, transform_columns, write_csv,
+                   write_matrix_csv)
 from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
                        draw_replicate, run_tarp, run_tarp_binary, screening_probs)
-from .errors import ParameterError, ReplicateError, TarpError
+from .errors import DimensionError, ParameterError, ReplicateError, TarpError
 from .metrics import ecp_width, mspe
 from .posterior import PriorHyper
 from .simulate import SCHEMES, SchemeSpec, generate
@@ -165,8 +165,7 @@ def cmd_fit(args) -> int:
     for j, (got, want) in enumerate(zip(test.col_names, train.col_names)):
         if got != want:
             raise ParameterError(f"test column {j} is {got!r}, train column {j} is {want!r}")
-    std_train = standardize(train)
-    X_new = apply_standardization(std_train, test.X)
+    std_train, X_new = _standardized_inputs(train, test.X)
     del train, test  # the replicate loop holds only the standardized matrices
 
     started = time.perf_counter()
@@ -278,8 +277,7 @@ def _benchmark_one(job) -> dict:
     spec, cfg = job
     with one_thread():
         data = generate(spec)
-        std_train = standardize(data.train)
-        X_new, test_y = apply_standardization(std_train, data.test_X), data.test_y
+        (std_train, X_new), test_y = _standardized_inputs(data.train, data.test_X), data.test_y
         del data  # the replicate loop holds only the standardized matrices
         run_cfg = replace(cfg, seed=spec.seed, keep_replicates=False)
         result = run_tarp(std_train, X_new, run_cfg)
@@ -290,7 +288,7 @@ def _benchmark_one(job) -> dict:
 
 def cmd_screen(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
-    std = standardize(read_csv(args.data, response=_response(args, raw_cfg)))
+    std, _ = _standardized_inputs(read_csv(args.data, response=_response(args, raw_cfg)))
     probs = screening_probs(std, cfg)
     counts = np.zeros(std.p)
     selections = []
@@ -321,6 +319,20 @@ def cmd_screen(args) -> int:
             write_matrix_csv(args.export, std.X[:, union], std.y,
                              [std.col_names[j] for j in union])
     return 0
+
+
+def _standardized_inputs(raw: Dataset, test_X=None):
+    """``standardize(raw)`` and ``apply_standardization`` of ``test_X``, each written
+    over its raw matrix: a view of read_csv's parse buffer or of generate's drawn
+    matrix, which the command made and drops, so no full-size copy is made."""
+    if raw.n < 2:
+        raise DimensionError("standardize needs n >= 2")
+    for X in (raw.X,) if test_X is None else (raw.X, test_X):
+        X.base.setflags(write=True)
+        X.setflags(write=True)
+        transform_columns(X, raw.col_means, raw.col_scales, out=X)
+    return Dataset(raw.X, raw.y, raw.response_kind, raw.col_means, raw.col_scales,
+                   standardized=True, col_names=raw.col_names), test_X
 
 
 def _spec_from_args(args) -> SchemeSpec:

@@ -20,6 +20,7 @@ from .errors import DimensionError, IngestionError
 
 RESPONSE_CONTINUOUS = "continuous"
 RESPONSE_BINARY = "binary"
+_BLOCK_BYTES = 1 << 20  # the temporary that a reduction over _column_blocks makes
 
 
 @dataclass(frozen=True)
@@ -92,16 +93,19 @@ def column_statistics(X: np.ndarray):
 
     One min and max per column reject non-finite entries and find the constant
     columns, which get scale 0 exactly.  A non-constant column whose magnitudes
-    overflow either statistic is rejected rather than scaled to zero.
+    overflow either statistic is rejected rather than scaled to zero.  Both are
+    taken a column block at a time, the one temporary.
     """
     if X.ndim != 2 or X.shape[0] < 1:
         raise DimensionError(f"column statistics need a 2-d X with a row, got shape {X.shape}")
     lo, hi = X.min(axis=0), X.max(axis=0)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise IngestionError("X contains non-finite entries")
+    means, scales = np.empty(X.shape[1]), np.empty(X.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        means = X.mean(axis=0)
-        scales = X.std(axis=0, ddof=1 if X.shape[0] > 1 else 0)
+        for cols in _column_blocks(X):
+            means[cols] = X[:, cols].mean(axis=0)
+            scales[cols] = X[:, cols].std(axis=0, ddof=1 if X.shape[0] > 1 else 0)
     constant = lo == hi
     bad = np.flatnonzero(~constant & ~(np.isfinite(means) & np.isfinite(scales)))
     if bad.size:
@@ -109,6 +113,16 @@ def column_statistics(X: np.ndarray):
             f"column {bad[0]}: mean or standard deviation overflows double precision")
     scales[constant] = 0.0
     return means, scales
+
+
+def _column_blocks(X: np.ndarray) -> list:
+    """Column slices of X of about _BLOCK_BYTES, none one column wide unless X is: numpy
+    reduces a block of two or more columns over its rows in the same order as all of X
+    (so with the same bits), but a lone column pairwise."""
+    n, p = X.shape
+    width = max(2, _BLOCK_BYTES // (X.itemsize * n))
+    starts = range(0, max(p - 1, 1), width)  # the last block takes a lone last column
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], p])]
 
 
 def standardize(raw: Dataset) -> Dataset:
@@ -124,9 +138,10 @@ def standardize(raw: Dataset) -> Dataset:
                    standardized=True, col_names=raw.col_names)
 
 
-def transform_columns(X: np.ndarray, means: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def transform_columns(X: np.ndarray, means: np.ndarray, scales: np.ndarray, out=None) -> np.ndarray:
+    """(X - means) / scales, constant columns 0, into ``out`` (may be X) or a new array."""
     constant = scales == 0.0
-    out = np.subtract(X, means)  # the one full-size allocation
+    out = np.subtract(X, means, out=out)
     np.divide(out, np.where(constant, 1.0, scales), out=out)
     out[:, constant] = 0.0
     return out
@@ -171,9 +186,14 @@ def read_csv(path, response=-1):
         if rcol is None:
             raise IngestionError(f"{path}: response column index {response} out of range")
     col_names = () if names is None else tuple(nm for j, nm in enumerate(names) if j != rcol)
+    # y is copied out and the predictors move left within the parse buffer, a block
+    # of rows at a time: a block's new place ends before the next block starts
+    y, n, step = data[:, rcol].copy(), data.shape[0], max(1, _BLOCK_BYTES // data[0].nbytes)
+    X = data.reshape(-1)[:n * (width - 1)].reshape(n, width - 1)
+    for a in range(0, n, step):
+        X[a:a + step] = np.delete(data[a:a + step], rcol, axis=1)
     try:
-        return Dataset.from_arrays(np.delete(data, rcol, axis=1), data[:, rcol],
-                                   col_names=col_names)
+        return Dataset.from_arrays(X, y, col_names=col_names)
     except IngestionError as exc:
         raise IngestionError(f"{path}: {exc}") from None
 

@@ -229,6 +229,7 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
     input comes from (train, cfg) and the generator from (cfg.seed, index), so
     a single replicate reproduces exactly what a full run computes at that index.
     """
+    _check_settings(train, cfg)
     if probs is None:
         probs = screening_probs(train, cfg)
     t0 = time.perf_counter()
@@ -295,9 +296,7 @@ def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
     _check_inputs(train, X_new)
     if train.response_kind != RESPONSE_CONTINUOUS:
         raise ParameterError("run_tarp is the Gaussian path; use run_tarp_binary")
-    _require_defaults(cfg, "Gaussian", ("probit_iterations", "probit_burnin", "probit_average"))
-    if cfg.aggregation == AGG_CV and cfg.k_folds > train.n:
-        raise ParameterError("k_folds cannot exceed n")
+    _check_settings(train, cfg)
     started = time.perf_counter()
     records, phase = _run_replicates(train, X_new, cfg)
 
@@ -334,8 +333,7 @@ def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpB
     _check_inputs(train, X_new)
     if train.response_kind != RESPONSE_BINARY:
         raise ParameterError("run_tarp_binary requires a binary response")
-    _require_defaults(cfg, "binary", ("aggregation", "pi_method", "level", "k_folds",
-                                      "prior.a_sigma", "prior.b_sigma", "prior.theta_scale"))
+    _check_settings(train, cfg)
     started = time.perf_counter()
     records, phase = _run_replicates(train, X_new, cfg)
     return TarpBinaryResult(
@@ -373,12 +371,20 @@ def kfold_mse(Z: np.ndarray, y: np.ndarray, post: CompressedPosterior, k: int,
     return float(np.mean(errors))
 
 
-def _require_defaults(cfg: TarpConfig, path: str, names: tuple) -> None:
-    """A setting that the chosen path never reads is an error, not a silent no-op."""
+def _check_settings(train: Dataset, cfg: TarpConfig) -> None:
+    """The checks of the path train's response takes, for a run and for one replicate:
+    a setting that the path never reads is an error, not a silent no-op."""
+    if train.response_kind == RESPONSE_BINARY:
+        path, names = "binary", ("aggregation", "pi_method", "level", "k_folds",
+                                 "prior.a_sigma", "prior.b_sigma", "prior.theta_scale")
+    else:
+        path, names = "Gaussian", ("probit_iterations", "probit_burnin", "probit_average")
     default = TarpConfig()
     off = [name for name in names if attrgetter(name)(cfg) != attrgetter(name)(default)]
     if off:
         raise ParameterError(f"the {path} path never reads {', '.join(off)}: leave it at its default")
+    if cfg.aggregation == AGG_CV and cfg.k_folds > train.n:
+        raise ParameterError("k_folds cannot exceed n")
 
 
 def _check_inputs(train: Dataset, X_new: np.ndarray) -> None:

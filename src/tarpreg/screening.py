@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _column_blocks
 from .errors import DimensionError, IngestionError, ParameterError
 
 _GAMMA_RETRIES = 16
@@ -72,7 +72,9 @@ def marginal_utility(data: Dataset) -> np.ndarray:
         raise IngestionError("the response's sum of squares overflows float64; rescale y")
     if ynorm == 0.0:
         return np.zeros(data.p)
-    xnorm = np.linalg.norm(data.X, axis=0)  # columns are already centered
+    xnorm = np.empty(data.p)  # np.linalg.norm(X, axis=0) a block at a time; X is centered
+    for cols in _column_blocks(data.X):
+        xnorm[cols] = np.sqrt(np.add.reduce(np.square(data.X[:, cols]), axis=0))
     denom = np.where(xnorm == 0.0, 1.0, xnorm) * ynorm
     r = (data.X.T @ yc) / denom
     r[xnorm == 0.0] = 0.0

@@ -724,22 +724,27 @@ def test_failed_command_leaves_no_output_file(sim_dir, tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("command", ["fit", "benchmark"])
 def test_replicate_loop_holds_no_raw_design(sim_dir, tmp_path, monkeypatch, command):
+    # the standardized matrices are written over the parse or draw buffers, so those
+    # buffers live on in them, but no raw Dataset or SimulatedData does
     real_read, real_generate, real_run = cli.read_csv, cli.generate, cli.run_tarp
-    raw, seen = [], []
+    raw, buffers, seen = [], [], []
 
     def reading(*args, **kwargs):
         ds = real_read(*args, **kwargs)
-        raw.extend([weakref.ref(ds), weakref.ref(ds.X)])
+        raw.append(weakref.ref(ds))
+        buffers.append(ds.X.base)
         return ds
 
     def generating(spec):
         data = real_generate(spec)
-        raw.extend([weakref.ref(data), weakref.ref(data.train), weakref.ref(data.train.X.base)])
+        raw.extend([weakref.ref(data), weakref.ref(data.train)])
+        buffers.extend([data.train.X.base] * 2)
         return data
 
-    def spy(*args):
-        seen.append([ref() is None for ref in raw])
-        return real_run(*args)
+    def spy(train, X_new, cfg):
+        seen.append(([ref() is None for ref in raw], np.shares_memory(train.X, buffers[0]),
+                     np.shares_memory(X_new, buffers[1])))
+        return real_run(train, X_new, cfg)
 
     monkeypatch.setattr(cli, "read_csv", reading)
     monkeypatch.setattr(cli, "generate", generating)
@@ -750,7 +755,21 @@ def test_replicate_loop_holds_no_raw_design(sim_dir, tmp_path, monkeypatch, comm
         argv = ["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
                 "--n-active", "4", "--datasets", "1", "--replicates", "2", "--workers", "1"]
     assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
-    assert len(seen) == 1 and raw and all(seen[0])
+    assert len(raw) == 2 and seen == [([True, True], True, True)]
+
+
+@pytest.mark.parametrize("n, constant", [(30, []), (30, [0, 3]), (2, [1])])
+def test_standardized_inputs_overwrite_the_raw_buffers(n, constant):
+    rng = np.random.default_rng(8)
+    buffer = rng.normal(4.0, 3.0, size=(n + 6, 5))
+    buffer[:n, constant] = 2.5  # constant in the training rows only
+    raw = tarpreg.Dataset.from_arrays(buffer[:n], rng.normal(size=n))
+    want = standardize(raw)
+    want_new = tarpreg.apply_standardization(want, buffer[n:])
+    std, X_new = cli._standardized_inputs(raw, buffer[n:])
+    assert np.shares_memory(std.X, buffer[:n]) and np.shares_memory(X_new, buffer[n:])
+    assert std.X.tobytes() == want.X.tobytes() and X_new.tobytes() == want_new.tobytes()
+    assert std.standardized and std.col_scales.tobytes() == want.col_scales.tobytes()
 
 
 def _binary_csv(tmp_path):

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 import tarpreg.data
 from tarpreg import (Dataset, DimensionError, IngestionError, TarpError,
-                     apply_standardization, read_csv, standardize, write_csv,
-                     write_matrix_csv)
+                     apply_standardization, marginal_utility, read_csv, standardize,
+                     write_csv, write_matrix_csv)
 
 MAX = 1.7976931348623157e308
 
@@ -396,3 +396,67 @@ def test_standardization_allocates_one_output_matrix(step):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * out.nbytes
+
+
+def _unblocked_utility(std):
+    """marginal_utility as one numpy expression over all of X."""
+    yc = std.y - std.y.mean()
+    xnorm = np.linalg.norm(std.X, axis=0)
+    r = (std.X.T @ yc) / (np.where(xnorm == 0.0, 1.0, xnorm) * np.linalg.norm(yc))
+    r[xnorm == 0.0] = 0.0
+    return np.clip(r, -1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), extra=st.integers(0, 7), blocks=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_statistics_and_norms_equal_the_whole_matrix_expressions(n, extra, blocks, seed):
+    # p covers up to three full column blocks and a ragged end, a lone last column too
+    p = max(1, blocks * max(2, tarpreg.data._BLOCK_BYTES // (8 * n)) + extra)
+    rng = np.random.default_rng(seed)
+    magnitude = 10.0 ** rng.integers(-150, 151, size=p)
+    X = magnitude * (rng.normal(size=(n, p)) + rng.normal(size=p) * 10.0 ** rng.integers(0, 8))
+    X[:, rng.random(p) < 0.2] = 7.0  # constant columns
+    means, scales = tarpreg.data.column_statistics(X)
+    want_scales = X.std(axis=0, ddof=1 if n > 1 else 0)
+    want_scales[X.min(axis=0) == X.max(axis=0)] = 0.0
+    assert means.tobytes() == X.mean(axis=0).tobytes()
+    assert scales.tobytes() == want_scales.tobytes()
+    if n >= 3:
+        std = standardize(Dataset.from_arrays(X, rng.normal(size=n)))
+        assert marginal_utility(std).tobytes() == _unblocked_utility(std).tobytes()
+
+
+@pytest.mark.parametrize("step", ["column_statistics", "marginal_utility"])
+def test_column_reductions_allocate_one_block(step):
+    rng = np.random.default_rng(5)
+    raw = Dataset.from_arrays(rng.normal(3.0, 2.0, size=(400, 2000)), rng.normal(size=400))
+    std = standardize(raw)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if step == "column_statistics":
+            tarpreg.data.column_statistics(raw.X)
+        else:
+            marginal_utility(std)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * raw.X.nbytes
+
+
+@pytest.mark.parametrize("response", [0, 500, 1000], ids=["first", "middle", "last"])
+def test_read_csv_splits_the_response_off_inside_the_parse_buffer(tmp_path, response):
+    # np.loadtxt alone peaks at about 1.28 X; a second n x p array would take it past 2
+    A = np.random.default_rng(6).normal(size=(400, 1001))
+    path = tmp_path / "wide.csv"
+    write_csv(path, list(A.T), [f"c{j}" for j in range(1001)])
+    tracemalloc.start()
+    try:
+        ds = read_csv(path, response=response)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.X.tobytes() == np.delete(A, response, axis=1).tobytes()
+    assert ds.y.tobytes() == A[:, response].tobytes()
+    assert peak <= 1.5 * ds.X.nbytes

@@ -364,3 +364,22 @@ def test_binary_replicate_failure_reports_index_and_seed(fail_second_call):
         run_tarp_binary(train, Xn, TarpConfig(n_replicates=3, seed=31, probit_iterations=20,
                                               probit_burnin=5))
     assert (err.value.index, err.value.seed) == (1, 31)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_single_replicate_applies_the_runs_setting_checks(kind):
+    # both used to run: the Gaussian replicate returned the default config's yhat,
+    # and the binary one a record with cv_mse=None
+    if kind == "continuous":
+        train, Xn, _ = _toy(n=40, p=60)
+        cfg, message = (TarpConfig(probit_average=True, probit_iterations=9000),
+                        "Gaussian path never reads probit_iterations, probit_average")
+        run = run_tarp
+    else:
+        train, Xn = _binary_toy()
+        cfg, message = TarpConfig(aggregation="cv"), "binary path never reads aggregation"
+        run = run_tarp_binary
+    with pytest.raises(ParameterError, match=message):
+        run(train, Xn, cfg)
+    with pytest.raises(ParameterError, match=message):
+        run_replicate(train, Xn, cfg, 0)
