@@ -10,10 +10,11 @@ Subcommands::
 Config files are flat ``key=value`` lines (``#`` comments allowed); any
 command-line flag overrides the file value, and the effective configuration
 is echoed into the run summary.  All failures print a machine-readable JSON
-object on stderr and exit nonzero.  Benchmark outputs are bit-identical for
-any ``--workers`` value; wall-clock timings go to a separate ``.timing.json``
-so the data files stay deterministic.  Importing this module starts OpenBLAS at
-one thread (``_blas.pin_at_start``) and loads no process pool.
+object on stderr and exit nonzero: 2 for a usage error, 1 otherwise.
+Benchmark outputs are bit-identical for any ``--workers`` value; wall-clock
+timings go to a separate ``.timing.json`` so the data files stay
+deterministic.  Importing this module starts OpenBLAS at one thread
+(``_blas.pin_at_start``) and loads no process pool.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ pin_at_start()
 
 import numpy as np
 
-from .data import (RESPONSE_BINARY, Dataset, read_csv, transform_columns, write_csv,
-                   write_matrix_csv)
+from .data import (RESPONSE_BINARY, Dataset, _read_table, read_csv, transform_columns,
+                   write_csv, write_matrix_csv)
 from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
                        draw_replicate, run_tarp, run_tarp_binary, screening_probs)
 from .errors import DimensionError, ParameterError, ReplicateError, TarpError
@@ -45,14 +46,10 @@ from .simulate import SCHEMES, SchemeSpec, generate
 
 _CONFIG_SCHEMA = {
     "backend": str, "delta": str, "replicates": int, "level": float,
-    "seed": int, "a_sigma": float, "b_sigma": float, "theta_scale": float,
-    "aggregation": str, "kappa": float, "psi_lo": float, "psi_hi": float,
-    "m_lo": int, "m_hi": int, "k_folds": int,
-    "pi_method": str, "probit_iterations": int, "probit_burnin": int,
-    "probit_average": bool, "response": str,
+    "seed": int, "a_sigma": float, "b_sigma": float, "aggregation": str,
+    "m_lo": int, "m_hi": int, "pi_method": str, "probit_iterations": int,
+    "probit_burnin": int, "response": str,
 }
-_BOOL_SPELLINGS = {"1": True, "true": True, "yes": True, "on": True,
-                   "0": False, "false": False, "no": False, "off": False}
 
 
 def main(argv=None) -> int:
@@ -65,8 +62,17 @@ def main(argv=None) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one JSON line on stderr, like every other failure; exit status 2."""
+
+    def error(self, message):
+        print(json.dumps({"error": "UsageError", "message": f"{self.prog}: {message}"},
+                         sort_keys=True), file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tarpreg",
         description="Screened random-projection regression with conjugate Bayesian prediction")
     parser.add_argument("--version", action="version", version=__version__)
@@ -128,7 +134,6 @@ def _model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replicates", type=int)
     p.add_argument("--level", type=float)
     p.add_argument("--aggregation", choices=AGGREGATIONS)
-    p.add_argument("--kappa", type=float)
     p.add_argument("--a-sigma", type=float)
     p.add_argument("--b-sigma", type=float)
 
@@ -158,15 +163,16 @@ def cmd_fit(args) -> int:
     response = _response(args, raw_cfg)
     read_started = time.perf_counter()
     train = read_csv(args.train, response=response)
-    test = read_csv(args.test, response=response)
+    test_X, _, test_names = _read_table(args.test, response)  # no column statistics
     read_time = time.perf_counter() - read_started
-    if test.p != train.p:
-        raise ParameterError(f"test has {test.p} predictor columns, train has {train.p}")
-    for j, (got, want) in enumerate(zip(test.col_names, train.col_names)):
+    if test_X.shape[1] != train.p:
+        raise ParameterError(f"test has {test_X.shape[1]} predictor columns, "
+                             f"train has {train.p}")
+    for j, (got, want) in enumerate(zip(test_names, train.col_names)):
         if got != want:
             raise ParameterError(f"test column {j} is {got!r}, train column {j} is {want!r}")
-    std_train, X_new = _standardized_inputs(train, test.X)
-    del train, test  # the replicate loop holds only the standardized matrices
+    std_train, X_new = _standardized_inputs(train, test_X)
+    del train, test_X  # the replicate loop holds only the standardized matrices
 
     started = time.perf_counter()
     if std_train.response_kind == RESPONSE_BINARY:
@@ -360,9 +366,6 @@ def _config_from_args(args):
         if not ("m_lo" in given and "m_hi" in given):
             raise ParameterError("config must set both m_lo and m_hi")
         given["m_range"] = (given.pop("m_lo"), given.pop("m_hi"))
-    if "psi_lo" in given or "psi_hi" in given:
-        lo, hi = TarpConfig.psi_range
-        given["psi_range"] = (given.pop("psi_lo", lo), given.pop("psi_hi", hi))
     prior = PriorHyper(**{f.name: given.pop(f.name) for f in fields(PriorHyper)
                           if f.name in given})
     return TarpConfig(**given, prior=prior), raw
@@ -386,10 +389,10 @@ def _read_config(path) -> dict:
                 raise ParameterError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
             kind = _CONFIG_SCHEMA[key]
             try:
-                values[key] = _BOOL_SPELLINGS[value.lower()] if kind is bool else kind(value)
-            except (KeyError, ValueError):
-                expected = {bool: "/".join(_BOOL_SPELLINGS), int: "an int", float: "a float"}
-                raise ParameterError(f"{path}:{lineno}: {key} must be {expected[kind]}, "
+                values[key] = kind(value)
+            except ValueError:
+                raise ParameterError(f"{path}:{lineno}: {key} must be "
+                                     f"{'an int' if kind is int else 'a float'}, "
                                      f"got {value!r}") from None
     return values
 

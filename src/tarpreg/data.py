@@ -160,14 +160,24 @@ def apply_standardization(train: Dataset, new_X) -> np.ndarray:
 
 
 def read_csv(path, response=-1):
-    """Read a rectangular numeric CSV into a Dataset.
+    """Read a rectangular numeric CSV into a Dataset (see ``_read_table``).  Response
+    kind is binary iff every response value is 0 or 1."""
+    X, y, col_names = _read_table(path, response)
+    try:
+        return Dataset.from_arrays(X, y, col_names=col_names)
+    except IngestionError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
+
+
+def _read_table(path, response=-1):
+    """(X, y, col_names) of a rectangular numeric CSV, X writable in the parse buffer.
 
     The first row is a header iff any cell in it fails to parse as a number,
     and a header must be as wide as the body.  response: column name or
-    zero-based index; default -1 selects the last column.  Response kind is
-    binary iff every response value is 0 or 1.  A UTF-8 byte-order mark is
-    dropped.  One ``np.loadtxt`` call parses the body; what it cannot parse
-    goes through the per-cell parse, whose errors name the row and column.
+    zero-based index; default -1 selects the last column.  Without a header the
+    predictors are named ``x0, x1, ...``.  A UTF-8 byte-order mark is dropped.
+    One ``np.loadtxt`` call parses the body; what it cannot parse goes through
+    the per-cell parse, whose errors name the row and column.
     """
     data, names = _read_fast(path) or _read_cells(path)
     width = data.shape[1]
@@ -185,17 +195,15 @@ def read_csv(path, response=-1):
         rcol = int(response) % width if -width <= int(response) < width else None
         if rcol is None:
             raise IngestionError(f"{path}: response column index {response} out of range")
-    col_names = () if names is None else tuple(nm for j, nm in enumerate(names) if j != rcol)
+    col_names = (tuple(f"x{j}" for j in range(width - 1)) if names is None
+                 else tuple(nm for j, nm in enumerate(names) if j != rcol))
     # y is copied out and the predictors move left within the parse buffer, a block
     # of rows at a time: a block's new place ends before the next block starts
     y, n, step = data[:, rcol].copy(), data.shape[0], max(1, _BLOCK_BYTES // data[0].nbytes)
     X = data.reshape(-1)[:n * (width - 1)].reshape(n, width - 1)
     for a in range(0, n, step):
         X[a:a + step] = np.delete(data[a:a + step], rcol, axis=1)
-    try:
-        return Dataset.from_arrays(X, y, col_names=col_names)
-    except IngestionError as exc:
-        raise IngestionError(f"{path}: {exc}") from None
+    return X, y, col_names
 
 
 def _read_fast(path):

@@ -49,6 +49,8 @@ _UINT64 = (1 << 64) - 1
 _DOMAIN_REPLICATE = 1
 _DOMAIN_FOLDS = 2
 _DOMAIN_DATASET = 3
+_K_FOLDS = 5   # cv aggregation's folds
+_KAPPA = 0.5   # sparse-ris-rp's sparsity exponent
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -74,16 +76,13 @@ class TarpConfig:
     n_replicates: int = 100
     m_range: Optional[tuple] = None   # default [ceil(2 ln p), floor(3n/4)] clipped to [1, p]
     psi_range: tuple = (0.1, 0.4)
-    kappa: float = 0.5
     prior: PriorHyper = field(default_factory=PriorHyper)
     aggregation: str = AGG_AVERAGE
-    k_folds: int = 5
     level: float = 0.5
     seed: int = 0
     pi_method: str = "endpoints"      # or "mixture": pooled predictive quantiles
     probit_iterations: int = 2000
     probit_burnin: int = 500
-    probit_average: bool = False
     keep_replicates: bool = True
 
     def __post_init__(self):
@@ -110,29 +109,18 @@ class TarpConfig:
                 raise ParameterError("m_range must satisfy 1 <= lo <= hi")
         if not 0.0 < self.level < 1.0:
             raise ParameterError("level must lie in (0, 1)")
-        if self.k_folds < 2:
-            raise ParameterError("k_folds must be >= 2")
         if self.pi_method not in ("endpoints", "mixture"):
             raise ParameterError("pi_method must be 'endpoints' or 'mixture'")
         if self.pi_method == "mixture" and self.aggregation != AGG_AVERAGE:  # equal weights
             raise ParameterError(f"pi_method 'mixture' needs aggregation 'average', not "
                                  f"{self.aggregation!r}")
-        # passing conditions, so that NaN fails them
-        if not 0.0 < self.kappa < 1.0:
-            raise ParameterError(f"kappa must lie strictly in (0, 1), got {self.kappa}")
         if not self.probit_iterations > self.probit_burnin >= 0:
             raise ParameterError("need probit_iterations > probit_burnin >= 0, got "
                                  f"{self.probit_iterations} and {self.probit_burnin}")
         # a setting the backend never reads is an error, not a silent no-op
-        if self.kappa != TarpConfig.kappa and self.backend != BACKEND_SPARSE_RP:
-            raise ParameterError(f"kappa applies only to backend {BACKEND_SPARSE_RP!r}, "
-                                 f"not {self.backend!r}")
         if tuple(self.psi_range) != TarpConfig.psi_range and self.backend != BACKEND_RP:
             raise ParameterError(f"psi_range applies only to backend {BACKEND_RP!r}, "
                                  f"not {self.backend!r}")
-        if self.k_folds != TarpConfig.k_folds and self.aggregation != AGG_CV:
-            raise ParameterError(f"k_folds applies only to aggregation {AGG_CV!r}, "
-                                 f"not {self.aggregation!r}")
 
     def resolved_m_range(self, n: int, p: int) -> tuple:
         if self.m_range is not None:
@@ -240,7 +228,7 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
         proj = gen_rp_matrix(mask.p_gamma, draw.m, draw.psi, draw.rng,
                              column_map=mask.selected)
     elif cfg.backend == BACKEND_SPARSE_RP:
-        proj = gen_sparse_rp_matrix(mask.p_gamma, draw.m, cfg.kappa, train.n, draw.rng,
+        proj = gen_sparse_rp_matrix(mask.p_gamma, draw.m, _KAPPA, train.n, draw.rng,
                                     column_map=mask.selected)
     else:
         proj = gen_pcr_matrix(train.X[:, mask.selected], draw.m, column_map=mask.selected)
@@ -249,8 +237,7 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
     if train.response_kind == RESPONSE_BINARY:
         fit = probit_gibbs(Z, train.y, cfg.probit_iterations, cfg.probit_burnin, draw.rng)
         t3 = time.perf_counter()
-        out = dict(yhat=predict_probit(fit, compress(X_new, proj),
-                                       average=cfg.probit_average))
+        out = dict(yhat=predict_probit(fit, compress(X_new, proj)))
     else:
         y_offset = float(train.y.mean())
         y_fit = train.y - y_offset
@@ -259,7 +246,7 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
         cv = None
         if cfg.aggregation == AGG_CV:
             fold_plan = substream(cfg.seed, _DOMAIN_FOLDS).permutation(train.n)
-            cv = kfold_mse(Z, y_fit, post, cfg.k_folds, fold_plan)
+            cv = kfold_mse(Z, y_fit, post, _K_FOLDS, fold_plan)
         t3 = time.perf_counter()
         summary = predict(post, compress(X_new, proj), cfg.level)
         out = dict(yhat=summary.mean + y_offset, lower=summary.lower + y_offset,
@@ -349,9 +336,9 @@ def kfold_mse(Z: np.ndarray, y: np.ndarray, post: CompressedPosterior, k: int,
     Folds are contiguous blocks of ``fold_plan``, a permutation of the n rows
     shared across candidates; k = n gives leave-one-out.  ``post`` is the fit
     on all n rows of (Z, y), and no fold refits: with the hat matrix
-    H = Z (Z'Z + I/sigma_theta^2)^{-1} Z', the fit without the rows v leaves
-    the residuals (I - H_vv)^{-1} (y_v - Z_v mu) on them, and H_vv is read
-    off the columns v of L^{-1} Z', L^{-1} being the fit's inverse factor.
+    H = Z (Z'Z + I)^{-1} Z', the fit without the rows v leaves the residuals
+    (I - H_vv)^{-1} (y_v - Z_v mu) on them, and H_vv is read off the columns v
+    of L^{-1} Z', L^{-1} being the fit's inverse factor.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -375,16 +362,16 @@ def _check_settings(train: Dataset, cfg: TarpConfig) -> None:
     """The checks of the path train's response takes, for a run and for one replicate:
     a setting that the path never reads is an error, not a silent no-op."""
     if train.response_kind == RESPONSE_BINARY:
-        path, names = "binary", ("aggregation", "pi_method", "level", "k_folds",
-                                 "prior.a_sigma", "prior.b_sigma", "prior.theta_scale")
+        path, names = "binary", ("aggregation", "pi_method", "level", "prior.a_sigma",
+                                 "prior.b_sigma")
     else:
-        path, names = "Gaussian", ("probit_iterations", "probit_burnin", "probit_average")
+        path, names = "Gaussian", ("probit_iterations", "probit_burnin")
     default = TarpConfig()
     off = [name for name in names if attrgetter(name)(cfg) != attrgetter(name)(default)]
     if off:
         raise ParameterError(f"the {path} path never reads {', '.join(off)}: leave it at its default")
-    if cfg.aggregation == AGG_CV and cfg.k_folds > train.n:
-        raise ParameterError("k_folds cannot exceed n")
+    if cfg.aggregation == AGG_CV and train.n < _K_FOLDS:
+        raise ParameterError(f"cv needs at least {_K_FOLDS} training rows, got {train.n}")
 
 
 def _check_inputs(train: Dataset, X_new: np.ndarray) -> None:

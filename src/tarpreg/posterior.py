@@ -1,11 +1,11 @@
 """Exact conjugate inference on compressed features.
 
 Model: y = Z theta + e with e ~ N(0, sigma^2 I), prior theta | sigma^2 ~
-N(0, sigma^2 sigma_theta^2 I) and sigma^2 ~ Inv-Gamma(a, b).  With
-sigma_theta = 1 the posterior of theta is a scaled multivariate t with
-df = n + 2a, location mu = W Z'y and W = (I + Z'Z)^{-1}; sigma^2 is
-Inv-Gamma(a + n/2, (y'y - mu' W^{-1} mu)/2 + b); and the predictive at a
-compressed row z is a scaled t with the same df, mean z'mu and squared scale
+N(0, sigma^2 I) (a unit theta scale) and sigma^2 ~ Inv-Gamma(a, b).  The
+posterior of theta is a scaled multivariate t with df = n + 2a, location
+mu = W Z'y and W = (I + Z'Z)^{-1}; sigma^2 is Inv-Gamma(a + n/2,
+(y'y - mu' W^{-1} mu)/2 + b); and the predictive at a compressed row z is a
+scaled t with the same df, mean z'mu and squared scale
 (y'y - mu' W^{-1} mu + 2b)(1 + z' W z) / df.
 
 A fit factors W^{-1} = L L' (lower Cholesky) once and keeps the inverse
@@ -33,7 +33,6 @@ from .studentt import t_interval_halfwidth
 class PriorHyper:
     a_sigma: float = 0.02
     b_sigma: float = 0.02
-    theta_scale: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -45,7 +44,7 @@ class PriorHyper:
 @dataclass(frozen=True)
 class CompressedPosterior:
     mu_t: np.ndarray         # posterior location, length m
-    chol_inv: np.ndarray     # L^{-1}, L the lower Cholesky factor of I/sigma_theta^2 + Z'Z
+    chol_inv: np.ndarray     # L^{-1}, L the lower Cholesky factor of I + Z'Z
     df: float                # n + 2 a_sigma
     scale_factor: float      # y'y - mu' W^{-1} mu + 2 b_sigma
     n: int
@@ -57,7 +56,7 @@ class CompressedPosterior:
 
     @property
     def W(self) -> np.ndarray:
-        """(I/sigma_theta^2 + Z'Z)^{-1}, formed from the factor on request."""
+        """(I + Z'Z)^{-1}, formed from the factor on request."""
         return self.chol_inv.T @ self.chol_inv
 
 
@@ -86,8 +85,7 @@ def fit_compressed(Z: np.ndarray, y: np.ndarray, prior: PriorHyper) -> Compresse
     if not (np.isfinite(Z).all() and np.isfinite(y).all()):
         raise IngestionError("fit_compressed requires finite inputs")
     n, m = Z.shape
-    A = Z.T @ Z + np.eye(m) / prior.theta_scale ** 2
-    chol_inv = _lower_inverse(np.linalg.cholesky(A))
+    chol_inv = _lower_inverse(np.linalg.cholesky(Z.T @ Z + np.eye(m)))
     Zty = Z.T @ y
     mu = chol_inv.T @ (chol_inv @ Zty)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
@@ -128,10 +126,10 @@ def log_marginal_likelihood(post: CompressedPosterior) -> float:
     Reads log det W off the fit's inverse factor; constant terms are kept so
     the value is comparable across models on the same data.
     """
-    n, m, prior = post.n, post.m, post.prior
+    n, prior = post.n, post.prior
     log_det_W = 2.0 * float(np.sum(np.log(np.diag(post.chol_inv))))
     return (-(n / 2.0) * np.log(2.0 * np.pi)
-            + 0.5 * log_det_W - m * np.log(prior.theta_scale)
+            + 0.5 * log_det_W
             + prior.a_sigma * np.log(prior.b_sigma) - math.lgamma(prior.a_sigma)
             + math.lgamma(post.df / 2.0)
             - (post.df / 2.0) * np.log(post.scale_factor / 2.0))
@@ -143,7 +141,7 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
 
     Alternates theta | y* ~ N((Z'Z + I)^{-1} Z'y*, (Z'Z + I)^{-1}) with
     truncated-normal updates of the latent y* (positive iff y = 1).  Returns
-    the post-burnin mean of theta and the draws, for optional averaging.
+    the post-burnin mean of theta and the draws.
 
     The chain runs on the reflected latent w = S y* with S = diag(+-1) from
     the labels, so every w is truncated to [0, inf).  All linear algebra is
@@ -172,15 +170,12 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
     return ProbitFit(kept.mean(axis=0), kept)
 
 
-def predict_probit(fit: ProbitFit, Z_new: np.ndarray, average: bool = False) -> np.ndarray:
-    """P(y = 1) = Phi(z' theta); plug-in at the posterior mean by default,
-    averaged over retained draws when ``average`` is set."""
+def predict_probit(fit: ProbitFit, Z_new: np.ndarray) -> np.ndarray:
+    """P(y = 1) = Phi(z' theta), plug-in at the posterior mean of theta."""
     Z_new = np.atleast_2d(np.asarray(Z_new, dtype=np.float64))
     if Z_new.shape[1] != fit.theta_mean.shape[0]:
         raise DimensionError("Z_new column count does not match fit")
     from scipy import special
-    if average:
-        return special.ndtr(Z_new @ fit.theta_draws.T).mean(axis=1)
     return special.ndtr(Z_new @ fit.theta_mean)
 
 

@@ -71,6 +71,31 @@ def sim_dir(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--kappa", "0.3", "--out", "{out}"], "unrecognized arguments: --kappa 0.3"),
+    (["--kappa", "nan", "--out", "{out}"], "unrecognized arguments: --kappa nan"),
+    (["--backend", "sparse-ris-rp", "--kappa", "1.5", "--out", "{out}"],
+     "unrecognized arguments: --kappa 1.5"),
+    (["--backend", "ris-pcr", "--kappa", "0.3", "--out", "{out}"],
+     "unrecognized arguments: --kappa 0.3"),
+    (["--replicates", "abc", "--out", "{out}"], "argument --replicates: invalid int value: 'abc'"),
+    (["--backend", "ris-xx", "--out", "{out}"], "argument --backend: invalid choice: 'ris-xx'"),
+    (["--replicates", "2"], "the following arguments are required: --out"),
+], ids=["unknown-flag", "kappa-nan-removed", "sparse-kappa-removed", "pcr-kappa-removed",
+        "bad-int", "invalid-choice", "missing-required"])
+def test_usage_error_is_one_json_line(sim_dir, tmp_path, capsys, flags, message):
+    # exit status 2 as argparse has it, but the message is JSON like every other failure
+    with pytest.raises(SystemExit) as err:
+        run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
+                *(flag.format(out=tmp_path / "x") for flag in flags))
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "UsageError" and message in payload["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_fit_predict_on_csv(sim_dir, tmp_path):
     prefix = tmp_path / "run"
     assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
@@ -163,29 +188,6 @@ def test_fit_unknown_config_key_fails(sim_dir, tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("spelling, value", [("On", True), ("yes", True), ("1", True),
-                                             ("OFF", False), ("no", False), ("0", False)])
-def test_fit_config_bool_spellings(tmp_path, spelling, value):
-    path = _binary_csv(tmp_path)
-    cfg = tmp_path / "b.cfg"
-    cfg.write_text(f"replicates=2\nprobit_average={spelling}\n")
-    assert run_cli("fit", str(path), str(path),
-                   "--config", str(cfg), "--out", str(tmp_path / "b")) == 0
-    summary = json.loads((tmp_path / "b.summary.json").read_text())
-    assert summary["config"]["probit_average"] is value
-
-
-def test_fit_config_bool_typo_fails_with_location(tmp_path, capsys):
-    path = _binary_csv(tmp_path)
-    cfg = tmp_path / "typo.cfg"
-    cfg.write_text("replicates=2\nprobit_average=flase\n")
-    assert run_cli("fit", str(path), str(path),
-                   "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "ParameterError"
-    assert f"{cfg}:2:" in payload["message"]
-
-
 _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
                 "--n-active", "3", "--datasets", "1"]
 
@@ -195,10 +197,7 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("fit", ["--delta", "abc"], None),
     ("fit", ["--delta", "nan"], None),
     ("fit", ["--b-sigma", "nan"], None),
-    ("fit", [], "theta_scale=inf\n"),
     ("screen", ["--delta", "abc"], None),
-    ("fit", ["--kappa", "nan"], None),
-    ("fit", ["--backend", "sparse-ris-rp", "--kappa", "1.5"], None),
     ("fit", [], "probit_burnin=50\nprobit_iterations=10\n"),
     ("benchmark", _BENCH_FLAGS + ["--m", "5"], None),
     ("benchmark", _BENCH_FLAGS + ["--psi", "0.3"], None),
@@ -206,27 +205,16 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "50"], None),
     ("fit", ["--aggregation", "cv"], "pi_method=mixture\n"),
     ("fit", ["--aggregation", "model-average"], "pi_method=mixture\n"),
-    ("fit", ["--kappa", "0.3"], None),
-    ("fit", ["--backend", "ris-pcr", "--kappa", "0.3"], None),
-    ("fit", ["--backend", "ris-pcr"], "psi_lo=0.2\n"),
-    ("fit", ["--backend", "sparse-ris-rp"], "psi_hi=0.3\n"),
     ("benchmark", _BENCH_FLAGS + ["--backend", "ris-pcr", "--no-aggregate", "--m", "5",
                                   "--psi", "0.3"], None),
-    ("fit", [], "probit_average=on\n"),
-    ("fit", [], "k_folds=3\n"),
     ("fit-binary", ["--a-sigma", "3"], None),
     ("fit-binary", ["--b-sigma", "5"], None),
-    ("fit-binary", [], "theta_scale=3\n"),
-    ("fit-binary", [], "k_folds=3\n"),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
-        "config-theta-scale-inf", "screen-delta-abc", "kappa-nan", "sparse-kappa-1.5",
-        "config-burnin-exceeds-iterations", "benchmark-m-without-no-aggregate",
-        "benchmark-psi-without-no-aggregate", "benchmark-workers-negative",
-        "benchmark-m-above-p", "mixture-cv", "mixture-model-average", "kappa-on-ris-rp",
-        "kappa-on-ris-pcr", "config-psi-on-ris-pcr", "config-psi-on-sparse-ris-rp",
-        "benchmark-psi-on-ris-pcr", "config-probit-average-on-gaussian",
-        "config-k-folds-on-average", "binary-a-sigma", "binary-b-sigma",
-        "config-binary-theta-scale", "config-binary-k-folds"])
+        "screen-delta-abc", "config-burnin-exceeds-iterations",
+        "benchmark-m-without-no-aggregate", "benchmark-psi-without-no-aggregate",
+        "benchmark-workers-negative", "benchmark-m-above-p", "mixture-cv",
+        "mixture-model-average", "benchmark-psi-on-ris-pcr", "binary-a-sigma",
+        "binary-b-sigma"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
@@ -252,7 +240,14 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
 @pytest.mark.parametrize("cfg_text, message", [
     ("replicates=4\nreplicates=6\n", "{cfg}:2: key 'replicates' repeats line 1"),
     ("replicates=2\ncenter_y=on\n", "{cfg}:2: unknown key 'center_y'"),
-], ids=["repeated-key", "center-y-removed"])
+    ("kappa=0.3\n", "{cfg}:1: unknown key 'kappa'"),
+    ("k_folds=3\n", "{cfg}:1: unknown key 'k_folds'"),
+    ("theta_scale=2\n", "{cfg}:1: unknown key 'theta_scale'"),
+    ("probit_average=on\n", "{cfg}:1: unknown key 'probit_average'"),
+    ("psi_lo=0.2\n", "{cfg}:1: unknown key 'psi_lo'"),
+    ("psi_hi=0.3\n", "{cfg}:1: unknown key 'psi_hi'"),
+], ids=["repeated-key", "center-y-removed", "kappa-removed", "k-folds-removed",
+        "theta-scale-removed", "probit-average-removed", "psi-lo-removed", "psi-hi-removed"])
 def test_config_file_error_names_line_and_key(sim_dir, tmp_path, capsys, cfg_text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(cfg_text)
@@ -261,6 +256,21 @@ def test_config_file_error_names_line_and_key(sim_dir, tmp_path, capsys, cfg_tex
     assert json.loads(capsys.readouterr().err) == {"error": "ParameterError",
                                                    "message": message.format(cfg=cfg)}
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("cfg_text, key", [
+    ("theta_scale=3\n", "theta_scale"),
+    ("k_folds=3\n", "k_folds"),
+], ids=["theta-scale-removed", "k-folds-removed"])
+def test_binary_config_error_names_line_and_key(tmp_path, capsys, cfg_text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    train = _binary_csv(tmp_path)
+    assert run_cli("fit", str(train), str(train), "--config", str(cfg),
+                   "--out", str(tmp_path / "x")) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ParameterError",
+                                                   "message": f"{cfg}:1: unknown key '{key}'"}
+    assert sorted(tmp_path.iterdir()) == sorted([cfg, train])
 
 
 def test_replicate_error_json_carries_index_and_seed(sim_dir, tmp_path, capsys,
@@ -411,8 +421,7 @@ def test_cli_defaults_are_the_dataclass_defaults(sim_dir, tmp_path):
 def _config_key_default(key):
     # the field a key sets, so a key that outlives its field raises AttributeError
     cfg = TarpConfig()
-    by_key = {"replicates": cfg.n_replicates, "psi_lo": cfg.psi_range[0],
-              "psi_hi": cfg.psi_range[1], "response": "-1"}  # "-1": the last column
+    by_key = {"replicates": cfg.n_replicates, "response": "-1"}  # "-1": the last column
     if key in by_key:
         return by_key[key]
     return getattr(cfg.prior if hasattr(cfg.prior, key) else cfg, key)
@@ -725,8 +734,10 @@ def test_failed_command_leaves_no_output_file(sim_dir, tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("command", ["fit", "benchmark"])
 def test_replicate_loop_holds_no_raw_design(sim_dir, tmp_path, monkeypatch, command):
     # the standardized matrices are written over the parse or draw buffers, so those
-    # buffers live on in them, but no raw Dataset or SimulatedData does
-    real_read, real_generate, real_run = cli.read_csv, cli.generate, cli.run_tarp
+    # buffers live on in them, but no raw Dataset or SimulatedData does; fit reads
+    # its test rows as a bare table
+    real_read, real_table = cli.read_csv, cli._read_table
+    real_generate, real_run = cli.generate, cli.run_tarp
     raw, buffers, seen = [], [], []
 
     def reading(*args, **kwargs):
@@ -734,6 +745,11 @@ def test_replicate_loop_holds_no_raw_design(sim_dir, tmp_path, monkeypatch, comm
         raw.append(weakref.ref(ds))
         buffers.append(ds.X.base)
         return ds
+
+    def reading_table(*args, **kwargs):
+        X, y, names = real_table(*args, **kwargs)
+        buffers.append(X.base)
+        return X, y, names
 
     def generating(spec):
         data = real_generate(spec)
@@ -747,6 +763,7 @@ def test_replicate_loop_holds_no_raw_design(sim_dir, tmp_path, monkeypatch, comm
         return real_run(train, X_new, cfg)
 
     monkeypatch.setattr(cli, "read_csv", reading)
+    monkeypatch.setattr(cli, "_read_table", reading_table)
     monkeypatch.setattr(cli, "generate", generating)
     monkeypatch.setattr(cli, "run_tarp", spy)
     if command == "fit":
@@ -755,7 +772,8 @@ def test_replicate_loop_holds_no_raw_design(sim_dir, tmp_path, monkeypatch, comm
         argv = ["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
                 "--n-active", "4", "--datasets", "1", "--replicates", "2", "--workers", "1"]
     assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
-    assert len(raw) == 2 and seen == [([True, True], True, True)]
+    assert len(raw) == (1 if command == "fit" else 2)
+    assert seen == [([True] * len(raw), True, True)]
 
 
 @pytest.mark.parametrize("n, constant", [(30, []), (30, [0, 3]), (2, [1])])
@@ -780,23 +798,7 @@ def _binary_csv(tmp_path):
     return path
 
 
-def test_fit_binary_probit_average_is_echoed_and_changes_probabilities(tmp_path):
-    path = _binary_csv(tmp_path)
-    cfg = tmp_path / "avg.cfg"
-    cfg.write_text("probit_average=on\n")
-    for prefix, extra in (("plug", []), ("avg", ["--config", str(cfg)])):
-        assert run_cli("fit", str(path), str(path), "--replicates", "2", "--seed", "8",
-                       *extra, "--out", str(tmp_path / prefix)) == 0
-    summary = json.loads((tmp_path / "avg.summary.json").read_text())
-    assert summary["config"]["probit_average"] is True
-    assert summary["config_file_values"] == {"probit_average": True}
-    plug = json.loads((tmp_path / "plug.summary.json").read_text())
-    assert plug["config"]["probit_average"] is False
-    avg = read_csv(tmp_path / "avg.predictions.csv").y
-    assert not np.array_equal(avg, read_csv(tmp_path / "plug.predictions.csv").y)
-
-
-@pytest.mark.parametrize("command, shapes", [("fit", [(40, 60), (10, 60)]),
+@pytest.mark.parametrize("command, shapes", [("fit", [(40, 60)]),  # not the test rows
                                              ("benchmark", [(30, 40)] * 3)])
 def test_each_raw_matrix_is_summarised_once(sim_dir, tmp_path, monkeypatch, command, shapes):
     real, seen = tarpreg.data.column_statistics, []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ def test_model_average_weights():
 
 def test_cv_aggregation_picks_minimum():
     std, Xn, _ = _toy(seed=8)
-    cfg = TarpConfig(n_replicates=5, seed=4, aggregation="cv", k_folds=4)
+    cfg = TarpConfig(n_replicates=5, seed=4, aggregation="cv")
     res = run_tarp(std, Xn, cfg)
     assert res.selected_replicate == int(np.argmin(res.cv_mse))
     chosen = res.per_replicate[res.selected_replicate]
@@ -107,7 +109,6 @@ def test_mixture_interval_contains_more_than_endpoint_average():
     std, Xn, _ = _toy(seed=10)
     base = TarpConfig(n_replicates=8, seed=7)
     ends = run_tarp(std, Xn, base)
-    from dataclasses import replace
     mix = run_tarp(std, Xn, replace(base, pi_method="mixture"))
     assert np.array_equal(ends.yhat, mix.yhat)
     # pooled quantiles widen (or match) averaged endpoints when replicates disagree
@@ -116,8 +117,7 @@ def test_mixture_interval_contains_more_than_endpoint_average():
 
 def test_sparse_backend_runs():
     std, Xn, _ = _toy(seed=11)
-    res = run_tarp(std, Xn, TarpConfig(backend="sparse-ris-rp", kappa=0.5,
-                                       n_replicates=3, seed=8))
+    res = run_tarp(std, Xn, TarpConfig(backend="sparse-ris-rp", n_replicates=3, seed=8))
     assert np.isfinite(res.yhat).all()
 
 
@@ -148,14 +148,10 @@ def test_m_range_fails_the_run_before_any_replicate():
     (TarpConfig, {"delta": "abc"}),
     (TarpConfig, {"delta": float("nan")}),
     (PriorHyper, {"b_sigma": float("nan")}),
-    (PriorHyper, {"theta_scale": float("inf")}),
-    (TarpConfig, {"kappa": float("nan")}),
-    (TarpConfig, {"kappa": 1.5}),
-    (TarpConfig, {"kappa": 0.0}),
     (TarpConfig, {"probit_iterations": 10, "probit_burnin": 50}),
     (TarpConfig, {"probit_burnin": -1}),
-], ids=["delta-abc", "delta-nan", "b_sigma-nan", "theta_scale-inf", "kappa-nan",
-        "kappa-1.5", "kappa-0", "burnin-exceeds-iterations", "burnin-negative"])
+], ids=["delta-abc", "delta-nan", "b_sigma-nan", "burnin-exceeds-iterations",
+        "burnin-negative"])
 def test_settings_reject_unparsed_and_non_finite_values(cls, kwargs):
     with pytest.raises(ParameterError):
         cls(**kwargs)
@@ -293,11 +289,9 @@ def test_binary_path_rejects_non_finite_test_rows():
                                      dict(pi_method="mixture"),
                                      dict(level=0.9),
                                      dict(prior=PriorHyper(a_sigma=3.0)),
-                                     dict(prior=PriorHyper(b_sigma=5.0)),
-                                     dict(prior=PriorHyper(theta_scale=3.0)),
-                                     dict(aggregation="cv", k_folds=3)],
+                                     dict(prior=PriorHyper(b_sigma=5.0))],
                          ids=["cv", "model-average", "mixture", "level", "a_sigma",
-                              "b_sigma", "theta_scale", "k_folds"])
+                              "b_sigma"])
 def test_binary_path_rejects_settings_it_cannot_honour(setting):
     train, Xn = _binary_toy()
     cfg = TarpConfig(n_replicates=2, probit_iterations=20, probit_burnin=5, **setting)
@@ -308,9 +302,8 @@ def test_binary_path_rejects_settings_it_cannot_honour(setting):
 @pytest.mark.parametrize("setting, message", [
     (dict(probit_iterations=3000), "Gaussian path never reads probit_iterations"),
     (dict(probit_burnin=100), "Gaussian path never reads probit_burnin"),
-    (dict(probit_average=True), "Gaussian path never reads probit_average"),
     (dict(prior=PriorHyper(b_sigma=5.0)), "binary path never reads prior.b_sigma"),
-], ids=["probit-iterations", "probit-burnin", "probit-average", "binary-b-sigma"])
+], ids=["probit-iterations", "probit-burnin", "binary-b-sigma"])
 def test_a_setting_the_path_never_reads_is_named(setting, message):
     if "binary" in message:
         train, Xn = _binary_toy()
@@ -322,11 +315,15 @@ def test_a_setting_the_path_never_reads_is_named(setting, message):
             run_tarp(std, Xn, TarpConfig(n_replicates=2, **setting))
 
 
-@pytest.mark.parametrize("aggregation", ["average", "model-average"])
-def test_k_folds_needs_cv_aggregation(aggregation):
-    with pytest.raises(ParameterError, match=f"k_folds applies only.*{aggregation}"):
-        TarpConfig(aggregation=aggregation, k_folds=3)
-    assert TarpConfig(aggregation="cv", k_folds=3).k_folds == 3
+@pytest.mark.parametrize("n", [3, 4])
+def test_cv_needs_one_training_row_per_fold(n):
+    std, Xn, _ = _toy(n=n, p=40)
+    cfg = TarpConfig(n_replicates=2, aggregation="cv", m_range=(1, 2))
+    with pytest.raises(ParameterError, match=f"cv needs at least 5 training rows, got {n}"):
+        run_tarp(std, Xn, cfg)
+    with pytest.raises(ParameterError, match="at least 5 training rows"):
+        run_replicate(std, Xn, cfg, 0)
+    assert run_tarp(std, Xn, replace(cfg, aggregation="average")).yhat.shape == (len(Xn),)
 
 
 @pytest.mark.parametrize("backend", ["ris-rp", "ris-pcr", "sparse-ris-rp"])
@@ -346,8 +343,7 @@ def test_binary_single_replicate_equals_that_replicate(backend):
 @pytest.mark.parametrize("aggregation", ["cv", "model-average"])
 def test_single_replicate_carries_the_runs_selection_statistic(aggregation):
     std, Xn, _ = _toy(seed=23)
-    cfg = TarpConfig(n_replicates=4, seed=21, aggregation=aggregation,
-                     k_folds=4 if aggregation == "cv" else 5)
+    cfg = TarpConfig(n_replicates=4, seed=21, aggregation=aggregation)
     res = run_tarp(std, Xn, cfg)
     for l, full in enumerate(res.per_replicate):
         single = run_replicate(std, Xn, cfg, l)
@@ -372,8 +368,8 @@ def test_single_replicate_applies_the_runs_setting_checks(kind):
     # and the binary one a record with cv_mse=None
     if kind == "continuous":
         train, Xn, _ = _toy(n=40, p=60)
-        cfg, message = (TarpConfig(probit_average=True, probit_iterations=9000),
-                        "Gaussian path never reads probit_iterations, probit_average")
+        cfg, message = (TarpConfig(probit_iterations=9000, probit_burnin=100),
+                        "Gaussian path never reads probit_iterations, probit_burnin")
         run = run_tarp
     else:
         train, Xn = _binary_toy()

@@ -314,15 +314,3 @@ def test_probit_gibbs_matches_reference_sampler(case, seed):
     assert np.abs(fit.theta_draws - want).max() <= 1e-10
     assert fit.theta_mean == pytest.approx(want.mean(axis=0), abs=1e-10)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_predict_probit_average_is_the_mean_of_phi_over_the_draws():
-    rng = np.random.default_rng(9)
-    Z = rng.normal(size=(30, 3))
-    y = (Z[:, 0] + 0.5 * rng.normal(size=30) > 0).astype(float)
-    fit = probit_gibbs(Z, y, iterations=300, burnin=100, rng=rng)
-    Z_new = rng.normal(size=(6, 3))
-    want = np.mean([special.ndtr(Z_new @ theta) for theta in fit.theta_draws], axis=0)
-    got = predict_probit(fit, Z_new, average=True)
-    assert np.abs(got - want).max() <= 1e-12
-    assert np.abs(got - predict_probit(fit, Z_new)).max() > 1e-3  # not the plug-in
