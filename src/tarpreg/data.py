@@ -175,11 +175,13 @@ def _read_table(path, response=-1):
     The first row is a header iff any cell in it fails to parse as a number,
     and a header must be as wide as the body.  response: column name or
     zero-based index; default -1 selects the last column.  Without a header the
-    predictors are named ``x0, x1, ...``.  A UTF-8 byte-order mark is dropped.
-    One ``np.loadtxt`` call parses the body; what it cannot parse goes through
-    the per-cell parse, whose errors name the row and column.
+    predictors are named ``x0, x1, ...``.  A UTF-8 byte-order mark is dropped and cells
+    may be quoted; the error for a file np.loadtxt cannot read names the fault.
     """
-    data, names = _read_fast(path) or _read_cells(path)
+    try:
+        data, names = _read_fast(path)
+    except (csv.Error, UnicodeError) as exc:  # not UTF-8, or a cell past csv's size limit
+        raise IngestionError(f"{path}: {exc}") from None
     width = data.shape[1]
     if names is not None and len(names) != width:
         raise IngestionError(f"{path}: header has {len(names)} columns, body has {width}")
@@ -207,51 +209,47 @@ def _read_table(path, response=-1):
 
 
 def _read_fast(path):
-    """(data, names) from one np.loadtxt call, or None to fall back to _read_cells."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        if not first.strip() or '"' in first:
-            return None
-        row0 = first.rstrip("\r\n").split(",")  # the csv record of an unquoted line
-        header = not _all_numeric(row0)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                data = np.loadtxt(fh if header else itertools.chain([first], fh),
-                                  delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    if data.shape[0] == 0:
-        return None
-    return data, ([c.strip() for c in row0] if header else None)
-
-
-def _read_cells(path):
-    """(data, names) parsed cell by cell with csv and float."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise IngestionError(f"{path}: empty file")
-
-    names = None
-    if not _all_numeric(rows[0]):
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise IngestionError(f"{path}: header but no data rows")
-
-    width = len(rows[0])
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise IngestionError(f"{path}: ragged row {i} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
+    """(data, names) of a CSV file from np.loadtxt: its C parser, then Python's float (for
+    '1_000' or non-ASCII digits); a file neither reads goes to _read_cells to name the fault."""
+    for converters in (None, float):
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            seen = []  # the lines csv reads up to the first record, for loadtxt if it is data
+            row0 = next(filter(None, csv.reader(seen.append(ln) or ln for ln in fh)), [])
+            header = not _all_numeric(row0)
             try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: non-numeric cell {cell!r} at row {i}, column {j}") from None
-    return data, names
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                    data = np.loadtxt(fh if header else itertools.chain(seen, fh), delimiter=",",
+                                      comments=None, quotechar='"', converters=converters, ndmin=2)
+            except ValueError as exc:
+                error = exc
+                continue
+        if not data.shape[0]:
+            _read_cells(path, None)  # an empty file, or a header alone
+        return data, ([c.strip() for c in row0] if header else None)
+    _read_cells(path, error)
+
+
+def _read_cells(path, error):
+    """Raise the IngestionError naming the first fault of a file np.loadtxt rejected, found
+    by one pass of csv and float that keeps no row; with no fault found, quote ``error``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = filter(None, csv.reader(fh))
+        if (row0 := next(rows, None)) is None:
+            raise IngestionError(f"{path}: empty file")
+        if not _all_numeric(row0) and (row0 := next(rows, None)) is None:  # skip a header
+            raise IngestionError(f"{path}: header but no data rows")
+        width = len(row0)
+        for i, row in enumerate(itertools.chain([row0], rows)):
+            if len(row) != width:
+                raise IngestionError(f"{path}: ragged row {i} has {len(row)} cells, expected {width}")
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise IngestionError(
+                        f"{path}: non-numeric cell {cell!r} at row {i}, column {j}") from None
+    raise IngestionError(f"{path}: np.loadtxt: {error}")
 
 
 def write_csv(path, columns, names):

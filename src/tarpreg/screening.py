@@ -17,8 +17,6 @@ import numpy as np
 from .data import Dataset, _column_blocks
 from .errors import DimensionError, IngestionError, ParameterError
 
-_GAMMA_RETRIES = 16
-
 
 @dataclass(frozen=True)
 class InclusionProbs:
@@ -108,16 +106,12 @@ def inclusion_probabilities(r: np.ndarray, delta: float) -> InclusionProbs:
 
 
 def sample_gamma(q: InclusionProbs, rng: np.random.Generator) -> GammaMask:
-    """Independent Bernoulli(q_j) draws of the screening indicator.
+    """Independent Bernoulli(q_j) draws of the screening indicator, from p uniforms.
 
-    An empty draw is retried a bounded number of times, then the
-    argmax-utility column is force-included so the result is never empty.
+    The argmax-utility column has q = 1, so a draw comes back empty only when every
+    q is 0 (degenerate); then the argmax column is taken, so the result is never empty.
     """
-    probs = q.q
-    for _ in range(_GAMMA_RETRIES):
-        gamma = rng.random(probs.shape[0]) < probs
-        if gamma.any():
-            return GammaMask.from_indicator(gamma)
-    gamma = np.zeros(probs.shape[0], dtype=bool)
-    gamma[int(np.argmax(probs))] = True
+    gamma = rng.random(q.q.shape[0]) < q.q
+    if not gamma.any():
+        gamma[int(np.argmax(q.q))] = True
     return GammaMask.from_indicator(gamma)

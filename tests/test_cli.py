@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -387,6 +388,21 @@ def test_fit_predicts_a_one_row_test_file(sim_dir, tmp_path):
                                  skiprows=1, ndmin=2)
     assert preds["one"].shape == (1, 4)
     np.testing.assert_allclose(preds["one"][0], preds["two"][0], rtol=1e-12)
+
+
+def test_fit_predicts_the_same_from_quoted_copies_of_its_inputs(sim_dir, tmp_path):
+    for name in ("train.csv", "test.csv"):  # every cell quoted, as csv.QUOTE_ALL writes
+        with open(sim_dir / name, newline="") as src, \
+                open(tmp_path / name, "w", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+    preds = []
+    for i, data in enumerate((sim_dir, tmp_path)):
+        prefix = tmp_path / f"run{i}"
+        assert run_cli("fit", str(data / "train.csv"), str(data / "test.csv"),
+                       "--replicates", "4", "--seed", "2", "--out", str(prefix)) == 0
+        preds.append(Path(str(prefix) + ".predictions.csv").read_bytes())
+    assert (tmp_path / "train.csv").read_text().startswith('"')
+    assert preds[0] == preds[1]
 
 
 def test_every_scheme_field_is_a_simulate_flag():

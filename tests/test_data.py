@@ -175,7 +175,7 @@ def test_read_csv_with_header(tmp_path):
 @pytest.mark.parametrize("header_line", ["a,b", '"a","b"', "a,b,c,y", "a,b,y,"],
                          ids=["narrow", "narrow-quoted", "wide", "trailing-comma"])
 def test_read_csv_rejects_header_of_another_width(tmp_path, header_line):
-    # the quoted header goes through the per-cell parse, the others through np.loadtxt
+    # the header line is read by csv, quoted or not, and the body by np.loadtxt
     path = tmp_path / "w.csv"
     path.write_text(header_line + "\n1,2,3\n4,5,6\n")
     names = header_line.count(",") + 1
@@ -227,11 +227,21 @@ def test_read_csv_strips_byte_order_mark(tmp_path):
     ds = read_csv(path)
     assert ds.X.tolist() == [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]]
     assert ds.col_names == ("x0", "x1")
-    for first in (b"a,b,y", b'"a",b,y'):  # the one-call and the per-cell parse
+    for first in (b"a,b,y", b'"a",b,y'):  # a header line unquoted and quoted
         path.write_bytes(b"\xef\xbb\xbf" + first + b"\n1,2,3\n4,5,6\n")
         ds = read_csv(path)
         assert ds.col_names == ("a", "b")
         assert ds.y.tolist() == [3.0, 6.0]
+
+
+@pytest.mark.parametrize("text", [b"a\xe9,y\n1,2\n", b"a" * 140_000 + b",y\n1,2\n"],
+                         ids=["latin-1", "header-cell-past-csv-field-limit"])
+def test_read_csv_names_the_file_csv_cannot_read(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text)
+    with pytest.raises(IngestionError) as err:
+        read_csv(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_read_csv_parses_clean_files_in_one_call(tmp_path, monkeypatch):
@@ -239,7 +249,8 @@ def test_read_csv_parses_clean_files_in_one_call(tmp_path, monkeypatch):
         raise AssertionError("per-cell parse ran on a clean file")
     monkeypatch.setattr(tarpreg.data, "_read_cells", per_cell)
     path = tmp_path / "d.csv"
-    for text in ("a,b,y\r\n1, 2,3\r\n\r\n4,5e-1,6\r\n", "1,2,0\r4,5,1\r", "y\n1\n2"):
+    for text in ("a,b,y\r\n1, 2,3\r\n\r\n4,5e-1,6\r\n", "1,2,0\r4,5,1\r", "y\n1\n2",
+                 '"a","b","y"\r\n"1","2","3"\r\n"4","5","6"\r\n', "a,b,y\n1_000,2,3\n4,5,6\n"):
         path.write_bytes(text.encode())
         assert read_csv(path).n == 2
 
@@ -459,4 +470,25 @@ def test_read_csv_splits_the_response_off_inside_the_parse_buffer(tmp_path, resp
         tracemalloc.stop()
     assert ds.X.tobytes() == np.delete(A, response, axis=1).tobytes()
     assert ds.y.tobytes() == A[:, response].tobytes()
+    assert peak <= 1.5 * ds.X.nbytes
+
+
+def test_read_csv_parses_a_quoted_file_as_lean_as_an_unquoted_one(tmp_path):
+    # every cell quoted, as csv.QUOTE_ALL writes; a per-cell parse holding the rows as
+    # str lists peaks near 10.6 X
+    A = np.random.default_rng(7).normal(size=(200, 2001))
+    path = tmp_path / "quoted.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow([f"c{j}" for j in range(2001)])
+        writer.writerows(A.tolist())
+    tracemalloc.start()
+    try:
+        ds = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.X.tobytes() == A[:, :-1].tobytes()
+    assert ds.y.tobytes() == A[:, -1].tobytes()
+    assert ds.col_names == tuple(f"c{j}" for j in range(2000))
     assert peak <= 1.5 * ds.X.nbytes

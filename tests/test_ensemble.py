@@ -7,7 +7,9 @@ from tarpreg import (Dataset, IngestionError, ParameterError, PriorHyper, Replic
                      TarpConfig, TarpError, TarpResult, apply_standardization,
                      fit_compressed, kfold_mse, run_replicate, run_tarp, run_tarp_binary,
                      screening_probs, standardize)
+from tarpreg.ensemble import _mixture_quantile
 from tarpreg.simulate import SchemeSpec, generate
+from tarpreg.studentt import t_cdf
 
 
 def _toy(seed=0, n=60, p=40, n_active=5, noise=1.0):
@@ -113,6 +115,14 @@ def test_mixture_interval_contains_more_than_endpoint_average():
     assert np.array_equal(ends.yhat, mix.yhat)
     # pooled quantiles widen (or match) averaged endpoints when replicates disagree
     assert ((mix.upper - mix.lower) >= (ends.upper - ends.lower) - 1e-9).all()
+
+
+def test_mixture_quantile_solves_the_pooled_t_cdf():
+    rng = np.random.default_rng(19)
+    means, scales = rng.normal(size=(8, 6)), rng.uniform(0.5, 2.0, size=(8, 6))
+    for prob in (0.05, 0.25, 0.75, 0.95):
+        x = _mixture_quantile(means, scales, 12, prob)
+        assert np.abs(t_cdf((x - means) / scales, 12).mean(axis=0) - prob).max() < 1e-12
 
 
 def test_sparse_backend_runs():
@@ -233,13 +243,14 @@ def test_kfold_loo_matches_bruteforce():
     Z = rng.normal(size=(12, 2))
     y = rng.normal(size=12)
     plan = np.random.default_rng(2).permutation(12)
-    got = kfold_mse(Z, y, fit_compressed(Z, y, PriorHyper()), 12, plan)
-    errs = []
-    for i in plan:
-        keep = np.array([j for j in plan if j != i])
-        post = fit_compressed(Z[keep], y[keep], PriorHyper())
-        errs.append((Z[i] @ post.mu_t - y[i]) ** 2)
-    assert got == pytest.approx(np.mean(errs), rel=1e-12)
+    for k in (12, 4):  # at k < n the folds are blocks of the plan, not of the row order
+        got = kfold_mse(Z, y, fit_compressed(Z, y, PriorHyper()), k, plan)
+        errs = []
+        for v in np.array_split(plan, k):
+            keep = np.setdiff1d(plan, v)
+            post = fit_compressed(Z[keep], y[keep], PriorHyper())
+            errs.append(np.mean((Z[v] @ post.mu_t - y[v]) ** 2))
+        assert got == pytest.approx(np.mean(errs), rel=1e-12)
 
 
 def _null_fit(n=5):

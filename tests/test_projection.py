@@ -74,6 +74,16 @@ def test_pcr_rank_truncation_reported():
     assert proj.rank_truncated
 
 
+def test_pcr_keeps_a_direction_above_the_rank_tolerance():
+    # sigma_min / sigma_1 is about 4.6e-10, above the tolerance max(n, p) * eps = 8.9e-15
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=(40, 4))
+    X = np.column_stack([base, base[:, 0] + 1e-9 * rng.normal(size=40)])
+    proj = gen_pcr_matrix(X, 5)
+    assert proj.m == 5
+    assert not proj.rank_truncated
+
+
 def test_pcr_sign_convention_deterministic():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(25, 6))

@@ -120,6 +120,14 @@ def test_sample_gamma_forces_top_column_when_empty():
     assert mask.selected.tolist() == [0]
 
 
+def test_sample_gamma_draws_p_uniforms_once_when_every_q_is_zero():
+    probs = inclusion_probabilities(np.zeros(50), 2.0)
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    assert sample_gamma(probs, rng).selected.tolist() == [0]
+    twin.random(50)
+    assert rng.random() == twin.random()
+
+
 def test_sample_gamma_binomial_mean():
     # q_j = 0.5 for p = 1000: E[count] = 500, sd of the 1e4-draw mean = sqrt(250)/100
     from tarpreg.screening import InclusionProbs
