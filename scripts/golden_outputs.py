@@ -48,7 +48,8 @@ def commands():
     """(name, argv) in run order; a name is the folder or file prefix its outputs get."""
     sims = [(f"sim-{scheme}", ["simulate", "--scheme", scheme, "--n", "40",
                                "--p", "400" if scheme == "block" else "60",  # block: p >= 400
-                               "--n-test", "10", "--n-active", "5", "--seed", "3"])
+                               "--n-test", "10", "--seed", "3"]
+             + ([] if scheme == "pcr" else ["--n-active", "5"]))  # pcr draws its own beta
             for scheme in ("ar1", "block", "pcr", "bridge")]
     fits = [(f"fit-{name}", _FIT + flags) for name, flags in [
         ("default", []), ("cv", ["--aggregation", "cv"]),

@@ -210,8 +210,10 @@ def _read_table(path, response=-1):
 
 def _read_fast(path):
     """(data, names) of a CSV file from np.loadtxt: its C parser, then Python's float (for
-    '1_000' or non-ASCII digits); a file neither reads goes to _read_cells to name the fault."""
+    '1_000' or non-ASCII digits), but only once _read_cells finds no fault to name."""
     for converters in (None, float):
+        if converters is float:  # the C parse failed: a faulty file raises here
+            _read_cells(path)
         with open(path, newline="", encoding="utf-8-sig") as fh:
             seen = []  # the lines csv reads up to the first record, for loadtxt if it is data
             row0 = next(filter(None, csv.reader(seen.append(ln) or ln for ln in fh)), [])
@@ -225,14 +227,14 @@ def _read_fast(path):
                 error = exc
                 continue
         if not data.shape[0]:
-            _read_cells(path, None)  # an empty file, or a header alone
+            _read_cells(path)  # an empty file, or a header alone
         return data, ([c.strip() for c in row0] if header else None)
-    _read_cells(path, error)
+    raise IngestionError(f"{path}: np.loadtxt: {error}")
 
 
-def _read_cells(path, error):
-    """Raise the IngestionError naming the first fault of a file np.loadtxt rejected, found
-    by one pass of csv and float that keeps no row; with no fault found, quote ``error``."""
+def _read_cells(path):
+    """Raise the IngestionError naming the first fault of a CSV file, found by one pass
+    of csv and float that keeps no row; return if there is none."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = filter(None, csv.reader(fh))
         if (row0 := next(rows, None)) is None:
@@ -249,7 +251,6 @@ def _read_cells(path, error):
                 except ValueError:
                     raise IngestionError(
                         f"{path}: non-numeric cell {cell!r} at row {i}, column {j}") from None
-    raise IngestionError(f"{path}: np.loadtxt: {error}")
 
 
 def write_csv(path, columns, names):

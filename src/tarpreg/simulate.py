@@ -1,19 +1,21 @@
 """Seeded generators for the four benchmark simulation designs.
 
 * ``ar1``     rows from a stationary AR(1) predictor process,
-              corr(x_i, x_j) = rho^|i-j|
-* ``block``   (p - 200)/block_size equicorrelated blocks (half at rho_low,
-              half at rho_high) plus 200 independent predictors; all but one
+              corr(x_i, x_j) = 0.3^|i-j|
+* ``block``   (p - 200)/100 equicorrelated blocks of 100 (half at rho 0.3,
+              half at rho 0.9) plus 200 independent predictors; all but one
               active column sit in high-correlation blocks
 * ``pcr``     rank-3 covariance P diag(15^2, 10^2, 7^2) P' with the response
-              driven by the leading principal direction; a few training rows
-              perturbed to isotropic wide-variance outliers
-* ``bridge``  each row is one Brownian-bridge path on (0, t_max), pinned to 0
+              driven by the leading principal direction; 5 training rows
+              perturbed to isotropic N(0, 10^2) outliers
+* ``bridge``  each row is one Brownian-bridge path on (0, 10), pinned to 0
               at both ends, read at p equispaced interior points and scaled so
-              the midpoint standard deviation equals t_max / 4
+              the midpoint standard deviation equals 10 / 4
 
-Unless a scheme defines its own coefficients, ``n_active`` random columns get
-coefficient ``coef_value`` and y = X beta + noise_sd * N(0, I).  Generators
+These design constants are fixed.  Unless a scheme defines its own
+coefficients, ``n_active`` random columns get coefficient ``coef_value`` and
+y = X beta + noise_sd * N(0, I); pcr's beta is the unit leading direction, so
+it rejects ``n_active`` and ``coef_value`` off their defaults.  Generators
 emit raw (unstandardized) data; standardization is the caller's step.
 """
 from __future__ import annotations
@@ -31,6 +33,11 @@ SCHEME_PCR = "pcr"
 SCHEME_BRIDGE = "bridge"
 SCHEMES = (SCHEME_AR1, SCHEME_BLOCK, SCHEME_PCR, SCHEME_BRIDGE)
 
+_AR1_RHO = 0.3
+_BLOCK_SIZE, _BLOCK_RHO_LOW, _BLOCK_RHO_HIGH = 100, 0.3, 0.9
+_N_OUTLIERS, _OUTLIER_SD = 5, 10.0  # pcr's outlier training rows
+_T_MAX = 10.0  # bridge
+
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -41,13 +48,6 @@ class SchemeSpec:
     n_active: int = 50
     coef_value: float = 1.0
     noise_sd: float = 1.0
-    rho: float = 0.3                  # ar1
-    block_size: int = 100             # block
-    rho_low: float = 0.3
-    rho_high: float = 0.9
-    n_outliers: int = 5               # pcr
-    outlier_sd: float = 10.0
-    t_max: float = 10.0               # bridge
     seed: int = 0
 
     def __post_init__(self):
@@ -58,26 +58,25 @@ class SchemeSpec:
         if self.scheme != SCHEME_PCR and self.n_active > self.p:
             raise ParameterError("n_active cannot exceed p")
         # passing conditions, so that NaN fails them
-        if not abs(self.rho) < 1:
-            raise ParameterError(f"rho must satisfy |rho| < 1, got {self.rho}")
-        for name in ("rho_low", "rho_high"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ParameterError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if not self.noise_sd >= 0:
-            raise ParameterError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        for name in ("outlier_sd", "t_max"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ParameterError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
+        if not self.n_active >= 0:
+            raise ParameterError(f"n_active must be >= 0, got {self.n_active}")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ParameterError(f"noise_sd must be >= 0 and finite, got {self.noise_sd}")
+        if not abs(self.coef_value) < np.inf:
+            raise ParameterError(f"coef_value must be finite, got {self.coef_value}")
         if self.scheme == SCHEME_BLOCK:
             if self.p < 400:
                 raise ParameterError("block scheme needs p >= 400")
-            if (self.p - 200) % self.block_size:
-                raise ParameterError("block_size must divide p - 200")
+            if (self.p - 200) % _BLOCK_SIZE:
+                raise ParameterError(f"block scheme needs p - 200 a multiple of {_BLOCK_SIZE}")
         if self.scheme == SCHEME_PCR:
             if self.p < 3:
                 raise ParameterError("rank-3 scheme needs p >= 3")
-            if self.n_outliers >= self.n:
-                raise ParameterError("n_outliers must be < n")
+            if self.n <= _N_OUTLIERS:
+                raise ParameterError(f"pcr scheme needs n > {_N_OUTLIERS}, its outlier rows")
+            for name in ("n_active", "coef_value"):  # beta is the unit leading direction
+                if getattr(self, name) != getattr(SchemeSpec, name):
+                    raise ParameterError(f"{name} does not apply to scheme {SCHEME_PCR!r}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,8 @@ def generate(spec: SchemeSpec) -> SimulatedData:
         train = Dataset.from_arrays(X[:spec.n], y[:spec.n])
         if not (all_finite(X[spec.n:]) and all_finite(y[spec.n:])):
             raise IngestionError("non-finite test rows")
-    except IngestionError:  # pcr's beta is a unit vector; only t_max scales a bridge's X
-        x_at_fault = all_finite(y) or not all_finite(X)
-        names = (("noise_sd", "outlier_sd") if spec.scheme == SCHEME_PCR else ("t_max",)
-                 if spec.scheme == SCHEME_BRIDGE and x_at_fault else ("coef_value", "noise_sd"))
+    except IngestionError:  # the design is fixed, so y overflows; pcr's beta is a unit vector
+        names = ("noise_sd",) if spec.scheme == SCHEME_PCR else ("coef_value", "noise_sd")
         raise ParameterError(f"{' and '.join(names)} give{'s' * (len(names) == 1)} non-finite "
                              "data (" + ", ".join(f"{a}={getattr(spec, a)}" for a in names) + ")")
     active = np.asarray(active, dtype=np.int64)
@@ -129,9 +126,9 @@ def _sparse_linear(spec: SchemeSpec, X, active, rng):
 def _ar1(spec: SchemeSpec, rng, rows):
     """Stationary AR(1) predictors: x_1 = e_1, x_j = rho x_{j-1} + sqrt(1-rho^2) e_j."""
     X = rng.standard_normal((rows, spec.p))
-    X[:, 1:] *= np.sqrt(1.0 - spec.rho ** 2)
+    X[:, 1:] *= np.sqrt(1.0 - _AR1_RHO ** 2)
     for j in range(1, spec.p):
-        X[:, j] += spec.rho * X[:, j - 1]
+        X[:, j] += _AR1_RHO * X[:, j - 1]
     active = np.sort(rng.choice(spec.p, spec.n_active, replace=False))
     return _sparse_linear(spec, X, active, rng)
 
@@ -139,19 +136,19 @@ def _ar1(spec: SchemeSpec, rng, rows):
 def _block(spec: SchemeSpec, rng, rows):
     """Equicorrelated blocks via the one-factor construction
     x = sqrt(rho) g_block + sqrt(1-rho) e, plus an independent tail of 200."""
-    n_blocks = (spec.p - 200) // spec.block_size
+    n_blocks = (spec.p - 200) // _BLOCK_SIZE
     n_low = n_blocks // 2
     X = np.empty((rows, spec.p))
     col = 0
     high_cols = []
     for b in range(n_blocks):
-        rho = spec.rho_low if b < n_low else spec.rho_high
+        rho = _BLOCK_RHO_LOW if b < n_low else _BLOCK_RHO_HIGH
         g = rng.standard_normal((rows, 1))
-        e = rng.standard_normal((rows, spec.block_size))
-        X[:, col:col + spec.block_size] = np.sqrt(rho) * g + np.sqrt(1.0 - rho) * e
+        e = rng.standard_normal((rows, _BLOCK_SIZE))
+        X[:, col:col + _BLOCK_SIZE] = np.sqrt(rho) * g + np.sqrt(1.0 - rho) * e
         if b >= n_low:
-            high_cols.extend(range(col, col + spec.block_size))
-        col += spec.block_size
+            high_cols.extend(range(col, col + _BLOCK_SIZE))
+        col += _BLOCK_SIZE
     X[:, col:] = rng.standard_normal((rows, 200))
 
     if spec.n_active - 1 > len(high_cols):
@@ -168,8 +165,8 @@ def _block(spec: SchemeSpec, rng, rows):
 def _pcr(spec: SchemeSpec, rng, rows):
     """Rank-3 covariance P diag(15^2,10^2,7^2) P'; beta is the first column of P.
 
-    The first n rows are training rows; n_outliers of them are replaced by
-    isotropic N(0, outlier_sd^2) regressors, with their responses regenerated
+    The first n rows are training rows; _N_OUTLIERS of them are replaced by
+    isotropic N(0, _OUTLIER_SD^2) regressors, with their responses regenerated
     through the same model.
     """
     P, _ = np.linalg.qr(rng.standard_normal((spec.p, 3)))
@@ -177,20 +174,19 @@ def _pcr(spec: SchemeSpec, rng, rows):
     X = rng.standard_normal((rows, 3)) * d_half @ P.T
     beta = P[:, 0].copy()
     y = _make_response(X, beta, spec.noise_sd, rng)
-    if spec.n_outliers:
-        out_rows = rng.choice(spec.n, spec.n_outliers, replace=False)
-        X[out_rows] = spec.outlier_sd * rng.standard_normal((spec.n_outliers, spec.p))
-        y[out_rows] = _make_response(X[out_rows], beta, spec.noise_sd, rng)
+    out_rows = rng.choice(spec.n, _N_OUTLIERS, replace=False)
+    X[out_rows] = _OUTLIER_SD * rng.standard_normal((_N_OUTLIERS, spec.p))
+    y[out_rows] = _make_response(X[out_rows], beta, spec.noise_sd, rng)
     return X, y, beta, np.empty(0, dtype=np.int64)
 
 
 def _bridge(spec: SchemeSpec, rng, rows):
-    """Brownian-bridge rows on (0, t_max) by the sequential conditional
+    """Brownian-bridge rows on (0, T) by the sequential conditional
     construction, pinned to 0 at both ends and scaled so sd at the midpoint
-    is t_max / 4."""
+    is T / 4."""
     if spec.p < 2:
         raise DimensionError("bridge scheme needs p >= 2")
-    T = spec.t_max
+    T = _T_MAX
     t = T * np.arange(1, spec.p + 1) / (spec.p + 1)
     X = np.empty((rows, spec.p))
     prev = np.zeros(rows)

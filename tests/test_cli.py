@@ -315,26 +315,20 @@ def test_benchmark_pool_is_capped_at_the_dataset_count(tmp_path):
 
 
 @pytest.mark.parametrize("flags, field", [
-    (["--rho", "nan"], "rho"),
-    (["--rho", "-1"], "rho"),
     (["--noise-sd", "nan"], "noise_sd"),
-    (["--scheme", "block", "--rho-high", "1.5"], "rho_high"),
-    (["--scheme", "block", "--rho-low", "-0.1"], "rho_low"),
-    (["--scheme", "pcr", "--outlier-sd", "0"], "outlier_sd"),
-    (["--scheme", "bridge", "--t-max", "nan"], "t_max"),
     (["--n-active", "3", "--noise-sd", "1e308"], "coef_value"),
     (["--n-active", "3", "--coef", "1e308"], "coef_value"),
-    (["--scheme", "pcr", "--p", "50", "--outlier-sd", "1e308"], "noise_sd"),
-    (["--t-max", "inf"], "t_max"),
-    (["--scheme", "pcr", "--p", "50", "--outlier-sd", "inf"], "outlier_sd"),
-    (["--scheme", "bridge", "--p", "50", "--t-max", "1e308"], "t_max"),
-    (["--scheme", "bridge", "--p", "50", "--t-max", "1e160"], "t_max"),
     (["--scheme", "bridge", "--p", "50", "--n-active", "3", "--coef", "1e308"], "coef_value"),
-    (["--scheme", "pcr", "--p", "50", "--outlier-sd", "1e200"], "noise_sd"),
-], ids=["rho-nan", "rho-minus-one", "noise-sd-nan", "rho-high-1.5", "rho-low-negative",
-        "outlier-sd-zero", "t-max-nan", "noise-sd-overflows", "coef-overflows",
-        "outliers-overflow", "t-max-inf", "outlier-sd-inf", "bridge-overflows",
-        "bridge-variance-overflows", "bridge-coef-overflows", "outlier-variance-overflows"])
+    (["--p", "30", "--n-active", "-1"], "n_active"),
+    (["--noise-sd", "inf"], "noise_sd"),
+    (["--coef", "nan"], "coef_value"),
+    (["--coef=-inf"], "coef_value"),
+    (["--scheme", "pcr", "--p", "50", "--noise-sd", "1e308"], "noise_sd"),
+    (["--scheme", "pcr", "--n-active", "3"], "n_active"),
+    (["--scheme", "pcr", "--coef", "7"], "coef_value"),
+], ids=["noise-sd-nan", "noise-sd-overflows", "coef-overflows", "bridge-coef-overflows",
+        "n-active-negative", "noise-sd-inf", "coef-nan", "coef-minus-inf", "pcr-noise-sd-overflows",
+        "pcr-n-active", "pcr-coef"])
 def test_bad_scheme_setting_is_one_json_parameter_error(tmp_path, capsys, flags, field):
     scheme = [] if "--scheme" in flags else ["--scheme", "ar1"]
     out = tmp_path / "sim"
@@ -346,6 +340,47 @@ def test_bad_scheme_setting_is_one_json_parameter_error(tmp_path, capsys, flags,
     assert payload["error"] == "ParameterError"
     assert payload["message"].startswith(field + " ")
     assert not (out / "train.csv").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--rho", "nan"]),
+    ("benchmark", ["--rho", "-1"]),
+    ("simulate", ["--scheme", "block", "--rho-high", "1.5"]),
+    ("benchmark", ["--scheme", "block", "--rho-high", "0.8"]),
+    ("simulate", ["--scheme", "block", "--rho-low", "-0.1"]),
+    ("benchmark", ["--scheme", "block", "--rho-low", "0.2"]),
+    ("simulate", ["--scheme", "block", "--block-size", "50"]),
+    ("benchmark", ["--scheme", "block", "--block-size", "50"]),
+    ("simulate", ["--scheme", "pcr", "--n-outliers", "0"]),
+    ("benchmark", ["--scheme", "pcr", "--n-outliers", "0"]),
+    ("simulate", ["--scheme", "pcr", "--outlier-sd", "0"]),
+    ("simulate", ["--scheme", "pcr", "--outlier-sd", "inf"]),
+    ("benchmark", ["--scheme", "pcr", "--outlier-sd", "1e308"]),
+    ("benchmark", ["--scheme", "pcr", "--outlier-sd", "1e200"]),
+    ("simulate", ["--scheme", "bridge", "--t-max", "nan"]),
+    ("simulate", ["--scheme", "bridge", "--t-max", "1e308"]),
+    ("benchmark", ["--t-max", "inf"]),
+    ("benchmark", ["--scheme", "bridge", "--t-max", "1e160"]),
+], ids=["simulate-rho-nan", "benchmark-rho-minus-one", "simulate-rho-high-1.5",
+        "benchmark-rho-high", "simulate-rho-low-negative", "benchmark-rho-low",
+        "simulate-block-size", "benchmark-block-size", "simulate-n-outliers",
+        "benchmark-n-outliers", "simulate-outlier-sd-zero", "simulate-outlier-sd-inf",
+        "benchmark-outliers-overflow", "benchmark-outlier-variance-overflows",
+        "simulate-t-max-nan", "simulate-bridge-overflows", "benchmark-t-max-inf",
+        "benchmark-bridge-variance-overflows"])
+def test_removed_scheme_flag_is_one_json_usage_error(tmp_path, capsys, command, flags):
+    # the design constants of simulate are not settings; their old flags are usage errors
+    scheme = [] if "--scheme" in flags else ["--scheme", "ar1"]
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, *scheme, *flags, "--n", "20", "--n-test", "4",
+                "--out", str(tmp_path / "x"))
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "UsageError"
+    assert f"unrecognized arguments: {' '.join(flags[-2:])}" in payload["message"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_fit_rejects_a_response_whose_sum_of_squares_overflows(tmp_path, capsys):
@@ -472,11 +507,12 @@ def test_benchmark_config_response_key_is_named(tmp_path, capsys):
     assert not list(tmp_path.glob("b.*"))
 
 
-def test_benchmark_t_max_inf_fails_before_any_dataset(tmp_path, capsys, monkeypatch):
+def test_benchmark_noise_sd_inf_fails_before_any_dataset(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_benchmark_one", lambda job: pytest.fail("a dataset ran"))
-    assert run_cli("benchmark", *_BENCH_FLAGS, "--t-max", "inf", "--out", str(tmp_path / "b")) == 1
+    assert run_cli("benchmark", *_BENCH_FLAGS, "--noise-sd", "inf",
+                   "--out", str(tmp_path / "b")) == 1
     payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "ParameterError" and payload["message"].startswith("t_max ")
+    assert payload["error"] == "ParameterError" and payload["message"].startswith("noise_sd ")
     assert not list(tmp_path.glob("b.*"))
 
 

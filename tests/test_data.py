@@ -250,9 +250,27 @@ def test_read_csv_parses_clean_files_in_one_call(tmp_path, monkeypatch):
     monkeypatch.setattr(tarpreg.data, "_read_cells", per_cell)
     path = tmp_path / "d.csv"
     for text in ("a,b,y\r\n1, 2,3\r\n\r\n4,5e-1,6\r\n", "1,2,0\r4,5,1\r", "y\n1\n2",
-                 '"a","b","y"\r\n"1","2","3"\r\n"4","5","6"\r\n', "a,b,y\n1_000,2,3\n4,5,6\n"):
+                 '"a","b","y"\r\n"1","2","3"\r\n"4","5","6"\r\n'):
         path.write_bytes(text.encode())
         assert read_csv(path).n == 2
+
+
+def test_read_csv_names_a_fault_after_one_c_parse(tmp_path, monkeypatch):
+    # the fault finder runs before the Python-float retry, which only a faultless file reaches
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(tarpreg.data.np, "loadtxt",
+                        lambda *a, **kw: calls.append(kw["converters"]) or loadtxt(*a, **kw))
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n1,2,3\n4,5,NA\n")
+    with pytest.raises(IngestionError, match="non-numeric cell 'NA' at row 1, column 2"):
+        read_csv(path)
+    assert calls == [None]
+    calls.clear()
+    path.write_text("a,b,y\n1_000,2,3\n4,5,6\n")
+    ds = read_csv(path)
+    assert calls == [None, float]
+    assert ds.X.tolist() == [[1000.0, 2.0], [4.0, 5.0]] and ds.y.tolist() == [3.0, 6.0]
 
 
 def _read_csv_per_cell(path, header, response):

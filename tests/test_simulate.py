@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import signal, stats
@@ -14,14 +17,6 @@ def test_ar1_lag_two_correlation():
     assert lag1 == pytest.approx(0.3, abs=0.01)
 
 
-def test_ar1_rho_zero_gives_independent_columns():
-    spec = SchemeSpec("ar1", n=4000, p=8, n_test=10, n_active=2, rho=0.0, seed=1)
-    X = generate(spec).train.X
-    corr = np.corrcoef(X.T)
-    off = corr[~np.eye(8, dtype=bool)]
-    assert np.abs(off).max() < 4 / np.sqrt(4000)
-
-
 def test_ar1_noiseless_response_exactly_linear():
     spec = SchemeSpec("ar1", n=50, p=30, n_test=10, n_active=4, noise_sd=0.0, seed=2)
     data = generate(spec)
@@ -30,9 +25,9 @@ def test_ar1_noiseless_response_exactly_linear():
     assert np.flatnonzero(data.true_beta).tolist() == data.active_idx.tolist()
 
 
-@pytest.mark.parametrize("rho", [0.3, 0.0, -0.9])
+@pytest.mark.parametrize("rho", [0.3])  # the generator's fixed AR(1) coefficient
 def test_ar1_recursion_matches_lfilter(rho):
-    spec = SchemeSpec("ar1", n=40, p=300, n_test=7, n_active=5, rho=rho, seed=5)
+    spec = SchemeSpec("ar1", n=40, p=300, n_test=7, n_active=5, seed=5)
     data = generate(spec)
     # the generator's own draws, filtered by the reference IIR implementation
     rng = np.random.default_rng(spec.seed)
@@ -44,8 +39,7 @@ def test_ar1_recursion_matches_lfilter(rho):
 
 
 def test_block_scheme_correlations():
-    spec = SchemeSpec("block", n=50_000, p=600, n_test=10, block_size=100,
-                      n_active=5, seed=3)
+    spec = SchemeSpec("block", n=50_000, p=600, n_test=10, n_active=5, seed=3)
     X = generate(spec).train.X
     # blocks: [0:100] low rho, [100:400] ... with 4 blocks: 2 low, 2 high
     low = np.corrcoef(X[:, 0], X[:, 1])[0, 1]
@@ -75,12 +69,13 @@ def test_block_scheme_validates_p():
     with pytest.raises(ParameterError):
         SchemeSpec("block", n=10, p=300, n_test=5)
     with pytest.raises(ParameterError):
-        SchemeSpec("block", n=10, p=650, n_test=5, block_size=100)
+        SchemeSpec("block", n=10, p=650, n_test=5)
 
 
 def test_rank3_scheme_singular_values():
-    spec = SchemeSpec("pcr", n=10_000, p=300, n_test=10, n_outliers=0, seed=5)
-    X = generate(spec).train.X
+    # the test rows: the outliers are training rows only
+    spec = SchemeSpec("pcr", n=10, p=300, n_test=10_000, seed=5)
+    X = generate(spec).test_X
     s = np.linalg.svd(X, compute_uv=False)[:4]
     assert s[0] == pytest.approx(np.sqrt(10_000) * 15, rel=0.05)
     assert s[1] == pytest.approx(np.sqrt(10_000) * 10, rel=0.05)
@@ -89,20 +84,17 @@ def test_rank3_scheme_singular_values():
 
 
 def test_rank3_beta_is_unit_leading_direction():
-    spec = SchemeSpec("pcr", n=50, p=120, n_test=10, n_outliers=0, seed=6)
+    spec = SchemeSpec("pcr", n=50, p=120, n_test=10, seed=6)
     data = generate(spec)
     assert np.linalg.norm(data.true_beta) == pytest.approx(1.0, abs=1e-10)
     assert data.active_idx.size == 0
 
 
 def test_rank3_outliers_inflate_training_rows():
-    base = SchemeSpec("pcr", n=60, p=80, n_test=40, n_outliers=5, outlier_sd=10.0,
-                      seed=7)
-    data = generate(base)
+    data = generate(SchemeSpec("pcr", n=60, p=80, n_test=40, seed=7))
     norms = np.linalg.norm(data.train.X, axis=1)
     # 5 isotropic sd-10 rows stand far above the rank-3 rows
     assert (norms > 3 * np.median(norms)).sum() == 5
-    clean = generate(SchemeSpec("pcr", n=60, p=80, n_test=40, n_outliers=0, seed=7))
     test_norms = np.linalg.norm(data.test_X, axis=1)
     assert (test_norms > 3 * np.median(norms)).sum() == 0  # outliers only in training
 
@@ -117,7 +109,7 @@ def test_bridge_moments():
     assert np.argmax(var) == mid
     assert var[0] < var[1] < var[mid]
     assert var[-1] < var[-2] < var[mid]
-    assert var[mid] == pytest.approx((spec.t_max / 4.0) ** 2, rel=0.03)
+    assert var[mid] == pytest.approx((10.0 / 4.0) ** 2, rel=0.03)  # t_max = 10
 
 
 def test_bridge_covariance_ratio():
@@ -131,14 +123,10 @@ def test_bridge_covariance_ratio():
 
 
 def test_generators_deterministic_and_seed_sensitive():
-    for scheme, kw in (("ar1", {}), ("block", dict(p=600)), ("pcr", {}),
-                       ("bridge", dict(p=50))):
-        a = generate(SchemeSpec(scheme, n=30, p=kw.get("p", 100), n_test=5,
-                                n_active=3, seed=42))
-        b = generate(SchemeSpec(scheme, n=30, p=kw.get("p", 100), n_test=5,
-                                n_active=3, seed=42))
-        c = generate(SchemeSpec(scheme, n=30, p=kw.get("p", 100), n_test=5,
-                                n_active=3, seed=43))
+    for scheme, kw in (("ar1", dict(n_active=3)), ("block", dict(p=600, n_active=3)),
+                       ("pcr", {}), ("bridge", dict(p=50, n_active=3))):
+        a, b, c = (generate(SchemeSpec(scheme, n=30, n_test=5, seed=seed, **{"p": 100, **kw}))
+                   for seed in (42, 42, 43))
         assert np.array_equal(a.train.X, b.train.X)
         assert np.array_equal(a.test_y, b.test_y)
         assert not np.array_equal(a.train.X, c.train.X)
@@ -155,12 +143,13 @@ def test_train_test_same_distribution():
 def test_response_is_x_beta_plus_noise_sd_noise():
     # pcr draws its own beta and regenerates its outlier rows' responses
     for scheme, p in (("ar1", 30), ("block", 400), ("pcr", 30), ("bridge", 30)):
-        exact = generate(SchemeSpec(scheme, n=50, p=p, n_test=10, n_active=4,
-                                    noise_sd=0.0, seed=11))
+        active = {} if scheme == "pcr" else dict(n_active=4)
+        exact = generate(SchemeSpec(scheme, n=50, p=p, n_test=10, noise_sd=0.0, seed=11,
+                                    **active))
         assert exact.train.y == pytest.approx(exact.train.X @ exact.true_beta, abs=1e-12)
         assert exact.test_y == pytest.approx(exact.test_X @ exact.true_beta, abs=1e-12)
-        noisy = generate(SchemeSpec(scheme, n=2000, p=p, n_test=10, n_active=4,
-                                    noise_sd=3.0, seed=12))
+        noisy = generate(SchemeSpec(scheme, n=2000, p=p, n_test=10, noise_sd=3.0, seed=12,
+                                    **active))
         residual = noisy.train.y - noisy.train.X @ noisy.true_beta
         assert residual.var() == pytest.approx(9.0, rel=0.1), scheme
 
@@ -169,19 +158,45 @@ def test_scheme_validation():
     with pytest.raises(ParameterError):
         SchemeSpec("nope")
     with pytest.raises(ParameterError):
-        SchemeSpec("ar1", rho=1.0)
-    with pytest.raises(ParameterError):
         SchemeSpec("ar1", p=10, n_active=20)
-    with pytest.raises(ParameterError):
-        SchemeSpec("pcr", n=10, n_outliers=10)
+    with pytest.raises(ParameterError, match="n > 5"):  # its 5 outlier rows are training rows
+        SchemeSpec("pcr", n=5)
 
 
 @pytest.mark.parametrize("scheme, p", [("ar1", 100), ("block", 600), ("pcr", 100),
                                        ("bridge", 50)])
 def test_test_rows_are_read_only_views_of_the_drawn_matrix(scheme, p):
-    data = generate(SchemeSpec(scheme, n=30, p=p, n_test=5, n_active=3, seed=1))
+    active = {} if scheme == "pcr" else dict(n_active=3)
+    data = generate(SchemeSpec(scheme, n=30, p=p, n_test=5, seed=1, **active))
     for test, train in ((data.test_X, data.train.X), (data.test_y, data.train.y)):
         assert not test.flags.writeable
         assert test.base is not None and test.base is train.base
     with pytest.raises(ValueError):
         data.test_X[0, 0] = 0.0
+
+
+_TINY = dict(n=10, p=400, n_test=3)  # block needs p >= 400
+
+
+def _off_default(field):
+    value = _TINY.get(field.name, field.default)
+    return value + 100 if field.name == "p" else value + 1 if type(value) is int else 2 * value
+
+
+@pytest.mark.parametrize("scheme", ["ar1", "block", "pcr", "bridge"])
+def test_every_scheme_setting_changes_the_draw_or_is_rejected(scheme):
+    # a setting that a scheme never reads is an error naming it, never a silent no-op
+    def draw(**changed):
+        data = generate(SchemeSpec(scheme, seed=1, **{**_TINY, **changed}))
+        return data.train.X, data.train.y, data.test_X, data.test_y
+
+    base = draw()
+    for field in fields(SchemeSpec):
+        if field.name in ("scheme", "seed"):
+            continue
+        try:
+            got = draw(**{field.name: _off_default(field)})
+        except ParameterError as exc:
+            assert re.search(rf"\b{field.name}\b", str(exc)), (field.name, str(exc))
+            continue
+        assert not all(np.array_equal(a, b) for a, b in zip(base, got)), field.name
