@@ -32,13 +32,8 @@ print(f"  screened columns: min {min(p_gammas)}, mean {np.mean(p_gammas):.0f}, "
       f"max {max(p_gammas)}")
 print(f"  compression dims: min {min(ms)}, mean {np.mean(ms):.0f}, max {max(ms)}")
 
-print("\ncoverage against requested level (endpoint averaging):")
+print("\ncoverage against requested level (averaged interval endpoints):")
 for level in (0.25, 0.5, 0.8, 0.95):
     res = run_tarp(train, X_test, replace(base, level=level))
     ecp, width = ecp_width(res.lower, res.upper, data.test_y)
     print(f"  level {level:4.2f}   ECP {100 * ecp:5.1f}%   width {width:5.2f}")
-
-print("\npooled-quantile intervals (mixture of the replicate predictive laws):")
-res = run_tarp(train, X_test, replace(base, pi_method="mixture"))
-ecp, width = ecp_width(res.lower, res.upper, data.test_y)
-print(f"  level 0.50   ECP {100 * ecp:5.1f}%   width {width:5.2f}")

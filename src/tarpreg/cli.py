@@ -47,8 +47,8 @@ from .simulate import SCHEMES, SchemeSpec, generate
 _CONFIG_SCHEMA = {
     "backend": str, "delta": str, "replicates": int, "level": float,
     "seed": int, "a_sigma": float, "b_sigma": float, "aggregation": str,
-    "m_lo": int, "m_hi": int, "pi_method": str, "probit_iterations": int,
-    "probit_burnin": int, "response": str,
+    "m_lo": int, "m_hi": int, "probit_iterations": int, "probit_burnin": int,
+    "response": str,
 }
 
 

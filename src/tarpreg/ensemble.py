@@ -33,7 +33,6 @@ from .posterior import (CompressedPosterior, PriorHyper, fit_compressed,
 from .projection import compress, gen_pcr_matrix, gen_rp_matrix, gen_sparse_rp_matrix
 from .screening import (GammaMask, InclusionProbs, inclusion_probabilities, default_delta,
                         marginal_utility, sample_gamma)
-from .studentt import t_cdf
 
 BACKEND_RP = "ris-rp"
 BACKEND_PCR = "ris-pcr"
@@ -80,7 +79,6 @@ class TarpConfig:
     aggregation: str = AGG_AVERAGE
     level: float = 0.5
     seed: int = 0
-    pi_method: str = "endpoints"      # or "mixture": pooled predictive quantiles
     probit_iterations: int = 2000
     probit_burnin: int = 500
     keep_replicates: bool = True
@@ -109,11 +107,6 @@ class TarpConfig:
                 raise ParameterError("m_range must satisfy 1 <= lo <= hi")
         if not 0.0 < self.level < 1.0:
             raise ParameterError("level must lie in (0, 1)")
-        if self.pi_method not in ("endpoints", "mixture"):
-            raise ParameterError("pi_method must be 'endpoints' or 'mixture'")
-        if self.pi_method == "mixture" and self.aggregation != AGG_AVERAGE:  # equal weights
-            raise ParameterError(f"pi_method 'mixture' needs aggregation 'average', not "
-                                 f"{self.aggregation!r}")
         if not self.probit_iterations > self.probit_burnin >= 0:
             raise ParameterError("need probit_iterations > probit_burnin >= 0, got "
                                  f"{self.probit_iterations} and {self.probit_burnin}")
@@ -292,11 +285,7 @@ def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
     uppers = np.stack([r.upper for r in records])
     weights = cv_mse = selected = None
     if cfg.aggregation == AGG_AVERAGE:
-        yhat = yhats.mean(axis=0)
-        if cfg.pi_method == "mixture":
-            lower, upper = _mixture_interval(records, cfg.level)
-        else:
-            lower, upper = lowers.mean(axis=0), uppers.mean(axis=0)
+        yhat, lower, upper = yhats.mean(axis=0), lowers.mean(axis=0), uppers.mean(axis=0)
     elif cfg.aggregation == AGG_MODEL_AVERAGE:
         log_ev = np.array([r.log_evidence for r in records])
         w = np.exp(log_ev - log_ev.max())
@@ -362,8 +351,7 @@ def _check_settings(train: Dataset, cfg: TarpConfig) -> None:
     """The checks of the path train's response takes, for a run and for one replicate:
     a setting that the path never reads is an error, not a silent no-op."""
     if train.response_kind == RESPONSE_BINARY:
-        path, names = "binary", ("aggregation", "pi_method", "level", "prior.a_sigma",
-                                 "prior.b_sigma")
+        path, names = "binary", ("aggregation", "level", "prior.a_sigma", "prior.b_sigma")
     else:
         path, names = "Gaussian", ("probit_iterations", "probit_burnin")
     default = TarpConfig()
@@ -382,26 +370,3 @@ def _check_inputs(train: Dataset, X_new: np.ndarray) -> None:
         raise DimensionError("X_new must be 2-d with p columns (training statistics applied)")
     if not all_finite(X_new):
         raise IngestionError("X_new contains non-finite entries")
-
-
-def _mixture_interval(records, level: float):
-    """Central ``level`` interval of the equal-weight pool of the per-replicate
-    predictive t marginals, solved per test point by bisection on the mixture CDF."""
-    means = np.stack([r.yhat for r in records])                  # N x n_test
-    scales = np.stack([r.scale for r in records])
-    df = records[0].df
-    lower = _mixture_quantile(means, scales, df, (1.0 - level) / 2.0)
-    upper = _mixture_quantile(means, scales, df, (1.0 + level) / 2.0)
-    return lower, upper
-
-
-def _mixture_quantile(means, scales, df, prob, iters=80):
-    cdf = lambda x: t_cdf((x[None, :] - means) / scales, df).mean(axis=0)
-    lo = (means - 40.0 * scales).min(axis=0)
-    hi = (means + 40.0 * scales).max(axis=0)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = cdf(mid) < prob
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)

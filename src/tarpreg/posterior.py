@@ -197,9 +197,10 @@ def _truncated_latent(e: np.ndarray, rng, special, scratch=None) -> np.ndarray:
     This is the latent y*_i ~ N(eta_i, 1), truncated to (0, inf) if y_i = 1
     and to (-inf, 0] otherwise, reflected by s_i = +-1: e = s eta, y* = s w.
     Inverse-CDF in the complementary tail (stable down to ~1e-300 tail mass);
-    in the extreme far tail the conditional law is approximated by the
-    boundary exponential with rate |e|.  ``special`` is scipy.special.  The
-    rows of a 3 x n ``scratch`` array, if given, hold u, the tail mass and w.
+    below that mass, which means e < -37 (ndtr(-37) = 5.7e-300), the law is
+    approximated by the boundary exponential with rate -e.  ``special`` is
+    scipy.special.  The rows of a 3 x n ``scratch`` array, if given, hold u,
+    the tail mass and w.
     """
     u, q, w = np.empty((3, e.shape[0])) if scratch is None else scratch
     rng.random(out=u)
@@ -208,5 +209,5 @@ def _truncated_latent(e: np.ndarray, rng, special, scratch=None) -> np.ndarray:
     np.subtract(e, w, out=w)
     if np.minimum.reduce(q) < 1e-300:     # one C-level reduction per iteration
         deep = q < 1e-300
-        w[deep] = -np.log(u[deep]) / np.maximum(-e[deep], 1.0)
+        w[deep] = -np.log(u[deep]) / -e[deep]
     return w

@@ -69,6 +69,14 @@ class SchemeSpec:
                 raise ParameterError("block scheme needs p >= 400")
             if (self.p - 200) % _BLOCK_SIZE:
                 raise ParameterError(f"block scheme needs p - 200 a multiple of {_BLOCK_SIZE}")
+            n_blocks = (self.p - 200) // _BLOCK_SIZE
+            n_high = (n_blocks - n_blocks // 2) * _BLOCK_SIZE  # the upper half of the blocks
+            if self.n_active - 1 > n_high:  # all active columns but one sit there
+                raise ParameterError(f"n_active must be <= {n_high + 1}, one more than the "
+                                     f"{n_high} high-correlation columns at p = {self.p}, "
+                                     f"got {self.n_active}")
+        if self.scheme == SCHEME_BRIDGE and self.p < 2:
+            raise ParameterError(f"p must be >= 2 for scheme {SCHEME_BRIDGE!r}, got {self.p}")
         if self.scheme == SCHEME_PCR:
             if self.p < 3:
                 raise ParameterError("rank-3 scheme needs p >= 3")
@@ -151,8 +159,6 @@ def _block(spec: SchemeSpec, rng, rows):
         col += _BLOCK_SIZE
     X[:, col:] = rng.standard_normal((rows, 200))
 
-    if spec.n_active - 1 > len(high_cols):
-        raise ParameterError("not enough high-correlation columns for the active set")
     if spec.n_active == 0:
         active = np.empty(0, dtype=np.int64)
     else:
@@ -184,8 +190,6 @@ def _bridge(spec: SchemeSpec, rng, rows):
     """Brownian-bridge rows on (0, T) by the sequential conditional
     construction, pinned to 0 at both ends and scaled so sd at the midpoint
     is T / 4."""
-    if spec.p < 2:
-        raise DimensionError("bridge scheme needs p >= 2")
     T = _T_MAX
     t = T * np.arange(1, spec.p + 1) / (spec.p + 1)
     X = np.empty((rows, spec.p))

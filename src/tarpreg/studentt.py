@@ -7,8 +7,9 @@ Safeguarded Newton steps in log t on the log of the smaller of P(|T| > t) and
 P(|T| < t) find it, once per (probability, df) and process.  At large df,
 where the continued fraction loses accuracy, the four-term Cornish-Fisher
 expansion of Hill (1970) around the normal quantile takes over wherever its
-first neglected term is below 1e-16 relative.  The CDF, which only the
-mixture interval uses, imports ``scipy.special.stdtr`` on first use.
+first neglected term is below 1e-16 relative.  The CDF serves only the
+acceptance gate's round-trip check of the quantile, t_cdf(t_ppf(p)) = p; it
+imports ``scipy.special.stdtr`` on first use.
 """
 from __future__ import annotations
 

@@ -204,8 +204,6 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("benchmark", _BENCH_FLAGS + ["--psi", "0.3"], None),
     ("benchmark", _BENCH_FLAGS + ["--workers", "-4"], None),
     ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "50"], None),
-    ("fit", ["--aggregation", "cv"], "pi_method=mixture\n"),
-    ("fit", ["--aggregation", "model-average"], "pi_method=mixture\n"),
     ("benchmark", _BENCH_FLAGS + ["--backend", "ris-pcr", "--no-aggregate", "--m", "5",
                                   "--psi", "0.3"], None),
     ("fit-binary", ["--a-sigma", "3"], None),
@@ -213,9 +211,8 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
         "screen-delta-abc", "config-burnin-exceeds-iterations",
         "benchmark-m-without-no-aggregate", "benchmark-psi-without-no-aggregate",
-        "benchmark-workers-negative", "benchmark-m-above-p", "mixture-cv",
-        "mixture-model-average", "benchmark-psi-on-ris-pcr", "binary-a-sigma",
-        "binary-b-sigma"])
+        "benchmark-workers-negative", "benchmark-m-above-p", "benchmark-psi-on-ris-pcr",
+        "binary-a-sigma", "binary-b-sigma"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
@@ -247,8 +244,11 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
     ("probit_average=on\n", "{cfg}:1: unknown key 'probit_average'"),
     ("psi_lo=0.2\n", "{cfg}:1: unknown key 'psi_lo'"),
     ("psi_hi=0.3\n", "{cfg}:1: unknown key 'psi_hi'"),
+    ("aggregation=cv\npi_method=mixture\n", "{cfg}:2: unknown key 'pi_method'"),
+    ("aggregation=model-average\npi_method=mixture\n", "{cfg}:2: unknown key 'pi_method'"),
 ], ids=["repeated-key", "center-y-removed", "kappa-removed", "k-folds-removed",
-        "theta-scale-removed", "probit-average-removed", "psi-lo-removed", "psi-hi-removed"])
+        "theta-scale-removed", "probit-average-removed", "psi-lo-removed", "psi-hi-removed",
+        "pi-method-mixture-cv-removed", "pi-method-mixture-model-average-removed"])
 def test_config_file_error_names_line_and_key(sim_dir, tmp_path, capsys, cfg_text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(cfg_text)
@@ -326,9 +326,11 @@ def test_benchmark_pool_is_capped_at_the_dataset_count(tmp_path):
     (["--scheme", "pcr", "--p", "50", "--noise-sd", "1e308"], "noise_sd"),
     (["--scheme", "pcr", "--n-active", "3"], "n_active"),
     (["--scheme", "pcr", "--coef", "7"], "coef_value"),
+    (["--scheme", "block", "--p", "400", "--n-active", "150"], "n_active"),
+    (["--scheme", "bridge", "--p", "1", "--n-active", "1"], "p"),
 ], ids=["noise-sd-nan", "noise-sd-overflows", "coef-overflows", "bridge-coef-overflows",
         "n-active-negative", "noise-sd-inf", "coef-nan", "coef-minus-inf", "pcr-noise-sd-overflows",
-        "pcr-n-active", "pcr-coef"])
+        "pcr-n-active", "pcr-coef", "block-n-active-above-high-columns", "bridge-p-one"])
 def test_bad_scheme_setting_is_one_json_parameter_error(tmp_path, capsys, flags, field):
     scheme = [] if "--scheme" in flags else ["--scheme", "ar1"]
     out = tmp_path / "sim"
@@ -513,6 +515,20 @@ def test_benchmark_noise_sd_inf_fails_before_any_dataset(tmp_path, capsys, monke
                    "--out", str(tmp_path / "b")) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "ParameterError" and payload["message"].startswith("noise_sd ")
+    assert not list(tmp_path.glob("b.*"))
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--scheme", "block", "--p", "400", "--n-active", "150"], "n_active"),
+    (["--scheme", "bridge", "--p", "1", "--n-active", "1"], "p"),
+], ids=["block-n-active-above-high-columns", "bridge-p-one"])
+def test_benchmark_scheme_shape_error_fails_before_any_dataset(tmp_path, capsys, monkeypatch,
+                                                               flags, field):
+    monkeypatch.setattr(cli, "_benchmark_one", lambda job: pytest.fail("a dataset ran"))
+    assert run_cli("benchmark", *flags, "--n", "20", "--n-test", "4", "--datasets", "1",
+                   "--workers", "1", "--replicates", "2", "--out", str(tmp_path / "b")) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError" and payload["message"].startswith(field + " ")
     assert not list(tmp_path.glob("b.*"))
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from tarpreg import (Dataset, IngestionError, ParameterError, PriorHyper, Replic
                      TarpConfig, TarpError, TarpResult, apply_standardization,
                      fit_compressed, kfold_mse, run_replicate, run_tarp, run_tarp_binary,
                      screening_probs, standardize)
-from tarpreg.ensemble import _mixture_quantile
 from tarpreg.simulate import SchemeSpec, generate
-from tarpreg.studentt import t_cdf
 
 
 def _toy(seed=0, n=60, p=40, n_active=5, noise=1.0):
@@ -107,24 +105,6 @@ def test_interval_width_monotone_in_level():
     assert ((hi.upper - hi.lower) > (lo.upper - lo.lower)).all()
 
 
-def test_mixture_interval_contains_more_than_endpoint_average():
-    std, Xn, _ = _toy(seed=10)
-    base = TarpConfig(n_replicates=8, seed=7)
-    ends = run_tarp(std, Xn, base)
-    mix = run_tarp(std, Xn, replace(base, pi_method="mixture"))
-    assert np.array_equal(ends.yhat, mix.yhat)
-    # pooled quantiles widen (or match) averaged endpoints when replicates disagree
-    assert ((mix.upper - mix.lower) >= (ends.upper - ends.lower) - 1e-9).all()
-
-
-def test_mixture_quantile_solves_the_pooled_t_cdf():
-    rng = np.random.default_rng(19)
-    means, scales = rng.normal(size=(8, 6)), rng.uniform(0.5, 2.0, size=(8, 6))
-    for prob in (0.05, 0.25, 0.75, 0.95):
-        x = _mixture_quantile(means, scales, 12, prob)
-        assert np.abs(t_cdf((x - means) / scales, 12).mean(axis=0) - prob).max() < 1e-12
-
-
 def test_sparse_backend_runs():
     std, Xn, _ = _toy(seed=11)
     res = run_tarp(std, Xn, TarpConfig(backend="sparse-ris-rp", n_replicates=3, seed=8))
@@ -165,12 +145,6 @@ def test_m_range_fails_the_run_before_any_replicate():
 def test_settings_reject_unparsed_and_non_finite_values(cls, kwargs):
     with pytest.raises(ParameterError):
         cls(**kwargs)
-
-
-@pytest.mark.parametrize("aggregation", ["model-average", "cv"])
-def test_mixture_interval_needs_average_aggregation(aggregation):
-    with pytest.raises(ParameterError, match=f"mixture.*{aggregation}"):
-        TarpConfig(pi_method="mixture", aggregation=aggregation)
 
 
 def test_delta_string_is_stored_as_its_float():
@@ -297,12 +271,10 @@ def test_binary_path_rejects_non_finite_test_rows():
 
 @pytest.mark.parametrize("setting", [dict(aggregation="cv"),
                                      dict(aggregation="model-average"),
-                                     dict(pi_method="mixture"),
                                      dict(level=0.9),
                                      dict(prior=PriorHyper(a_sigma=3.0)),
                                      dict(prior=PriorHyper(b_sigma=5.0))],
-                         ids=["cv", "model-average", "mixture", "level", "a_sigma",
-                              "b_sigma"])
+                         ids=["cv", "model-average", "level", "a_sigma", "b_sigma"])
 def test_binary_path_rejects_settings_it_cannot_honour(setting):
     train, Xn = _binary_toy()
     cfg = TarpConfig(n_replicates=2, probit_iterations=20, probit_burnin=5, **setting)
@@ -324,6 +296,59 @@ def test_a_setting_the_path_never_reads_is_named(setting, message):
         std, Xn, _ = _toy(seed=25)
         with pytest.raises(ParameterError, match=message):
             run_tarp(std, Xn, TarpConfig(n_replicates=2, **setting))
+
+
+def _off_default(cfg):
+    """A value off its default, and off ``cfg``'s, for each TarpConfig and PriorHyper field."""
+    return {"backend": "ris-pcr", "delta": 0.5, "n_replicates": cfg.n_replicates + 1,
+            "m_range": (2, 4), "psi_range": (0.2, 0.3), "aggregation": "model-average",
+            "level": 0.8, "seed": cfg.seed + 1, "probit_iterations": cfg.probit_iterations + 1,
+            "probit_burnin": cfg.probit_burnin + 1, "keep_replicates": False,
+            "a_sigma": 3.0, "b_sigma": 5.0}
+
+
+def _same_result(a, b):
+    """Equal in every field but the timings, down to each replicate record."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_result(getattr(a, f.name), getattr(b, f.name))
+            for f in fields(a) if f.name not in ("wall_time", "phase_times"))
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_result, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("path", ["continuous", "binary"])
+def test_every_run_setting_changes_the_result_or_is_rejected(path):
+    # a setting the run never reads must not pass silently; this also covers
+    # the next field added to TarpConfig or PriorHyper
+    if path == "binary":
+        (train, Xn), run = _binary_toy(), run_tarp_binary
+        base = TarpConfig(n_replicates=2, probit_iterations=40, probit_burnin=10)
+        never_read = {"aggregation", "level", "a_sigma", "b_sigma"}
+    else:
+        (train, Xn, _), run = _toy(seed=26), run_tarp
+        base = TarpConfig(n_replicates=2)
+        never_read = {"probit_iterations", "probit_burnin"}
+    off = _off_default(base)
+    prior_fields = {f.name for f in fields(PriorHyper)}
+    assert set(off) == {f.name for f in fields(TarpConfig) if f.name != "prior"} | prior_fields
+    expected = run(train, Xn, base)
+    rejected = set()
+    for name, value in off.items():
+        assert value != getattr(TarpConfig(), name, getattr(PriorHyper(), name, None)), name
+        try:
+            cfg = (replace(base, prior=replace(base.prior, **{name: value}))
+                   if name in prior_fields else replace(base, **{name: value}))
+            result = run(train, Xn, cfg)
+        except ParameterError as exc:
+            assert name in str(exc), (name, str(exc))
+            rejected.add(name)
+        else:
+            assert not _same_result(expected, result), f"{name}={value!r} changed nothing"
+    assert rejected == never_read
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -254,6 +254,49 @@ def test_truncated_latent_far_tail_robust():
         assert (v <= 0).all()
 
 
+def test_truncated_latent_switches_to_the_exponential_below_1e_300_mass():
+    # ndtr(-35) = 1.1e-268 takes the inverse CDF and ndtr(-40) = 0 the exponential,
+    # which at e = -35 would be off by about 1e-3 relative
+    from tarpreg.posterior import _truncated_latent
+    e = np.array([-35.0, -40.0])
+    w = _truncated_latent(e, np.random.default_rng(10), special)
+    u = np.random.default_rng(10).random(2)
+    assert w[0] == pytest.approx(e[0] - special.ndtri(u[0] * special.ndtr(e[0])), abs=1e-12)
+    assert w[1] == pytest.approx(-np.log(u[1]) / 40.0, abs=1e-12)
+    assert abs(-np.log(u[0]) / 35.0 - w[0]) > 1e-4 * w[0]
+
+
+def test_probit_gibbs_matches_the_grid_posterior():
+    # n = 12, m = 2: the exact posterior of theta under the N(0, I) prior is
+    # summed on an 801 x 801 grid over [-8, 8]^2; the chain's means of theta and
+    # of P(y = 1 | z) = Phi(z'theta) at two rows must agree within 4 standard
+    # errors, each from 40 batch means of 1000 kept draws
+    rng = np.random.default_rng(12)
+    Z = rng.normal(size=(12, 2))
+    y = (Z @ np.array([1.0, -0.7]) + rng.normal(size=12) > 0).astype(float)
+    s = np.where(y == 1.0, 1.0, -1.0)
+    angles = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
+    margins = (s[:, None] * Z) @ np.array([np.cos(angles), np.sin(angles)])
+    assert (margins.min(axis=0) < 0).all()  # no direction separates the labels
+    rows = np.array([[1.0, 0.5], [-0.3, 1.2]])
+
+    grid = np.linspace(-8.0, 8.0, 801)
+    t1, t2 = np.meshgrid(grid, grid, indexing="ij")
+    log_post = -(t1 ** 2 + t2 ** 2) / 2.0
+    for (z1, z2), si in zip(Z, s):
+        log_post += special.log_ndtr(si * (z1 * t1 + z2 * t2))
+    weight = np.exp(log_post - log_post.max())
+    weight /= weight.sum()
+    exact = [(weight * t1).sum(), (weight * t2).sum()]
+    exact += [(weight * special.ndtr(a * t1 + b * t2)).sum() for a, b in rows]
+
+    fit = probit_gibbs(Z, y, iterations=41_000, burnin=1_000, rng=np.random.default_rng(13))
+    series = np.column_stack([fit.theta_draws, special.ndtr(fit.theta_draws @ rows.T)])
+    batches = series.reshape(40, 1000, 4).mean(axis=1)
+    se = batches.std(axis=0, ddof=1) / np.sqrt(40.0)
+    assert np.abs((series.mean(axis=0) - exact) / se).max() < 4
+
+
 def _probit_gibbs_reference(Z, y, iterations, burnin, rng):
     # the sampler as first written: a Cholesky solve and a triangular solve per
     # iteration, with the unreflected latent draw below
