@@ -6,8 +6,8 @@ Usage: python scripts/golden_outputs.py [--golden FILE]          write FILE
 
 Runs a fixed list of command lines in process through ``tarpreg.cli.main``, in
 a temporary directory: ``simulate`` for each of the four schemes; ``fit`` with
-the default config, ``cv``, ``model-average``, ``ris-pcr``, ``sparse-ris-rp``
-and a binary response; ``benchmark`` at ``--workers`` 1 and 2; and ``screen
+the default config, ``cv``, ``model-average``, ``ris-pcr`` and a binary
+response; ``benchmark`` at ``--workers`` 1 and 2; and ``screen
 --export``.  For each file a command writes it records:
 
 * a CSV: the sha256 of its bytes, its header, its shape, and the sum and sum
@@ -54,7 +54,7 @@ def commands():
     fits = [(f"fit-{name}", _FIT + flags) for name, flags in [
         ("default", []), ("cv", ["--aggregation", "cv"]),
         ("model-average", ["--aggregation", "model-average"]),
-        ("ris-pcr", ["--backend", "ris-pcr"]), ("sparse-ris-rp", ["--backend", "sparse-ris-rp"]),
+        ("ris-pcr", ["--backend", "ris-pcr"]),
     ]]
     fits.append(("fit-binary", ["fit", "binary-train.csv", "binary-test.csv",
                                 "--replicates", "4", "--seed", "7"]))

@@ -23,7 +23,7 @@ _MODULE_OF = {name: module for module, names in {
     "metrics": "calibration_msd ecp_width misclass mspe roc_auc",
     "posterior": "CompressedPosterior PredictiveSummary PriorHyper ProbitFit fit_compressed "
                  "log_marginal_likelihood predict predict_probit probit_gibbs sigma2_posterior",
-    "projection": "ProjectionMatrix compress gen_pcr_matrix gen_rp_matrix gen_sparse_rp_matrix",
+    "projection": "ProjectionMatrix compress gen_pcr_matrix gen_rp_matrix",
     "screening": "GammaMask InclusionProbs default_delta inclusion_probabilities "
                  "marginal_utility sample_gamma",
     "simulate": "SchemeSpec SimulatedData generate",

@@ -400,7 +400,7 @@ def _read_config(path) -> dict:
 def _response(args, raw_cfg):
     """The response column from the flag, else the config file, else the last column:
     an index if its value parses as an int, else a name."""
-    value = args.response or raw_cfg.get("response", "-1")
+    value = args.response if args.response is not None else raw_cfg.get("response", "-1")
     try:
         return int(value)
     except ValueError:

@@ -30,14 +30,13 @@ from .errors import (DimensionError, IngestionError, ParameterError, ReplicateEr
                      TarpError)
 from .posterior import (CompressedPosterior, PriorHyper, fit_compressed,
                         log_marginal_likelihood, predict, predict_probit, probit_gibbs)
-from .projection import compress, gen_pcr_matrix, gen_rp_matrix, gen_sparse_rp_matrix
+from .projection import compress, gen_pcr_matrix, gen_rp_matrix
 from .screening import (GammaMask, InclusionProbs, inclusion_probabilities, default_delta,
                         marginal_utility, sample_gamma)
 
 BACKEND_RP = "ris-rp"
 BACKEND_PCR = "ris-pcr"
-BACKEND_SPARSE_RP = "sparse-ris-rp"
-BACKENDS = (BACKEND_RP, BACKEND_PCR, BACKEND_SPARSE_RP)
+BACKENDS = (BACKEND_RP, BACKEND_PCR)
 
 AGG_AVERAGE = "average"
 AGG_MODEL_AVERAGE = "model-average"
@@ -49,7 +48,6 @@ _DOMAIN_REPLICATE = 1
 _DOMAIN_FOLDS = 2
 _DOMAIN_DATASET = 3
 _K_FOLDS = 5   # cv aggregation's folds
-_KAPPA = 0.5   # sparse-ris-rp's sparsity exponent
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -220,9 +218,6 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
     if cfg.backend == BACKEND_RP:
         proj = gen_rp_matrix(mask.p_gamma, draw.m, draw.psi, draw.rng,
                              column_map=mask.selected)
-    elif cfg.backend == BACKEND_SPARSE_RP:
-        proj = gen_sparse_rp_matrix(mask.p_gamma, draw.m, _KAPPA, train.n, draw.rng,
-                                    column_map=mask.selected)
     else:
         proj = gen_pcr_matrix(train.X[:, mask.selected], draw.m, column_map=mask.selected)
     Z = compress(train.X, proj)

@@ -1,15 +1,13 @@
 """Projection matrices for compressing the screened design matrix.
 
-Three back-ends produce the m x p_gamma matrix applied to the selected
+Two back-ends produce the m x p_gamma matrix applied to the selected
 columns:
 
-* ``rp``         three-point random projection: entries +-1/sqrt(2 psi) with
-                 probability psi each, 0 with probability 1 - 2 psi
-                 (psi in (0, 0.5]; psi = 0.5 is the dense +-1 boundary)
-* ``sparse-rp``  sparse variant: entries +-n^(kappa/2)/sqrt(m) with
-                 probability 1/(2 n^kappa) each, kappa in (0, 1)
-* ``pcr``        rows are the leading right singular vectors of X_gamma
-                 (principal-component projection), orthonormal by construction
+* ``rp``   three-point random projection: entries +-1/sqrt(2 psi) with
+           probability psi each, 0 with probability 1 - 2 psi
+           (psi in (0, 0.5]; psi = 0.5 is the dense +-1 boundary)
+* ``pcr``  rows are the leading right singular vectors of X_gamma
+           (principal-component projection), orthonormal by construction
 
 Columns outside the screen are never touched: ``compress`` slices the
 selected columns and multiplies, so the implicit full R has zero blocks.
@@ -49,26 +47,14 @@ class ProjectionMatrix:
 
 def gen_rp_matrix(p_gamma: int, m: int, psi: float, rng: np.random.Generator,
                   column_map=None) -> ProjectionMatrix:
-    """i.i.d. three-point entries: +-1/sqrt(2 psi) w.p. psi each, else 0."""
+    """i.i.d. three-point entries: +-1/sqrt(2 psi) w.p. psi each, else 0, one uniform each."""
     if not 0.0 < psi <= 0.5:
         raise ParameterError(f"psi must lie in (0, 0.5], got {psi}")
     if m < 1 or p_gamma < 1:
         raise DimensionError("m and p_gamma must be >= 1")
-    entries = _three_point(rng, (m, p_gamma), psi, 1.0 / np.sqrt(2.0 * psi))
-    return ProjectionMatrix(entries, _cmap(column_map, p_gamma), m=m)
-
-
-def gen_sparse_rp_matrix(p_gamma: int, m: int, kappa: float, n: int,
-                         rng: np.random.Generator, column_map=None) -> ProjectionMatrix:
-    """Sparse variant: +-n^(kappa/2)/sqrt(m) w.p. 1/(2 n^kappa) each, else 0."""
-    if not 0.0 < kappa < 1.0:
-        raise ParameterError(f"kappa must lie strictly in (0, 1), got {kappa}")
-    if n < 2:
-        raise DimensionError("n must be >= 2 for the sparse variant")
-    if m < 1 or p_gamma < 1:
-        raise DimensionError("m and p_gamma must be >= 1")
-    entries = _three_point(rng, (m, p_gamma), 1.0 / (2.0 * n ** kappa),
-                           n ** (kappa / 2.0) / np.sqrt(m))
+    u = rng.random((m, p_gamma))
+    v = 1.0 / np.sqrt(2.0 * psi)
+    entries = np.where(u < psi, v, np.where(u < 2.0 * psi, -v, 0.0))
     return ProjectionMatrix(entries, _cmap(column_map, p_gamma), m=m)
 
 
@@ -108,12 +94,6 @@ def compress(X: np.ndarray, proj: ProjectionMatrix) -> np.ndarray:
     if cmap.size and (cmap.min() < 0 or cmap.max() >= X.shape[1]):
         raise DimensionError("column_map index outside X columns")
     return X[:, cmap] @ proj.entries.T
-
-
-def _three_point(rng: np.random.Generator, shape, prob: float, value: float) -> np.ndarray:
-    """i.i.d. entries +value w.p. prob, -value w.p. prob, else 0, from one uniform each."""
-    u = rng.random(shape)
-    return np.where(u < prob, value, np.where(u < 2.0 * prob, -value, 0.0))
 
 
 def _cmap(column_map, p_gamma: int) -> np.ndarray:

@@ -76,7 +76,7 @@ def sim_dir(tmp_path_factory):
     (["--kappa", "0.3", "--out", "{out}"], "unrecognized arguments: --kappa 0.3"),
     (["--kappa", "nan", "--out", "{out}"], "unrecognized arguments: --kappa nan"),
     (["--backend", "sparse-ris-rp", "--kappa", "1.5", "--out", "{out}"],
-     "unrecognized arguments: --kappa 1.5"),
+     "argument --backend: invalid choice: 'sparse-ris-rp'"),
     (["--backend", "ris-pcr", "--kappa", "0.3", "--out", "{out}"],
      "unrecognized arguments: --kappa 0.3"),
     (["--replicates", "abc", "--out", "{out}"], "argument --replicates: invalid int value: 'abc'"),
@@ -181,6 +181,23 @@ def test_config_file_values_echo_only_the_file(sim_dir, tmp_path):
     assert [s["train"]["response"] for s in summaries.values()] == ["y", "y", 0, -1]
 
 
+@pytest.mark.parametrize("command, spelling", [
+    ("fit", "flag"), ("fit", "config-file"), ("screen", "flag"),
+], ids=["fit-flag", "fit-config-file", "screen-flag"])
+def test_empty_response_is_an_ingestion_error(sim_dir, tmp_path, capsys, command, spelling):
+    # an empty name is a name that is not in the header, not "use the default"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("response=\n")
+    flags = ["--response", ""] if spelling == "flag" else ["--config", str(cfg)]
+    files = [str(sim_dir / "train.csv")] + ([str(sim_dir / "test.csv")] if command == "fit" else [])
+    assert run_cli(command, *files, *flags, "--replicates", "2",
+                   "--out", str(tmp_path / "x")) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "IngestionError",
+        "message": f"{sim_dir / 'train.csv'}: response column '' not found"}
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_fit_unknown_config_key_fails(sim_dir, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense=1\n")
@@ -208,11 +225,12 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
                                   "--psi", "0.3"], None),
     ("fit-binary", ["--a-sigma", "3"], None),
     ("fit-binary", ["--b-sigma", "5"], None),
+    ("fit", [], "backend=sparse-ris-rp\n"),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
         "screen-delta-abc", "config-burnin-exceeds-iterations",
         "benchmark-m-without-no-aggregate", "benchmark-psi-without-no-aggregate",
         "benchmark-workers-negative", "benchmark-m-above-p", "benchmark-psi-on-ris-pcr",
-        "binary-a-sigma", "binary-b-sigma"])
+        "binary-a-sigma", "binary-b-sigma", "config-sparse-backend-removed"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
@@ -232,6 +250,8 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
     assert payload["error"] == "ParameterError"
     if cfg_text == "replicates=abc\n":
         assert f"{cfg}:1:" in payload["message"]
+    if cfg_text == "backend=sparse-ris-rp\n":
+        assert payload["message"] == "backend must be one of ('ris-rp', 'ris-pcr')"
     assert not list(tmp_path.glob("bad.*"))  # no predictions or summary written
 
 

@@ -98,17 +98,39 @@ def test_center_y_carries_a_response_shift_into_the_predictions(aggregation):
     assert gap <= 1e-12 * 100
 
 
+@pytest.mark.parametrize("backend", ["ris-rp", "ris-pcr"])
+@pytest.mark.parametrize("aggregation", ["average", "model-average"])
+def test_permuting_the_training_rows_leaves_the_predictions_unchanged(backend, aggregation):
+    # cv is left out: its folds follow the row order
+    cfg = TarpConfig(backend=backend, aggregation=aggregation, n_replicates=6, seed=7)
+    for seed in range(3):
+        std, Xn, data = _toy(seed=40 + seed)
+        order = np.random.default_rng(seed).permutation(std.n)
+        moved = standardize(Dataset.from_arrays(data.train.X[order], data.train.y[order]))
+        base = run_tarp(std, Xn, cfg)
+        perm = run_tarp(moved, apply_standardization(moved, data.test_X), cfg)
+        for key in ("yhat", "lower", "upper"):
+            want = getattr(base, key)
+            assert np.abs(getattr(perm, key) - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("delta", ["auto", 0.0, 2.0])
+def test_permuting_the_columns_permutes_the_inclusion_probabilities(delta):
+    cfg = TarpConfig(delta=delta)
+    for seed in range(3):
+        data = generate(SchemeSpec("ar1", n=60, p=300, n_test=1, n_active=5, seed=seed))
+        order = np.random.default_rng(seed).permutation(300)
+        base = screening_probs(standardize(data.train), cfg)
+        perm = screening_probs(standardize(Dataset.from_arrays(data.train.X[:, order],
+                                                               data.train.y)), cfg)
+        assert np.abs(perm.q - base.q[order]).max() <= 1e-12
+
+
 def test_interval_width_monotone_in_level():
     std, Xn, _ = _toy(seed=9)
     lo = run_tarp(std, Xn, TarpConfig(n_replicates=4, seed=6, level=0.5))
     hi = run_tarp(std, Xn, TarpConfig(n_replicates=4, seed=6, level=0.8))
     assert ((hi.upper - hi.lower) > (lo.upper - lo.lower)).all()
-
-
-def test_sparse_backend_runs():
-    std, Xn, _ = _toy(seed=11)
-    res = run_tarp(std, Xn, TarpConfig(backend="sparse-ris-rp", n_replicates=3, seed=8))
-    assert np.isfinite(res.yhat).all()
 
 
 def test_requires_standardized_train():
@@ -362,7 +384,7 @@ def test_cv_needs_one_training_row_per_fold(n):
     assert run_tarp(std, Xn, replace(cfg, aggregation="average")).yhat.shape == (len(Xn),)
 
 
-@pytest.mark.parametrize("backend", ["ris-rp", "ris-pcr", "sparse-ris-rp"])
+@pytest.mark.parametrize("backend", ["ris-rp", "ris-pcr"])
 def test_binary_single_replicate_equals_that_replicate(backend):
     train, Xn = _binary_toy(seed=22)
     cfg = TarpConfig(backend=backend, n_replicates=4, seed=17, probit_iterations=40,

@@ -147,6 +147,28 @@ def test_posterior_monte_carlo_oracle():
     assert sig2.mean() == pytest.approx(rate / (shape - 1), rel=0.02)
 
 
+def test_predictive_interval_covers_draws_from_the_prior_at_its_level():
+    # (sigma^2, theta, y, y_new) drawn from the model itself: the predictive
+    # interval covers y_new with probability exactly ``level``.  n = 2 and
+    # a_sigma = 3 give df = 8, where t and normal quantiles differ visibly
+    rng = np.random.default_rng(4)
+    prior = PriorHyper(a_sigma=3.0, b_sigma=2.0)
+    Z = rng.normal(size=(2, 3))
+    z_new = rng.normal(size=(1, 3))
+    draws = 4000
+    sig = np.sqrt(prior.b_sigma / rng.gamma(prior.a_sigma, size=draws))
+    theta = rng.standard_normal((draws, 3)) * sig[:, None]
+    y = theta @ Z.T + rng.standard_normal((draws, 2)) * sig[:, None]
+    y_new = theta @ z_new[0] + rng.standard_normal(draws) * sig
+    for level in (0.5, 0.9):
+        covered = 0
+        for i in range(draws):
+            out = predict(fit_compressed(Z, y[i], prior), z_new, level)
+            covered += bool(out.lower[0] <= y_new[i] <= out.upper[0])
+        assert out.df == 8.0
+        assert abs(covered / draws - level) <= 4 * np.sqrt(level * (1 - level) / draws)
+
+
 def test_scale_invariance_of_location():
     rng = np.random.default_rng(3)
     Z = rng.normal(size=(15, 4))

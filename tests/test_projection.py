@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tarpreg import (DimensionError, ParameterError, compress, gen_pcr_matrix,
-                     gen_rp_matrix, gen_sparse_rp_matrix)
+from tarpreg import DimensionError, ParameterError, compress, gen_pcr_matrix, gen_rp_matrix
 
 
 def test_rp_entries_are_three_point():
@@ -33,23 +32,6 @@ def test_rp_rejects_bad_psi():
     for psi in (0.0, -0.1, 0.51):
         with pytest.raises(ParameterError):
             gen_rp_matrix(5, 5, psi, rng)
-
-
-def test_sparse_rp_nonzero_fraction_and_moment():
-    rng = np.random.default_rng(4)
-    n, kappa, m = 100, 0.5, 10
-    proj = gen_sparse_rp_matrix(100_000, m, kappa, n, rng)  # 1e6 entries
-    # nonzero fraction 2 * 1/(2 n^kappa) = n^-kappa = 0.1
-    assert np.mean(proj.entries != 0.0) == pytest.approx(0.1, abs=0.003)
-    # second moment (n^kappa / m) * n^-kappa = 1/m
-    assert np.mean(proj.entries ** 2) == pytest.approx(1.0 / m, abs=0.005)
-
-
-def test_sparse_rp_boundary_kappa_rejected():
-    rng = np.random.default_rng(0)
-    for kappa in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ParameterError):
-            gen_sparse_rp_matrix(10, 5, kappa, 50, rng)
 
 
 def test_pcr_diagonal_example():
@@ -191,22 +173,13 @@ def test_generation_deterministic_given_seed():
     a = gen_rp_matrix(30, 10, 0.3, np.random.default_rng(42))
     b = gen_rp_matrix(30, 10, 0.3, np.random.default_rng(42))
     assert np.array_equal(a.entries, b.entries)
-    c = gen_sparse_rp_matrix(30, 10, 0.4, 100, np.random.default_rng(42))
-    d = gen_sparse_rp_matrix(30, 10, 0.4, 100, np.random.default_rng(42))
-    assert np.array_equal(c.entries, d.entries)
 
 
 def test_three_point_generators_draw_one_uniform_per_entry():
-    # the construction both generators share, written out: one uniform per entry,
-    # +v below prob, -v below 2 prob, else 0, and nothing else drawn
-    def expected(rng, shape, prob, value):
-        u = rng.random(shape)
-        return np.where(u < prob, value, np.where(u < 2.0 * prob, -value, 0.0))
-
+    # the construction written out: one uniform per entry, +v below psi,
+    # -v below 2 psi, else 0, and nothing else drawn
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     proj = gen_rp_matrix(30, 10, 0.2, rng)
-    assert np.array_equal(proj.entries, expected(ref, (10, 30), 0.2, 1.0 / np.sqrt(0.4)))
-    proj = gen_sparse_rp_matrix(30, 10, 0.4, 100, rng)
-    want = expected(ref, (10, 30), 1.0 / (2.0 * 100 ** 0.4), 100 ** 0.2 / np.sqrt(10))
-    assert np.array_equal(proj.entries, want)
+    u, v = ref.random((10, 30)), 1.0 / np.sqrt(0.4)
+    assert np.array_equal(proj.entries, np.where(u < 0.2, v, np.where(u < 0.4, -v, 0.0)))
     assert rng.bit_generator.state == ref.bit_generator.state
