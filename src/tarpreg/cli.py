@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 
 from . import __version__
-from ._blas import one_thread, pin_at_start, runtime
+from ._blas import pin_at_start, runtime
 
 # OpenBLAS reads its thread count once, when numpy (or scipy) first loads it,
 # so this must run before any import below that loads numpy.
@@ -222,6 +222,9 @@ def cmd_benchmark(args) -> int:
     if args.no_aggregate:
         if args.m is None:
             raise ParameterError("--no-aggregate requires --m")
+        if args.replicates is not None or "replicates" in raw_cfg:
+            raise ParameterError("--no-aggregate runs one replicate per dataset: "
+                                 "set no replicates")
         cfg = replace(cfg, n_replicates=1, m_range=(args.m, args.m))
         if args.psi is not None:
             cfg = replace(cfg, psi_range=(args.psi, args.psi))
@@ -281,12 +284,10 @@ def cmd_benchmark(args) -> int:
 
 def _benchmark_one(job) -> dict:
     spec, cfg = job
-    with one_thread():
-        data = generate(spec)
-        (std_train, X_new), test_y = _standardized_inputs(data.train, data.test_X), data.test_y
-        del data  # the replicate loop holds only the standardized matrices
-        run_cfg = replace(cfg, seed=spec.seed, keep_replicates=False)
-        result = run_tarp(std_train, X_new, run_cfg)
+    data = generate(spec)
+    (std_train, X_new), test_y = _standardized_inputs(data.train, data.test_X), data.test_y
+    del data  # the replicate loop holds only the standardized matrices
+    result = run_tarp(std_train, X_new, replace(cfg, seed=spec.seed, keep_replicates=False))
     ecp, width = ecp_width(result.lower, result.upper, test_y)
     return {"mspe": mspe(result.yhat, test_y), "ecp": ecp, "width": width,
             "wall_time": result.wall_time, "phase_times": result.phase_times}

@@ -43,7 +43,6 @@ AGG_MODEL_AVERAGE = "model-average"
 AGG_CV = "cv"
 AGGREGATIONS = (AGG_AVERAGE, AGG_MODEL_AVERAGE, AGG_CV)
 
-_UINT64 = (1 << 64) - 1
 _DOMAIN_REPLICATE = 1
 _DOMAIN_FOLDS = 2
 _DOMAIN_DATASET = 3
@@ -52,8 +51,7 @@ _K_FOLDS = 5   # cv aggregation's folds
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator for (seed, key...)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed) & _UINT64,
-                                                        spawn_key=tuple(key)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key)))
 
 
 def dataset_seed(seed: int, index: int) -> int:
@@ -61,8 +59,7 @@ def dataset_seed(seed: int, index: int) -> int:
 
     Kept within 48 bits so the value survives a float64 CSV column exactly.
     """
-    ss = np.random.SeedSequence(entropy=int(seed) & _UINT64,
-                                spawn_key=(_DOMAIN_DATASET, index))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_DOMAIN_DATASET, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 16)
 
 
@@ -94,6 +91,8 @@ class TarpConfig:
             if not delta >= 0:
                 raise ParameterError(f"delta must be 'auto' or a number >= 0, got {self.delta!r}")
             object.__setattr__(self, "delta", delta)
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 64):
+            raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.n_replicates < 1:
             raise ParameterError("n_replicates must be >= 1")
         lo, hi = self.psi_range
@@ -208,9 +207,8 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
     input comes from (train, cfg) and the generator from (cfg.seed, index), so
     a single replicate reproduces exactly what a full run computes at that index.
     """
-    _check_settings(train, cfg)
-    if probs is None:
-        probs = screening_probs(train, cfg)
+    if probs is None:  # called alone: the run's checks first
+        probs = _checked_probs(train, X_new, cfg)
     t0 = time.perf_counter()
     draw = draw_replicate(train, cfg, probs, index)
     mask = draw.mask
@@ -251,11 +249,10 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
 
 
 def _run_replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig):
-    """Screen once, then run every replicate in index order; (records, phase times)."""
-    cfg.resolved_m_range(train.n, train.p)  # a bad m range fails the run, not replicate 0
+    """Check and screen once, then run every replicate in index order; (records, phase times)."""
     with one_thread():
         t0 = time.perf_counter()
-        probs = screening_probs(train, cfg)
+        probs = _checked_probs(train, X_new, cfg)
         phase = {"screen": time.perf_counter() - t0, "project": 0.0, "fit": 0.0, "predict": 0.0}
         records = []
         for l in range(cfg.n_replicates):
@@ -268,10 +265,8 @@ def _run_replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig):
 
 def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
     """Full ensemble run on a standardized training set and pre-transformed test rows."""
-    _check_inputs(train, X_new)
     if train.response_kind != RESPONSE_CONTINUOUS:
         raise ParameterError("run_tarp is the Gaussian path; use run_tarp_binary")
-    _check_settings(train, cfg)
     started = time.perf_counter()
     records, phase = _run_replicates(train, X_new, cfg)
 
@@ -301,10 +296,8 @@ def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
 
 def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpBinaryResult:
     """Binary path: probit Gibbs per replicate, simple average of probabilities."""
-    _check_inputs(train, X_new)
     if train.response_kind != RESPONSE_BINARY:
         raise ParameterError("run_tarp_binary requires a binary response")
-    _check_settings(train, cfg)
     started = time.perf_counter()
     records, phase = _run_replicates(train, X_new, cfg)
     return TarpBinaryResult(
@@ -342,9 +335,17 @@ def kfold_mse(Z: np.ndarray, y: np.ndarray, post: CompressedPosterior, k: int,
     return float(np.mean(errors))
 
 
-def _check_settings(train: Dataset, cfg: TarpConfig) -> None:
-    """The checks of the path train's response takes, for a run and for one replicate:
-    a setting that the path never reads is an error, not a silent no-op."""
+def _checked_probs(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> InclusionProbs:
+    """Every check of a run, then its screening probabilities: a replicate run alone
+    rejects what the run rejects.  A setting that the path train's response takes
+    never reads is an error, not a silent no-op."""
+    if not train.standardized:
+        raise ParameterError("training data must be standardized first")
+    X_new = np.asarray(X_new)
+    if X_new.ndim != 2 or X_new.shape[1] != train.p:
+        raise DimensionError("X_new must be 2-d with p columns (training statistics applied)")
+    if not all_finite(X_new):
+        raise IngestionError("X_new contains non-finite entries")
     if train.response_kind == RESPONSE_BINARY:
         path, names = "binary", ("aggregation", "level", "prior.a_sigma", "prior.b_sigma")
     else:
@@ -355,13 +356,5 @@ def _check_settings(train: Dataset, cfg: TarpConfig) -> None:
         raise ParameterError(f"the {path} path never reads {', '.join(off)}: leave it at its default")
     if cfg.aggregation == AGG_CV and train.n < _K_FOLDS:
         raise ParameterError(f"cv needs at least {_K_FOLDS} training rows, got {train.n}")
-
-
-def _check_inputs(train: Dataset, X_new: np.ndarray) -> None:
-    if not train.standardized:
-        raise ParameterError("training data must be standardized first")
-    X_new = np.asarray(X_new)
-    if X_new.ndim != 2 or X_new.shape[1] != train.p:
-        raise DimensionError("X_new must be 2-d with p columns (training statistics applied)")
-    if not all_finite(X_new):
-        raise IngestionError("X_new contains non-finite entries")
+    cfg.resolved_m_range(train.n, train.p)  # a bad m range fails the run, not replicate 0
+    return screening_probs(train, cfg)

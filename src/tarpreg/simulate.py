@@ -58,6 +58,8 @@ class SchemeSpec:
         if self.scheme != SCHEME_PCR and self.n_active > self.p:
             raise ParameterError("n_active cannot exceed p")
         # passing conditions, so that NaN fails them
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 64):
+            raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not self.n_active >= 0:
             raise ParameterError(f"n_active must be >= 0, got {self.n_active}")
         if not 0 <= self.noise_sd < np.inf:

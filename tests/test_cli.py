@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
 from dataclasses import asdict, fields, replace
@@ -13,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tarpreg
 import tarpreg.cli as cli
@@ -226,11 +229,19 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("fit-binary", ["--a-sigma", "3"], None),
     ("fit-binary", ["--b-sigma", "5"], None),
     ("fit", [], "backend=sparse-ris-rp\n"),
+    ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "5", "--replicates", "50"], None),
+    ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "5"], "replicates=50\n"),
+    ("fit", ["--seed", str(2 ** 64)], None),
+    ("benchmark", _BENCH_FLAGS + ["--seed", "-3"], None),
+    ("screen", ["--seed", "-1"], None),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
         "screen-delta-abc", "config-burnin-exceeds-iterations",
         "benchmark-m-without-no-aggregate", "benchmark-psi-without-no-aggregate",
         "benchmark-workers-negative", "benchmark-m-above-p", "benchmark-psi-on-ris-pcr",
-        "binary-a-sigma", "binary-b-sigma", "config-sparse-backend-removed"])
+        "binary-a-sigma", "binary-b-sigma", "config-sparse-backend-removed",
+        "benchmark-replicates-with-no-aggregate",
+        "benchmark-config-replicates-with-no-aggregate", "fit-seed-2-64",
+        "benchmark-seed-negative", "screen-seed-negative"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
@@ -243,11 +254,19 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
         cfg.write_text(cfg_text)
         flags = flags + ["--config", str(cfg)]
     prefix = tmp_path / "bad"
-    assert run_cli(command, *files, *flags, "--replicates", "2", "--out", str(prefix)) == 1
+    if "--no-aggregate" not in flags:  # which runs one replicate, so --replicates is an error
+        flags = flags + ["--replicates", "2"]
+    assert run_cli(command, *files, *flags, "--out", str(prefix)) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     payload = json.loads(err)
     assert payload["error"] == "ParameterError"
+    if "--seed" in flags:  # -3 used to run as seed 2**64 - 3, and 2**64 as seed 0
+        assert payload["message"].startswith("seed must be an integer in [0, 2**64)")
+    if "--no-aggregate" in flags and ("--replicates" in flags or cfg_text == "replicates=50\n"):
+        # --replicates used to be overridden to 1
+        assert payload["message"] == ("--no-aggregate runs one replicate per dataset: "
+                                      "set no replicates")
     if cfg_text == "replicates=abc\n":
         assert f"{cfg}:1:" in payload["message"]
     if cfg_text == "backend=sparse-ris-rp\n":
@@ -334,6 +353,19 @@ def test_benchmark_pool_is_capped_at_the_dataset_count(tmp_path):
     assert json.loads((tmp_path / "cap.timing.json").read_text())["workers"] == 2
 
 
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_benchmark_files_do_not_depend_on_workers_at_any_seed(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        for workers in ("1", "2"):
+            assert run_cli("benchmark", "--scheme", "ar1", "--n", "30", "--p", "40",
+                           "--n-test", "8", "--n-active", "4", "--seed", str(seed),
+                           "--datasets", "3", "--replicates", "3", "--workers", workers,
+                           "--out", os.path.join(tmp, workers)) == 0
+        for ext in (".csv", ".json"):
+            assert Path(tmp, "1" + ext).read_bytes() == Path(tmp, "2" + ext).read_bytes()
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--noise-sd", "nan"], "noise_sd"),
     (["--n-active", "3", "--noise-sd", "1e308"], "coef_value"),
@@ -348,9 +380,11 @@ def test_benchmark_pool_is_capped_at_the_dataset_count(tmp_path):
     (["--scheme", "pcr", "--coef", "7"], "coef_value"),
     (["--scheme", "block", "--p", "400", "--n-active", "150"], "n_active"),
     (["--scheme", "bridge", "--p", "1", "--n-active", "1"], "p"),
+    (["--n-active", "3", "--seed", "-1"], "seed"),
 ], ids=["noise-sd-nan", "noise-sd-overflows", "coef-overflows", "bridge-coef-overflows",
         "n-active-negative", "noise-sd-inf", "coef-nan", "coef-minus-inf", "pcr-noise-sd-overflows",
-        "pcr-n-active", "pcr-coef", "block-n-active-above-high-columns", "bridge-p-one"])
+        "pcr-n-active", "pcr-coef", "block-n-active-above-high-columns", "bridge-p-one",
+        "seed-negative"])
 def test_bad_scheme_setting_is_one_json_parameter_error(tmp_path, capsys, flags, field):
     scheme = [] if "--scheme" in flags else ["--scheme", "ar1"]
     out = tmp_path / "sim"

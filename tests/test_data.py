@@ -74,7 +74,7 @@ def test_standardize_reuses_the_statistics_of_the_raw_dataset(monkeypatch):
 
 
 def test_finite_input_builds_no_mask_the_size_of_the_matrix(tmp_path, monkeypatch):
-    from tarpreg.ensemble import _check_inputs
+    from tarpreg.ensemble import TarpConfig, _checked_probs
     rng = np.random.default_rng(7)
     X = rng.normal(size=(30, 20))
     path = tmp_path / "d.csv"
@@ -86,7 +86,7 @@ def test_finite_input_builds_no_mask_the_size_of_the_matrix(tmp_path, monkeypatc
                             sizes.append(np.size(a)) or _real(a, *args, **kwargs))
     std = standardize(read_csv(path))
     std = standardize(Dataset.from_arrays(X, rng.normal(size=30)))
-    _check_inputs(std, apply_standardization(std, X[:7]))
+    _checked_probs(std, apply_standardization(std, X[:7]), TarpConfig())
     assert sizes and max(sizes) <= 30  # vectors of n or p+1 entries, no 7 x 20 or 30 x 20 mask
 
 

@@ -2,11 +2,14 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tarpreg import (Dataset, IngestionError, ParameterError, PriorHyper, ReplicateError,
-                     TarpConfig, TarpError, TarpResult, apply_standardization,
+from tarpreg import (Dataset, DimensionError, IngestionError, ParameterError, PriorHyper,
+                     ReplicateError, TarpConfig, TarpError, TarpResult, apply_standardization,
                      fit_compressed, kfold_mse, run_replicate, run_tarp, run_tarp_binary,
                      screening_probs, standardize)
+from tarpreg.ensemble import BACKENDS
 from tarpreg.simulate import SchemeSpec, generate
 
 
@@ -162,11 +165,21 @@ def test_m_range_fails_the_run_before_any_replicate():
     (PriorHyper, {"b_sigma": float("nan")}),
     (TarpConfig, {"probit_iterations": 10, "probit_burnin": 50}),
     (TarpConfig, {"probit_burnin": -1}),
+    # a seed outside [0, 2**64) used to be taken modulo 2**64, or to fail in numpy
+    *[(cls, {**scheme, "seed": seed}) for cls, scheme in ((TarpConfig, {}),
+                                                          (SchemeSpec, {"scheme": "ar1"}))
+      for seed in (-1, 2 ** 64, float("nan"), 1.5, "3")],
 ], ids=["delta-abc", "delta-nan", "b_sigma-nan", "burnin-exceeds-iterations",
-        "burnin-negative"])
+        "burnin-negative", *[f"{cls}-seed-{seed}" for cls in ("config", "scheme")
+                             for seed in ("negative", "2-64", "nan", "float", "str")]])
 def test_settings_reject_unparsed_and_non_finite_values(cls, kwargs):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=list(kwargs)[-1]):
         cls(**kwargs)
+
+
+def test_largest_seed_is_accepted():
+    for seed in (2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+        assert TarpConfig(seed=seed).seed == SchemeSpec("ar1", seed=seed).seed == 2 ** 64 - 1
 
 
 def test_delta_string_is_stored_as_its_float():
@@ -420,20 +433,59 @@ def test_binary_replicate_failure_reports_index_and_seed(fail_second_call):
     assert (err.value.index, err.value.seed) == (1, 31)
 
 
-@pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_single_replicate_applies_the_runs_setting_checks(kind):
-    # both used to run: the Gaussian replicate returned the default config's yhat,
-    # and the binary one a record with cv_mse=None
-    if kind == "continuous":
-        train, Xn, _ = _toy(n=40, p=60)
-        cfg, message = (TarpConfig(probit_iterations=9000, probit_burnin=100),
-                        "Gaussian path never reads probit_iterations, probit_burnin")
-        run = run_tarp
-    else:
+def _rejected_run(case):
+    """(run, train, X_new, cfg, error, message) for one input that a run rejects."""
+    if case == "cv-on-binary":
         train, Xn = _binary_toy()
-        cfg, message = TarpConfig(aggregation="cv"), "binary path never reads aggregation"
-        run = run_tarp_binary
-    with pytest.raises(ParameterError, match=message):
+        return (run_tarp_binary, train, Xn, TarpConfig(aggregation="cv"), ParameterError,
+                "the binary path never reads aggregation: leave it at its default")
+    std, Xn, data = _toy(n=4 if case == "cv-n-below-5" else 40, p=60)
+    bad_rows = Xn.copy()
+    bad_rows[1] = {"nan-row": np.nan, "inf-row": np.inf}.get(case, 0.0)
+    return run_tarp, *{
+        "unstandardized": (data.train, Xn, TarpConfig(), ParameterError,
+                           "training data must be standardized first"),
+        "wrong-width": (std, Xn[:, :-1], TarpConfig(), DimensionError,
+                        "X_new must be 2-d with p columns (training statistics applied)"),
+        "nan-row": (std, bad_rows, TarpConfig(), IngestionError,
+                    "X_new contains non-finite entries"),
+        "inf-row": (std, bad_rows, TarpConfig(), IngestionError,
+                    "X_new contains non-finite entries"),
+        "probit-settings-on-gaussian": (
+            std, Xn, TarpConfig(probit_iterations=9000, probit_burnin=100), ParameterError,
+            "the Gaussian path never reads probit_iterations, probit_burnin: leave it at its "
+            "default"),
+        "cv-n-below-5": (std, Xn, TarpConfig(aggregation="cv", m_range=(1, 2)), ParameterError,
+                         "cv needs at least 5 training rows, got 4"),
+        "m-range-above-p": (std, Xn, TarpConfig(m_range=(61, 70)), ParameterError,
+                            "m_range lower end 61 exceeds p = 60"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["unstandardized", "wrong-width", "nan-row", "inf-row",
+                                  "probit-settings-on-gaussian", "cv-on-binary",
+                                  "cv-n-below-5", "m-range-above-p"])
+def test_single_replicate_rejects_what_the_run_rejects(case):
+    # a replicate run alone used to skip the input checks: a non-finite test row
+    # gave a NaN prediction and interval, with no error
+    run, train, Xn, cfg, error, message = _rejected_run(case)
+    with pytest.raises(error) as full:
         run(train, Xn, cfg)
-    with pytest.raises(ParameterError, match=message):
+    with pytest.raises(TarpError) as alone:
         run_replicate(train, Xn, cfg, 0)
+    assert (type(full.value), str(full.value)) == (error, message)
+    assert (type(alone.value), str(alone.value)) == (error, message)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), backend=st.sampled_from(BACKENDS),
+       aggregation=st.sampled_from(["average", "cv"]))
+def test_halving_coef_and_noise_halves_yhat_bit_for_bit(seed, backend, aggregation):
+    # model-average is left out: its weights read the prior's fixed b_sigma
+    def yhat(scale):
+        data = generate(SchemeSpec("ar1", n=40, p=60, n_test=10, n_active=5,
+                                   coef_value=scale, noise_sd=scale, seed=seed))
+        std = standardize(data.train)
+        cfg = TarpConfig(backend=backend, aggregation=aggregation, n_replicates=5, seed=seed)
+        return run_tarp(std, apply_standardization(std, data.test_X), cfg).yhat
+    assert np.array_equal(yhat(1.0) * 0.5, yhat(0.5))
