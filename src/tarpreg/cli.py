@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 
 from . import __version__
-from ._blas import pin_at_start, runtime
+from ._blas import one_thread, pin_at_start, runtime
 
 # OpenBLAS reads its thread count once, when numpy (or scipy) first loads it,
 # so this must run before any import below that loads numpy.
@@ -225,6 +225,8 @@ def cmd_benchmark(args) -> int:
         if args.replicates is not None or "replicates" in raw_cfg:
             raise ParameterError("--no-aggregate runs one replicate per dataset: "
                                  "set no replicates")
+        if cfg.m_range is not None:  # only a config file sets it here
+            raise ParameterError("--no-aggregate runs at the fixed --m: set no m_lo or m_hi")
         cfg = replace(cfg, n_replicates=1, m_range=(args.m, args.m))
         if args.psi is not None:
             cfg = replace(cfg, psi_range=(args.psi, args.psi))
@@ -296,7 +298,8 @@ def _benchmark_one(job) -> dict:
 def cmd_screen(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
     std, _ = _standardized_inputs(read_csv(args.data, response=_response(args, raw_cfg)))
-    probs = screening_probs(std, cfg)
+    with one_thread():  # fit screens under the guard too, so the masks match at any count
+        probs = screening_probs(std, cfg)
     counts = np.zeros(std.p)
     selections = []
     for l in range(cfg.n_replicates):

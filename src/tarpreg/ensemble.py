@@ -93,15 +93,16 @@ class TarpConfig:
             object.__setattr__(self, "delta", delta)
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 64):
             raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.n_replicates < 1:
-            raise ParameterError("n_replicates must be >= 1")
+        if not (isinstance(self.n_replicates, (int, np.integer)) and self.n_replicates >= 1):
+            raise ParameterError(f"n_replicates must be an integer >= 1, got {self.n_replicates!r}")
         lo, hi = self.psi_range
         if not (0.0 < lo <= hi <= 0.5):
             raise ParameterError("psi_range must lie within (0, 0.5]")
         if self.m_range is not None:
             mlo, mhi = self.m_range
-            if mlo < 1 or mhi < mlo:
-                raise ParameterError("m_range must satisfy 1 <= lo <= hi")
+            if not (all(isinstance(v, (int, np.integer)) for v in (mlo, mhi)) and 1 <= mlo <= mhi):
+                raise ParameterError(f"m_range must be integers with 1 <= lo <= hi, "
+                                     f"got {self.m_range!r}")
         if not 0.0 < self.level < 1.0:
             raise ParameterError("level must lie in (0, 1)")
         if not self.probit_iterations > self.probit_burnin >= 0:
@@ -207,8 +208,10 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
     input comes from (train, cfg) and the generator from (cfg.seed, index), so
     a single replicate reproduces exactly what a full run computes at that index.
     """
-    if probs is None:  # called alone: the run's checks first
-        probs = _checked_probs(train, X_new, cfg)
+    if probs is None:  # called alone: the run's checks and thread guard first
+        with one_thread():
+            return run_replicate(train, X_new, cfg, index,
+                                 _checked_probs(train, X_new, cfg), phase)
     t0 = time.perf_counter()
     draw = draw_replicate(train, cfg, probs, index)
     mask = draw.mask
@@ -250,16 +253,15 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
 
 def _run_replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig):
     """Check and screen once, then run every replicate in index order; (records, phase times)."""
-    with one_thread():
-        t0 = time.perf_counter()
-        probs = _checked_probs(train, X_new, cfg)
-        phase = {"screen": time.perf_counter() - t0, "project": 0.0, "fit": 0.0, "predict": 0.0}
-        records = []
-        for l in range(cfg.n_replicates):
-            try:
-                records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
-            except Exception as exc:  # no silent skipping
-                raise ReplicateError(l, cfg.seed, exc) from exc
+    t0 = time.perf_counter()
+    probs = _checked_probs(train, X_new, cfg)
+    phase = {"screen": time.perf_counter() - t0, "project": 0.0, "fit": 0.0, "predict": 0.0}
+    records = []
+    for l in range(cfg.n_replicates):
+        try:
+            records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
+        except Exception as exc:  # no silent skipping
+            raise ReplicateError(l, cfg.seed, exc) from exc
     return records, phase
 
 
@@ -268,25 +270,26 @@ def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
     if train.response_kind != RESPONSE_CONTINUOUS:
         raise ParameterError("run_tarp is the Gaussian path; use run_tarp_binary")
     started = time.perf_counter()
-    records, phase = _run_replicates(train, X_new, cfg)
-
-    yhats = np.stack([r.yhat for r in records])
-    lowers = np.stack([r.lower for r in records])
-    uppers = np.stack([r.upper for r in records])
-    weights = cv_mse = selected = None
-    if cfg.aggregation == AGG_AVERAGE:
-        yhat, lower, upper = yhats.mean(axis=0), lowers.mean(axis=0), uppers.mean(axis=0)
-    elif cfg.aggregation == AGG_MODEL_AVERAGE:
-        log_ev = np.array([r.log_evidence for r in records])
-        w = np.exp(log_ev - log_ev.max())
-        weights = w / w.sum()
-        yhat = weights @ yhats
-        lower, upper = weights @ lowers, weights @ uppers
-    else:
-        cv_mse = np.array([r.cv_mse for r in records])
-        selected = int(np.argmin(cv_mse))
-        yhat, lower, upper = yhats[selected], lowers[selected], uppers[selected]
-
+    with one_thread():
+        records, phase = _run_replicates(train, X_new, cfg)
+        aggregate_started = time.perf_counter()
+        yhats = np.stack([r.yhat for r in records])
+        lowers = np.stack([r.lower for r in records])
+        uppers = np.stack([r.upper for r in records])
+        weights = cv_mse = selected = None
+        if cfg.aggregation == AGG_AVERAGE:
+            yhat, lower, upper = yhats.mean(axis=0), lowers.mean(axis=0), uppers.mean(axis=0)
+        elif cfg.aggregation == AGG_MODEL_AVERAGE:
+            log_ev = np.array([r.log_evidence for r in records])
+            w = np.exp(log_ev - log_ev.max())
+            weights = w / w.sum()
+            yhat = weights @ yhats
+            lower, upper = weights @ lowers, weights @ uppers
+        else:
+            cv_mse = np.array([r.cv_mse for r in records])
+            selected = int(np.argmin(cv_mse))
+            yhat, lower, upper = yhats[selected], lowers[selected], uppers[selected]
+        phase["aggregate"] = time.perf_counter() - aggregate_started
     return TarpResult(
         yhat=yhat, lower=lower, upper=upper,
         per_replicate=tuple(records) if cfg.keep_replicates else None,
@@ -299,10 +302,13 @@ def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpB
     if train.response_kind != RESPONSE_BINARY:
         raise ParameterError("run_tarp_binary requires a binary response")
     started = time.perf_counter()
-    records, phase = _run_replicates(train, X_new, cfg)
+    with one_thread():
+        records, phase = _run_replicates(train, X_new, cfg)
+        aggregate_started = time.perf_counter()
+        prob = np.stack([r.yhat for r in records]).mean(axis=0)
+        phase["aggregate"] = time.perf_counter() - aggregate_started
     return TarpBinaryResult(
-        prob=np.stack([r.yhat for r in records]).mean(axis=0),
-        per_replicate=tuple(records) if cfg.keep_replicates else None,
+        prob=prob, per_replicate=tuple(records) if cfg.keep_replicates else None,
         wall_time=time.perf_counter() - started, phase_times=phase)
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_thread
 from .data import Dataset, all_finite
 from .errors import DimensionError, IngestionError, ParameterError
 
@@ -106,7 +107,7 @@ def generate(spec: SchemeSpec) -> SimulatedData:
     rng = np.random.default_rng(spec.seed)
     design = {SCHEME_AR1: _ar1, SCHEME_BLOCK: _block,
               SCHEME_PCR: _pcr, SCHEME_BRIDGE: _bridge}[spec.scheme]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the check below
+    with one_thread(), np.errstate(over="ignore", invalid="ignore"):  # overflow is the check below
         X, y, beta, active = design(spec, rng, spec.n + spec.n_test)
     try:  # from_arrays checks the training rows, and rejects a column whose variance overflows
         train = Dataset.from_arrays(X[:spec.n], y[:spec.n])

@@ -4,6 +4,9 @@ import pytest
 
 # Single-threaded BLAS: the suite works on many small matrices, where thread
 # fan-out costs far more than it saves.  Set before numpy spins up its pools.
+# tarpreg's run guard holds one thread whatever these say; they also start every
+# OpenBLAS at one thread, which hides the command line's start-up pin, so
+# tests/test_blas.py removes them in the fresh interpreters it starts.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")

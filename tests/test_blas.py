@@ -1,9 +1,11 @@
 """The guard that holds the bundled OpenBLAS copies at one thread during a run.
 
-tests/conftest.py sets OPENBLAS_NUM_THREADS=1, which turns the guard off, so
-every check here runs in a fresh interpreter with the thread variables
-removed from its environment.
+tests/conftest.py sets OPENBLAS_NUM_THREADS=1, which starts every OpenBLAS at
+one thread and so hides both the start-up pin and the guard's restore.  Every
+check here runs in a fresh interpreter with the thread variables removed from
+its environment, and sets any it needs itself.
 """
+import hashlib
 import json
 import os
 import re
@@ -110,11 +112,12 @@ def test_run_holds_one_thread_and_restores_the_count():
     assert out["after_error"] == out["before"]
 
 
-def test_explicit_thread_variable_wins():
+def test_guard_holds_one_thread_under_a_thread_variable():
     out = json.loads(_python("-c", RUN, "0", OPENBLAS_NUM_THREADS="2"))
     if (os.cpu_count() or 1) >= 2:
         assert set(out["before"].values()) == {2}
-    assert all(seen == out["before"] for seen in out["inside"])
+    assert len(out["inside"]) == 4
+    assert all(seen == {name: 1 for name in out["before"]} for seen in out["inside"])
     assert out["after_return"] == out["after_error"] == out["before"]
 
 
@@ -127,7 +130,6 @@ def test_benchmark_outputs_do_not_depend_on_workers_with_threads_unset(tmp_path)
     for ext in (".csv", ".json"):
         assert (tmp_path / f"w1{ext}").read_bytes() == (tmp_path / f"w2{ext}").read_bytes()
     runtime = json.loads((tmp_path / "w2.timing.json").read_text())["runtime"]
-    assert runtime["thread_env_honoured"] is False
     assert all(c["inside"] == 1 for c in runtime["blas_threads"].values())
 
 
@@ -201,7 +203,6 @@ def test_cli_starts_openblas_at_one_thread(csv_pair, tmp_path):
     assert out["env_before"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
     assert out["env_after"]["OPENBLAS_NUM_THREADS"] == "1"
     assert set(out["before"].values()) == {1}
-    assert out["runtime"]["thread_env_honoured"] is False
     assert all(c == {"outside": 1, "inside": 1} for c in out["runtime"]["blas_threads"].values())
 
 
@@ -217,19 +218,63 @@ def test_cli_leaves_a_user_thread_variable_alone(csv_pair, tmp_path, name):
     out = _fit(csv_pair, tmp_path, **{name: "2"})
     assert out["env_before"] == out["env_after"]
     assert out["env_after"][name] == "2"
-    assert out["runtime"]["thread_env_honoured"] is True
+    assert len(out["inside"]) == 3
+    assert all(seen == {lib: 1 for lib in out["before"]} for seen in out["inside"])
     if (os.cpu_count() or 1) >= 2:
         assert set(out["before"].values()) == {2}
-        assert all(seen == out["before"] for seen in out["inside"])
+        assert all(c == {"outside": 2, "inside": 1}
+                   for c in out["runtime"]["blas_threads"].values())
 
 
 def test_cli_after_numpy_changes_no_variable_and_still_guards(csv_pair, tmp_path):
     out = _fit(csv_pair, tmp_path, first="numpy")
     assert out["env_before"] == out["env_after"] == {"OPENBLAS_NUM_THREADS": None,
                                                      "OMP_NUM_THREADS": None}
-    assert out["runtime"]["thread_env_honoured"] is False
     assert len(out["inside"]) == 3
     assert all(seen == {name: 1 for name in out["before"]} for seen in out["inside"])
+
+
+# Imports tarpreg.cli before numpy, as the console script does, then writes an ar1
+# pair into argv[1] and fits it three ways: the default fit, ris-pcr, and a binary
+# response cut at the training median (fit on its own rows).
+THREE_FITS = """
+import sys
+from tarpreg.cli import main
+out = sys.argv[1]
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+run("simulate", "--scheme", "ar1", "--n", "200", "--p", "2000", "--n-test", "100",
+    "--seed", "1", "--out", out)
+import numpy as np
+from tarpreg import read_csv, write_matrix_csv
+train = read_csv(f"{out}/train.csv")
+write_matrix_csv(f"{out}/binary.csv", train.X, (train.y > np.median(train.y)) * 1.0,
+                 train.col_names)
+run("fit", f"{out}/train.csv", f"{out}/test.csv", "--replicates", "10", "--out", f"{out}/rp")
+run("fit", f"{out}/train.csv", f"{out}/test.csv", "--backend", "ris-pcr",
+    "--replicates", "5", "--out", f"{out}/pcr")
+run("fit", f"{out}/binary.csv", f"{out}/binary.csv", "--replicates", "4",
+    "--out", f"{out}/binary")
+"""
+
+
+def test_no_thread_variable_changes_an_output_byte(tmp_path):
+    # the shape matters: at n + n_test = 300 rows and p = 2000, a product split over
+    # two threads (y's GEMV, ris-pcr's SVD, the probit chain) sums in another order;
+    # smaller shapes agree at any count
+    digests = {}
+    for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}):
+        out = tmp_path / ("-".join(env) or "unset")
+        out.mkdir()
+        _python("-c", THREE_FITS, str(out), **env)
+        digests[out.name] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                             for f in sorted(out.glob("*.csv"))}
+    unset = digests.pop("unset")
+    assert list(unset) == ["binary.csv", "binary.predictions.csv", "pcr.predictions.csv",
+                           "rp.predictions.csv", "test.csv", "train.csv"]
+    assert all(d == unset for d in digests.values())
 
 
 IMPORT_ONLY = """

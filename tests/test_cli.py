@@ -111,7 +111,8 @@ def test_fit_predict_on_csv(sim_dir, tmp_path):
     assert summary["config"]["level"] == 0.5  # defaults echoed
     assert summary["p_gamma"]["max"] <= 60
     assert summary["train"]["response_kind"] == "continuous"
-    assert summary["runtime"]["thread_env_honoured"] is True  # conftest sets the variables
+    threads = summary["runtime"]["blas_threads"]  # conftest's variables leave the guard on
+    assert threads == "unknown" or all(c["inside"] == 1 for c in threads.values())
     assert summary["io_times"]["read"] > 0 and summary["io_times"]["write"] > 0
     m_lo, m_hi = TarpConfig().resolved_m_range(40, 60)
     assert m_lo <= summary["m_effective"]["min"] <= summary["m_effective"]["max"] <= m_hi
@@ -231,6 +232,7 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("fit", [], "backend=sparse-ris-rp\n"),
     ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "5", "--replicates", "50"], None),
     ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "5"], "replicates=50\n"),
+    ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "5"], "m_lo=3\nm_hi=9\n"),
     ("fit", ["--seed", str(2 ** 64)], None),
     ("benchmark", _BENCH_FLAGS + ["--seed", "-3"], None),
     ("screen", ["--seed", "-1"], None),
@@ -240,7 +242,8 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
         "benchmark-workers-negative", "benchmark-m-above-p", "benchmark-psi-on-ris-pcr",
         "binary-a-sigma", "binary-b-sigma", "config-sparse-backend-removed",
         "benchmark-replicates-with-no-aggregate",
-        "benchmark-config-replicates-with-no-aggregate", "fit-seed-2-64",
+        "benchmark-config-replicates-with-no-aggregate",
+        "benchmark-config-m-range-with-no-aggregate", "fit-seed-2-64",
         "benchmark-seed-negative", "screen-seed-negative"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
@@ -267,6 +270,8 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
         # --replicates used to be overridden to 1
         assert payload["message"] == ("--no-aggregate runs one replicate per dataset: "
                                       "set no replicates")
+    if cfg_text == "m_lo=3\nm_hi=9\n":  # the file's m range used to be replaced by --m
+        assert payload["message"] == "--no-aggregate runs at the fixed --m: set no m_lo or m_hi"
     if cfg_text == "replicates=abc\n":
         assert f"{cfg}:1:" in payload["message"]
     if cfg_text == "backend=sparse-ris-rp\n":
@@ -639,8 +644,7 @@ def test_benchmark_timing_reports_elapsed_and_summed_time(tmp_path):
     timing = json.loads((tmp_path / "t.timing.json").read_text())
     assert timing["dataset_time_sum"] == sum(timing["per_dataset_wall_time"])
     assert timing["wall_time"] >= timing["dataset_time_sum"]
-    assert set(timing["runtime"]) == {"blas_threads", "thread_env_honoured", "cpu_count",
-                                      "python", "numpy", "scipy"}
+    assert set(timing["runtime"]) == {"blas_threads", "cpu_count", "python", "numpy", "scipy"}
     assert "runtime" not in json.loads((tmp_path / "t.json").read_text())
 
 

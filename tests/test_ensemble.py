@@ -165,13 +165,18 @@ def test_m_range_fails_the_run_before_any_replicate():
     (PriorHyper, {"b_sigma": float("nan")}),
     (TarpConfig, {"probit_iterations": 10, "probit_burnin": 50}),
     (TarpConfig, {"probit_burnin": -1}),
+    # each used to pass the check and fail inside the run with a TypeError or ValueError
+    (TarpConfig, {"n_replicates": float("nan")}),
+    (TarpConfig, {"n_replicates": 2.5}),
+    (TarpConfig, {"m_range": (float("nan"), 5)}),
     # a seed outside [0, 2**64) used to be taken modulo 2**64, or to fail in numpy
     *[(cls, {**scheme, "seed": seed}) for cls, scheme in ((TarpConfig, {}),
                                                           (SchemeSpec, {"scheme": "ar1"}))
       for seed in (-1, 2 ** 64, float("nan"), 1.5, "3")],
 ], ids=["delta-abc", "delta-nan", "b_sigma-nan", "burnin-exceeds-iterations",
-        "burnin-negative", *[f"{cls}-seed-{seed}" for cls in ("config", "scheme")
-                             for seed in ("negative", "2-64", "nan", "float", "str")]])
+        "burnin-negative", "replicates-nan", "replicates-float", "m-range-nan",
+        *[f"{cls}-seed-{seed}" for cls in ("config", "scheme")
+          for seed in ("negative", "2-64", "nan", "float", "str")]])
 def test_settings_reject_unparsed_and_non_finite_values(cls, kwargs):
     with pytest.raises(ParameterError, match=list(kwargs)[-1]):
         cls(**kwargs)
@@ -302,6 +307,20 @@ def test_binary_path_rejects_non_finite_test_rows():
     with pytest.raises(IngestionError):
         run_tarp_binary(train, Xn, TarpConfig(n_replicates=2, probit_iterations=20,
                                               probit_burnin=5))
+
+
+@pytest.mark.parametrize("path", ["average", "model-average", "cv", "binary"])
+def test_phase_times_are_the_five_phases_within_the_wall_time(path):
+    if path == "binary":
+        train, Xn = _binary_toy()
+        res = run_tarp_binary(train, Xn, TarpConfig(n_replicates=3, probit_iterations=50,
+                                                    probit_burnin=10))
+    else:
+        std, Xn, _ = _toy(seed=26)
+        res = run_tarp(std, Xn, TarpConfig(n_replicates=3, aggregation=path))
+    assert list(res.phase_times) == ["screen", "project", "fit", "predict", "aggregate"]
+    assert all(t >= 0 for t in res.phase_times.values())
+    assert sum(res.phase_times.values()) <= res.wall_time
 
 
 @pytest.mark.parametrize("setting", [dict(aggregation="cv"),
