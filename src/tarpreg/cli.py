@@ -39,7 +39,7 @@ from .data import (RESPONSE_BINARY, Dataset, _read_table, read_csv, transform_co
                    write_csv, write_matrix_csv)
 from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
                        draw_replicate, run_tarp, run_tarp_binary, screening_probs)
-from .errors import DimensionError, ParameterError, ReplicateError, TarpError
+from .errors import DimensionError, ParameterError, ReplicateError, TarpError, checked_int
 from .metrics import ecp_width, mspe
 from .posterior import PriorHyper
 from .simulate import SCHEMES, SchemeSpec, generate
@@ -232,10 +232,8 @@ def cmd_benchmark(args) -> int:
             cfg = replace(cfg, psi_range=(args.psi, args.psi))
     elif args.m is not None or args.psi is not None:
         raise ParameterError("--m and --psi require --no-aggregate")
-    if args.datasets < 1:
-        raise ParameterError("--datasets must be >= 1")
-    if args.workers < 0:
-        raise ParameterError(f"--workers must be >= 0, got {args.workers}")
+    checked_int("--datasets", args.datasets, 1)
+    checked_int("--workers", args.workers, 0)
 
     seeds = [dataset_seed(cfg.seed, i) for i in range(args.datasets)]
     jobs = [(replace(spec, seed=s), cfg) for s in seeds]

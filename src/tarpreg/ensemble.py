@@ -18,6 +18,7 @@ re-run alone, with the evidence or cv error its config implies.
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
@@ -27,7 +28,7 @@ import numpy as np
 from ._blas import one_thread
 from .data import Dataset, RESPONSE_BINARY, RESPONSE_CONTINUOUS, all_finite
 from .errors import (DimensionError, IngestionError, ParameterError, ReplicateError,
-                     TarpError)
+                     TarpError, checked_int, checked_number, checked_pair)
 from .posterior import (CompressedPosterior, PriorHyper, fit_compressed,
                         log_marginal_likelihood, predict, predict_probit, probit_gibbs)
 from .projection import compress, gen_pcr_matrix, gen_rp_matrix
@@ -66,7 +67,7 @@ def dataset_seed(seed: int, index: int) -> int:
 @dataclass(frozen=True)
 class TarpConfig:
     backend: str = BACKEND_RP
-    delta: object = "auto"            # "auto" (the default rule), or a number >= 0 stored as float
+    delta: object = "auto"            # "auto" (the default rule), or a finite float >= 0
     n_replicates: int = 100
     m_range: Optional[tuple] = None   # default [ceil(2 ln p), floor(3n/4)] clipped to [1, p]
     psi_range: tuple = (0.1, 0.4)
@@ -83,31 +84,21 @@ class TarpConfig:
             raise ParameterError(f"backend must be one of {BACKENDS}")
         if self.aggregation not in AGGREGATIONS:
             raise ParameterError(f"aggregation must be one of {AGGREGATIONS}")
-        if self.delta != "auto":
-            try:
-                delta = float(self.delta)
-            except (TypeError, ValueError):
-                delta = float("nan")
-            if not delta >= 0:
-                raise ParameterError(f"delta must be 'auto' or a number >= 0, got {self.delta!r}")
-            object.__setattr__(self, "delta", delta)
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 64):
-            raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not (isinstance(self.n_replicates, (int, np.integer)) and self.n_replicates >= 1):
-            raise ParameterError(f"n_replicates must be an integer >= 1, got {self.n_replicates!r}")
-        lo, hi = self.psi_range
-        if not (0.0 < lo <= hi <= 0.5):
-            raise ParameterError("psi_range must lie within (0, 0.5]")
+        if self.delta != "auto":  # a number, or a string that parses as one
+            delta = self.delta
+            if isinstance(delta, str):
+                with suppress(ValueError):
+                    delta = float(delta)
+            object.__setattr__(self, "delta", checked_number("delta", delta, 0, ends="[)"))
+        checked_int("seed", self.seed, 0, 1 << 64)
+        checked_int("n_replicates", self.n_replicates, 1)
+        checked_pair("psi_range", self.psi_range, checked_number, 0, 0.5, "(]")
         if self.m_range is not None:
-            mlo, mhi = self.m_range
-            if not (all(isinstance(v, (int, np.integer)) for v in (mlo, mhi)) and 1 <= mlo <= mhi):
-                raise ParameterError(f"m_range must be integers with 1 <= lo <= hi, "
-                                     f"got {self.m_range!r}")
-        if not 0.0 < self.level < 1.0:
-            raise ParameterError("level must lie in (0, 1)")
-        if not self.probit_iterations > self.probit_burnin >= 0:
-            raise ParameterError("need probit_iterations > probit_burnin >= 0, got "
-                                 f"{self.probit_iterations} and {self.probit_burnin}")
+            object.__setattr__(self, "m_range", checked_pair("m_range", self.m_range, checked_int, 1))
+        checked_number("level", self.level, 0, 1)
+        checked_int("probit_iterations", self.probit_iterations, 1)
+        checked_int("probit_burnin (below probit_iterations)", self.probit_burnin, 0,
+                    self.probit_iterations)
         # a setting the backend never reads is an error, not a silent no-op
         if tuple(self.psi_range) != TarpConfig.psi_range and self.backend != BACKEND_RP:
             raise ParameterError(f"psi_range applies only to backend {BACKEND_RP!r}, "
@@ -115,7 +106,7 @@ class TarpConfig:
 
     def resolved_m_range(self, n: int, p: int) -> tuple:
         if self.m_range is not None:
-            lo, hi = int(self.m_range[0]), int(self.m_range[1])
+            lo, hi = self.m_range
             if lo > p:  # clipping would run m at values the range excludes
                 raise ParameterError(f"m_range lower end {lo} exceeds p = {p}")
         else:
@@ -328,10 +319,7 @@ def kfold_mse(Z: np.ndarray, y: np.ndarray, post: CompressedPosterior, k: int,
     n, m = Z.shape
     if (post.n, post.m) != (n, m) or y.shape != (n,):
         raise DimensionError("kfold_mse needs the posterior fitted on (Z, y)")
-    if k < 2:
-        raise ParameterError("k must be >= 2")
-    if k > n:
-        raise ParameterError("k cannot exceed n")
+    checked_int("k", k, 2, n + 1)
     fold_plan = np.asarray(fold_plan)
     if not np.array_equal(np.sort(fold_plan), np.arange(n)):
         raise ParameterError("fold_plan must be a permutation of the n rows")

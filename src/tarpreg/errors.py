@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the three rules every setting is checked by."""
+import sys
+from numbers import Integral, Real
 
 
 class TarpError(Exception):
@@ -15,6 +17,35 @@ class DimensionError(TarpError):
 
 class ParameterError(TarpError):
     """Raised when a tuning parameter is outside its valid range."""
+
+
+def checked_int(name, value, lo, hi=float("inf"), error=ParameterError) -> int:
+    """The integer rule: an int or numpy integer in [lo, hi); a bool, float or str never passes."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and lo <= value < hi:
+        return int(value)
+    end = "2**64" if hi == 1 << 64 else hi  # a seed's end, as written
+    raise error(f"{name} must be an integer in [{lo}, {end}), got {value!r}")
+
+
+def checked_number(name, value, lo=-float("inf"), hi=float("inf"), ends="()") -> float:
+    """The finite-number rule: an int, float or numpy real within double range, in the interval
+    from lo to hi, open or closed at each end as ``ends`` writes it.  Each comparison is a
+    passing condition, so NaN and +-inf fail; a bool or str never passes."""
+    if (isinstance(value, Real) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max
+            and (lo < value if ends[0] == "(" else lo <= value)
+            and (value < hi if ends[1] == ")" else value <= hi)):
+        return float(value)
+    raise ParameterError(f"{name} must be a finite number in {ends[0]}{lo}, {hi}{ends[1]}, "
+                         f"got {value!r}")
+
+
+def checked_pair(name, value, rule, *args) -> tuple:
+    """The pair rule: a (lo, hi) tuple or list whose ends each pass ``rule(name, end, *args)``."""
+    ends = tuple(rule(name, v, *args) for v in value) if isinstance(value, (tuple, list)) else ()
+    if len(ends) == 2 and ends[0] <= ends[1]:
+        return ends
+    raise ParameterError(f"{name} must be a (lo, hi) pair with lo <= hi, got {value!r}")
 
 
 class ReplicateError(TarpError):

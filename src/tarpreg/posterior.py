@@ -21,11 +21,13 @@ imports ``scipy.special`` (on first use); the Gaussian one needs numpy alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, IngestionError, ParameterError, TarpError
+from .errors import (DimensionError, IngestionError, ParameterError, TarpError, checked_int,
+                     checked_number)
 from .studentt import t_interval_halfwidth
 
 
@@ -36,9 +38,8 @@ class PriorHyper:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 < value < np.inf:  # NaN fails too
-                raise ParameterError(f"{f.name} must be positive and finite, got {value!r}")
+            # 2 * value must be finite too: the df n + 2a and the scale term 2b are built from it
+            checked_number(f.name, getattr(self, f.name), 0, sys.float_info.max / 2, "(]")
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,6 @@ def predict(post: CompressedPosterior, Z_new: np.ndarray, level: float) -> Predi
     Z_new = np.atleast_2d(np.asarray(Z_new, dtype=np.float64))
     if Z_new.shape[1] != post.m:
         raise DimensionError(f"Z_new has {Z_new.shape[1]} columns, expected {post.m}")
-    if not 0.0 < level < 1.0:
-        raise ParameterError("level must lie in (0, 1)")
     mean = Z_new @ post.mu_t
     V = Z_new @ post.chol_inv.T              # z' W z = |L^{-1} z|^2, all rows at once
     quad = np.einsum("ij,ij->i", V, V)
@@ -153,8 +152,8 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
     y = np.asarray(y, dtype=np.float64)
     if not np.isin(y, (0.0, 1.0)).all():
         raise ParameterError("probit_gibbs requires a binary response in {0, 1}")
-    if not iterations > burnin >= 0:
-        raise ParameterError("need iterations > burnin >= 0")
+    checked_int("iterations", iterations, 1)
+    checked_int("burnin", burnin, 0, iterations)
     from scipy import special
     n, m = Z.shape
     upper_inv = _lower_inverse(np.linalg.cholesky(Z.T @ Z + np.eye(m))).T  # U = L'

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, checked_int, checked_number
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,9 @@ class ProjectionMatrix:
 def gen_rp_matrix(p_gamma: int, m: int, psi: float, rng: np.random.Generator,
                   column_map=None) -> ProjectionMatrix:
     """i.i.d. three-point entries: +-1/sqrt(2 psi) w.p. psi each, else 0, one uniform each."""
-    if not 0.0 < psi <= 0.5:
-        raise ParameterError(f"psi must lie in (0, 0.5], got {psi}")
-    if m < 1 or p_gamma < 1:
-        raise DimensionError("m and p_gamma must be >= 1")
+    checked_number("psi", psi, 0, 0.5, "(]")
+    checked_int("p_gamma", p_gamma, 1, error=DimensionError)
+    checked_int("m", m, 1, error=DimensionError)
     u = rng.random((m, p_gamma))
     v = 1.0 / np.sqrt(2.0 * psi)
     entries = np.where(u < psi, v, np.where(u < 2.0 * psi, -v, 0.0))
@@ -68,8 +67,7 @@ def gen_pcr_matrix(X_gamma: np.ndarray, m: int, column_map=None) -> ProjectionMa
     X_gamma = np.asarray(X_gamma, dtype=np.float64)
     if X_gamma.ndim != 2 or X_gamma.shape[1] < 1:
         raise DimensionError("X_gamma must be a non-empty 2-d matrix")
-    if m < 1:
-        raise DimensionError("m must be >= 1")
+    checked_int("m", m, 1, error=DimensionError)
     _, s, vt = np.linalg.svd(X_gamma, full_matrices=False)
     if s.size and s[0] > 0:
         rank = int((s > s[0] * max(X_gamma.shape) * np.finfo(np.float64).eps).sum())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _column_blocks
-from .errors import DimensionError, IngestionError, ParameterError
+from .errors import DimensionError, IngestionError, ParameterError, checked_number
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class InclusionProbs:
         utility = np.array(self.utility, dtype=np.float64)
         if q.ndim != 1:
             raise DimensionError("q must be a vector")
-        if ((q < 0) | (q > 1)).any():
+        if not ((q >= 0) & (q <= 1)).all():  # a passing condition, so that NaN fails it
             raise ParameterError("inclusion probabilities must lie in [0, 1]")
         q.setflags(write=False)
         utility.setflags(write=False)
@@ -93,16 +93,15 @@ def inclusion_probabilities(r: np.ndarray, delta: float) -> InclusionProbs:
     compressed-regression / PCR limit).  If every utility is zero the result
     is flagged degenerate with q = 0 and the caller chooses a fallback.
     """
-    if delta < 0:
-        raise ParameterError(f"delta must be >= 0, got {delta}")
+    delta = checked_number("delta", delta, 0, ends="[)")
     r = np.asarray(r, dtype=np.float64)
     a = np.abs(r)
     if delta == 0.0:
         return InclusionProbs(np.ones_like(a), r, 0.0)
     amax = a.max() if a.size else 0.0
     if amax == 0.0:
-        return InclusionProbs(np.zeros_like(a), r, float(delta), degenerate=True)
-    return InclusionProbs((a / amax) ** delta, r, float(delta))
+        return InclusionProbs(np.zeros_like(a), r, delta, degenerate=True)
+    return InclusionProbs((a / amax) ** delta, r, delta)
 
 
 def sample_gamma(q: InclusionProbs, rng: np.random.Generator) -> GammaMask:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._blas import one_thread
 from .data import Dataset, all_finite
-from .errors import DimensionError, IngestionError, ParameterError
+from .errors import DimensionError, IngestionError, ParameterError, checked_int, checked_number
 
 SCHEME_AR1 = "ar1"
 SCHEME_BLOCK = "block"
@@ -38,6 +38,7 @@ _AR1_RHO = 0.3
 _BLOCK_SIZE, _BLOCK_RHO_LOW, _BLOCK_RHO_HIGH = 100, 0.3, 0.9
 _N_OUTLIERS, _OUTLIER_SD = 5, 10.0  # pcr's outlier training rows
 _T_MAX = 10.0  # bridge
+_MIN_P = {SCHEME_BLOCK: 400, SCHEME_PCR: 3, SCHEME_BRIDGE: 2}  # two blocks; rank 3; two points
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,16 @@ class SchemeSpec:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}")
-        if self.n < 2 or self.p < 1 or self.n_test < 1:
-            raise DimensionError("need n >= 2, p >= 1, n_test >= 1")
+        for name, lo in (("n", 2), ("p", 1), ("n_test", 1)):
+            checked_int(name, getattr(self, name), lo, error=DimensionError)
+        checked_int(f"p for scheme {self.scheme!r}", self.p, _MIN_P.get(self.scheme, 1))
+        checked_int("n_active", self.n_active, 0)
         if self.scheme != SCHEME_PCR and self.n_active > self.p:
             raise ParameterError("n_active cannot exceed p")
-        # passing conditions, so that NaN fails them
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 64):
-            raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not self.n_active >= 0:
-            raise ParameterError(f"n_active must be >= 0, got {self.n_active}")
-        if not 0 <= self.noise_sd < np.inf:
-            raise ParameterError(f"noise_sd must be >= 0 and finite, got {self.noise_sd}")
-        if not abs(self.coef_value) < np.inf:
-            raise ParameterError(f"coef_value must be finite, got {self.coef_value}")
+        checked_number("coef_value", self.coef_value)
+        checked_number("noise_sd", self.noise_sd, 0, ends="[)")
+        checked_int("seed", self.seed, 0, 1 << 64)
         if self.scheme == SCHEME_BLOCK:
-            if self.p < 400:
-                raise ParameterError("block scheme needs p >= 400")
             if (self.p - 200) % _BLOCK_SIZE:
                 raise ParameterError(f"block scheme needs p - 200 a multiple of {_BLOCK_SIZE}")
             n_blocks = (self.p - 200) // _BLOCK_SIZE
@@ -78,11 +73,7 @@ class SchemeSpec:
                 raise ParameterError(f"n_active must be <= {n_high + 1}, one more than the "
                                      f"{n_high} high-correlation columns at p = {self.p}, "
                                      f"got {self.n_active}")
-        if self.scheme == SCHEME_BRIDGE and self.p < 2:
-            raise ParameterError(f"p must be >= 2 for scheme {SCHEME_BRIDGE!r}, got {self.p}")
         if self.scheme == SCHEME_PCR:
-            if self.p < 3:
-                raise ParameterError("rank-3 scheme needs p >= 3")
             if self.n <= _N_OUTLIERS:
                 raise ParameterError(f"pcr scheme needs n > {_N_OUTLIERS}, its outlier rows")
             for name in ("n_active", "coef_value"):  # beta is the unit leading direction

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, checked_number
 
 # B_2k / (2k (2k - 1)): the Stirling series of log Gamma, exact to < 1e-16 from 10 up
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
@@ -31,29 +31,25 @@ _HILL = (((1, 1), 4), ((3, 16, 5), 96), ((-15, 17, 19, 3), 384),
 
 
 def t_cdf(x, df):
-    """P(T <= x) for T Student-t with df > 0 degrees of freedom."""
-    if df <= 0:
-        raise ParameterError("df must be positive")
+    """P(T <= x) for T Student-t with a finite df > 0 degrees of freedom."""
+    checked_number("df", df, 0)
     from scipy.special import stdtr
     return stdtr(df, x)
 
 
 def t_ppf(prob, df):
     """Quantile of the Student-t: inverse of ``t_cdf`` in its first argument."""
-    if not 0 < df < math.inf:
-        raise ParameterError("df must be positive and finite")
+    df = checked_number("df", df, 0)
     prob = np.asarray(prob, dtype=np.float64)
     if not ((prob > 0) & (prob < 1)).all():
         raise ParameterError("probability must lie strictly in (0, 1)")
-    out = np.array([_quantile(p, float(df)) for p in prob.ravel().tolist()])
+    out = np.array([_quantile(p, df) for p in prob.ravel().tolist()])
     return float(out[0]) if prob.ndim == 0 else out.reshape(prob.shape)
 
 
 def t_interval_halfwidth(level, df):
     """Half-width multiplier of a central ``level`` interval: upper-tail quantile."""
-    if not 0.0 < level < 1.0:
-        raise ParameterError("level must lie in (0, 1)")
-    return float(t_ppf((1.0 + level) / 2.0, df))
+    return float(t_ppf((1.0 + checked_number("level", level, 0, 1)) / 2.0, df))
 
 
 @lru_cache(maxsize=1024)

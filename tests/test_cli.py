@@ -236,6 +236,11 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("fit", ["--seed", str(2 ** 64)], None),
     ("benchmark", _BENCH_FLAGS + ["--seed", "-3"], None),
     ("screen", ["--seed", "-1"], None),
+    # each used to run: delta failed on the summary JSON after every replicate,
+    # a or b at 1e308 (2a or 2b overflows) inside replicate 0
+    ("fit", ["--delta", "inf"], None),
+    ("fit", ["--a-sigma", "1e308"], None),
+    ("fit", ["--b-sigma", "1e308"], None),
 ], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
         "screen-delta-abc", "config-burnin-exceeds-iterations",
         "benchmark-m-without-no-aggregate", "benchmark-psi-without-no-aggregate",
@@ -244,7 +249,8 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
         "benchmark-replicates-with-no-aggregate",
         "benchmark-config-replicates-with-no-aggregate",
         "benchmark-config-m-range-with-no-aggregate", "fit-seed-2-64",
-        "benchmark-seed-negative", "screen-seed-negative"])
+        "benchmark-seed-negative", "screen-seed-negative", "delta-inf", "a-sigma-1e308",
+        "b-sigma-1e308"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
@@ -276,6 +282,9 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
         assert f"{cfg}:1:" in payload["message"]
     if cfg_text == "backend=sparse-ris-rp\n":
         assert payload["message"] == "backend must be one of ('ris-rp', 'ris-pcr')"
+    for flag in ("--delta", "--a-sigma", "--b-sigma"):
+        if flag in flags:
+            assert flag[2:].replace("-", "_") in payload["message"]
     assert not list(tmp_path.glob("bad.*"))  # no predictions or summary written
 
 

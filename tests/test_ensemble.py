@@ -1,14 +1,16 @@
+import re
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tarpreg import (Dataset, DimensionError, IngestionError, ParameterError, PriorHyper,
                      ReplicateError, TarpConfig, TarpError, TarpResult, apply_standardization,
-                     fit_compressed, kfold_mse, run_replicate, run_tarp, run_tarp_binary,
-                     screening_probs, standardize)
+                     fit_compressed, gen_pcr_matrix, gen_rp_matrix, inclusion_probabilities,
+                     kfold_mse, predict, probit_gibbs, run_replicate, run_tarp, run_tarp_binary,
+                     screening_probs, standardize, t_interval_halfwidth, t_ppf)
 from tarpreg.ensemble import BACKENDS
 from tarpreg.simulate import SchemeSpec, generate
 
@@ -173,13 +175,89 @@ def test_m_range_fails_the_run_before_any_replicate():
     *[(cls, {**scheme, "seed": seed}) for cls, scheme in ((TarpConfig, {}),
                                                           (SchemeSpec, {"scheme": "ar1"}))
       for seed in (-1, 2 ** 64, float("nan"), 1.5, "3")],
+    # each of these was accepted, or failed with a TypeError or ValueError, or failed
+    # later: inside replicate 0, or on the summary JSON after every replicate had run
+    (TarpConfig, {"probit_burnin": 10, "probit_iterations": 50.5}),
+    (TarpConfig, {"probit_burnin": 10.5}),
+    (TarpConfig, {"probit_burnin": False, "probit_iterations": True}),
+    (TarpConfig, {"psi_range": (0.1, 0.2, 0.3)}),
+    (TarpConfig, {"psi_range": 0.2}),
+    (TarpConfig, {"m_range": (3,)}),
+    (TarpConfig, {"m_range": 5}),
+    (TarpConfig, {"level": "0.5"}),
+    (TarpConfig, {"delta": float("inf")}),
+    (TarpConfig, {"delta": "1e400"}),
+    (PriorHyper, {"a_sigma": "1"}),
+    (PriorHyper, {"a_sigma": True}),
+    (PriorHyper, {"a_sigma": 1e308}),
+    (PriorHyper, {"b_sigma": 1e308}),
+    (SchemeSpec, {"scheme": "ar1", "n_active": 2.5}),
 ], ids=["delta-abc", "delta-nan", "b_sigma-nan", "burnin-exceeds-iterations",
         "burnin-negative", "replicates-nan", "replicates-float", "m-range-nan",
         *[f"{cls}-seed-{seed}" for cls in ("config", "scheme")
-          for seed in ("negative", "2-64", "nan", "float", "str")]])
+          for seed in ("negative", "2-64", "nan", "float", "str")],
+        "iterations-float", "burnin-float", "iterations-bool", "psi-range-triple",
+        "psi-range-scalar", "m-range-single", "m-range-scalar", "level-str", "delta-inf",
+        "delta-str-overflows", "a_sigma-str", "a_sigma-bool", "a_sigma-doubles-to-inf",
+        "b_sigma-doubles-to-inf", "n-active-float"])
 def test_settings_reject_unparsed_and_non_finite_values(cls, kwargs):
     with pytest.raises(ParameterError, match=list(kwargs)[-1]):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["n", "p", "n_test"])
+def test_scheme_sizes_reject_non_integers(field):
+    with pytest.raises(DimensionError, match=rf"^{field} must be an integer"):
+        SchemeSpec("ar1", **{field: 40.5})
+
+
+@pytest.mark.parametrize("call, error, field", [
+    (lambda Z, y, post, rng: inclusion_probabilities(np.array([0.5, -0.2]), float("nan")),
+     ParameterError, "delta"),
+    (lambda Z, y, post, rng: gen_rp_matrix(2.5, 3, 0.2, rng), DimensionError, "p_gamma"),
+    (lambda Z, y, post, rng: gen_pcr_matrix(Z, 2.5), DimensionError, "m"),
+    (lambda Z, y, post, rng: probit_gibbs(Z, (y > 0).astype(float), 20.5, 5, rng),
+     ParameterError, "iterations"),
+    (lambda Z, y, post, rng: kfold_mse(Z, y, post, 2.5, np.arange(len(y))),
+     ParameterError, "k"),
+    (lambda Z, y, post, rng: predict(post, Z, "0.5"), ParameterError, "level"),
+    (lambda Z, y, post, rng: t_interval_halfwidth("0.5", 10.0), ParameterError, "level"),
+    (lambda Z, y, post, rng: t_ppf(0.75, "10"), ParameterError, "df"),
+], ids=["inclusion-delta-nan", "rp-p-gamma-float", "pcr-m-float", "gibbs-iterations-float",
+        "kfold-k-float", "predict-level-str", "halfwidth-level-str", "t-ppf-df-str"])
+def test_functions_reject_unparsed_and_non_finite_arguments(call, error, field):
+    # each was accepted (2.5 folds ran, NaN delta gave NaN probabilities) or raised
+    # a TypeError
+    rng = np.random.default_rng(3)
+    Z, y = rng.normal(size=(10, 2)), rng.normal(size=10)
+    with pytest.raises(error, match=rf"^{field} must be"):
+        call(Z, y, fit_compressed(Z, y, PriorHyper()), rng)
+
+
+_SCHEME_VALID = {"scheme": "bridge", "n": 30, "p": 600, "n_test": 5, "n_active": 3,
+                 "coef_value": -2.0, "noise_sd": 0.5, "seed": 7}
+_SETTINGS = [(cls, f.name) for cls in (TarpConfig, SchemeSpec, PriorHyper) for f in fields(cls)]
+_VALID = object()  # stands for a valid value of the drawn field
+_ODD_VALUES = [0, 1, -1, 2.5, float("nan"), float("inf"), -float("inf"), 1e308, True, "1",
+               None, (1,), (1, 2, 3)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(setting=st.sampled_from(_SETTINGS), value=st.sampled_from([_VALID, *_ODD_VALUES]))
+@example(setting=(TarpConfig, "probit_iterations"), value=50.5)  # once failed in replicate 0
+@example(setting=(TarpConfig, "delta"), value=float("inf"))      # once failed on the JSON
+def test_a_setting_is_accepted_or_rejected_by_name(setting, value):
+    cls, name = setting
+    if value is _VALID:
+        value = (_SCHEME_VALID if cls is SchemeSpec
+                 else {**_off_default(TarpConfig()), "prior": PriorHyper(a_sigma=3.0)})[name]
+    try:  # a TypeError or ValueError fails the test
+        if cls is SchemeSpec:
+            SchemeSpec(value) if name == "scheme" else SchemeSpec("ar1", **{name: value})
+        else:
+            cls(**{name: value})
+    except TarpError as exc:
+        assert re.search(rf"\b{name}\b", str(exc)), (cls.__name__, name, value, str(exc))
 
 
 def test_largest_seed_is_accepted():

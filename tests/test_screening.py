@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tarpreg import (Dataset, DimensionError, ParameterError, default_delta,
+from tarpreg import (Dataset, DimensionError, InclusionProbs, ParameterError, default_delta,
                      inclusion_probabilities, marginal_utility, sample_gamma,
                      standardize)
 
@@ -148,3 +148,9 @@ def test_selection_frequency_matches_q():
     freq = draws / n
     se = np.sqrt(np.maximum(probs.q * (1 - probs.q), 1e-12) / n)
     assert (np.abs(freq - probs.q) <= 4 * se + 1e-12).all()
+
+
+def test_inclusion_probs_reject_nan():
+    # the check is a passing condition: NaN lies in no interval
+    with pytest.raises(ParameterError, match="inclusion probabilities"):
+        InclusionProbs(np.array([0.5, np.nan]), np.zeros(2), 1.0)
