@@ -41,14 +41,11 @@ from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
                        draw_replicate, run_tarp, run_tarp_binary, screening_probs)
 from .errors import DimensionError, ParameterError, ReplicateError, TarpError, checked_int
 from .metrics import ecp_width, mspe
-from .posterior import PriorHyper
 from .simulate import SCHEMES, SchemeSpec, generate
 
 _CONFIG_SCHEMA = {
-    "backend": str, "delta": str, "replicates": int, "level": float,
-    "seed": int, "a_sigma": float, "b_sigma": float, "aggregation": str,
-    "m_lo": int, "m_hi": int, "probit_iterations": int, "probit_burnin": int,
-    "response": str,
+    "backend": str, "delta": str, "replicates": int, "level": float, "seed": int,
+    "aggregation": str, "m_lo": int, "m_hi": int, "probit_iterations": int, "probit_burnin": int,
 }
 
 
@@ -134,8 +131,6 @@ def _model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replicates", type=int)
     p.add_argument("--level", type=float)
     p.add_argument("--aggregation", choices=AGGREGATIONS)
-    p.add_argument("--a-sigma", type=float)
-    p.add_argument("--b-sigma", type=float)
 
 
 def cmd_simulate(args) -> int:
@@ -160,7 +155,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg, raw_cfg = _config_from_args(args)
-    response = _response(args, raw_cfg)
+    response = _response(args)
     read_started = time.perf_counter()
     train = read_csv(args.train, response=response)
     test_X, _, test_names = _read_table(args.test, response)  # no column statistics
@@ -294,8 +289,8 @@ def _benchmark_one(job) -> dict:
 
 
 def cmd_screen(args) -> int:
-    cfg, raw_cfg = _config_from_args(args)
-    std, _ = _standardized_inputs(read_csv(args.data, response=_response(args, raw_cfg)))
+    cfg, _ = _config_from_args(args)
+    std, _ = _standardized_inputs(read_csv(args.data, response=_response(args)))
     with one_thread():  # fit screens under the guard too, so the masks match at any count
         probs = screening_probs(std, cfg)
     counts = np.zeros(std.p)
@@ -351,26 +346,20 @@ def _spec_from_args(args) -> SchemeSpec:
 def _config_from_args(args):
     """Merge config-file values and CLI flags (flags win) into a TarpConfig.
 
-    Only the values the user gave are passed on; TarpConfig and PriorHyper
-    hold the defaults and the checks.  Returns the config and the file's own
-    values, unmerged.
+    Only the values the user gave are passed on; TarpConfig holds the defaults
+    and the checks.  Returns the config and the file's own values, unmerged.
     """
     raw = _read_config(args.config) if getattr(args, "config", None) else {}
-    if "response" in raw and not hasattr(args, "response"):  # benchmark's data is simulated
-        raise ParameterError(f"{args.config}: key 'response' does not apply to {args.command}")
     given = dict(raw)
     given.update((key, getattr(args, key)) for key in _CONFIG_SCHEMA
                  if getattr(args, key, None) is not None)
-    given.pop("response", None)
     if "replicates" in given:
         given["n_replicates"] = given.pop("replicates")
     if "m_lo" in given or "m_hi" in given:
         if not ("m_lo" in given and "m_hi" in given):
             raise ParameterError("config must set both m_lo and m_hi")
         given["m_range"] = (given.pop("m_lo"), given.pop("m_hi"))
-    prior = PriorHyper(**{f.name: given.pop(f.name) for f in fields(PriorHyper)
-                          if f.name in given})
-    return TarpConfig(**given, prior=prior), raw
+    return TarpConfig(**given), raw
 
 
 def _read_config(path) -> dict:
@@ -399,10 +388,9 @@ def _read_config(path) -> dict:
     return values
 
 
-def _response(args, raw_cfg):
-    """The response column from the flag, else the config file, else the last column:
-    an index if its value parses as an int, else a name."""
-    value = args.response if args.response is not None else raw_cfg.get("response", "-1")
+def _response(args):
+    """The --response column, else the last: an index if it parses as an int, else a name."""
+    value = args.response if args.response is not None else "-1"
     try:
         return int(value)
     except ValueError:

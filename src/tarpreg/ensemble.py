@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -71,13 +70,13 @@ class TarpConfig:
     n_replicates: int = 100
     m_range: Optional[tuple] = None   # default [ceil(2 ln p), floor(3n/4)] clipped to [1, p]
     psi_range: tuple = (0.1, 0.4)
-    prior: PriorHyper = field(default_factory=PriorHyper)
     aggregation: str = AGG_AVERAGE
     level: float = 0.5
     seed: int = 0
     probit_iterations: int = 2000
     probit_burnin: int = 500
     keep_replicates: bool = True
+    prior: ClassVar[PriorHyper] = PriorHyper()  # sigma^2's fixed Inv-Gamma(0.02, 0.02)
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -99,6 +98,8 @@ class TarpConfig:
         checked_int("probit_iterations", self.probit_iterations, 1)
         checked_int("probit_burnin (below probit_iterations)", self.probit_burnin, 0,
                     self.probit_iterations)
+        if not isinstance(self.keep_replicates, bool):  # "no" is truthy
+            raise ParameterError(f"keep_replicates must be a bool, got {self.keep_replicates!r}")
         # a setting the backend never reads is an error, not a silent no-op
         if tuple(self.psi_range) != TarpConfig.psi_range and self.backend != BACKEND_RP:
             raise ParameterError(f"psi_range applies only to backend {BACKEND_RP!r}, "
@@ -341,11 +342,11 @@ def _checked_probs(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> Inclus
     if not all_finite(X_new):
         raise IngestionError("X_new contains non-finite entries")
     if train.response_kind == RESPONSE_BINARY:
-        path, names = "binary", ("aggregation", "level", "prior.a_sigma", "prior.b_sigma")
+        path, names = "binary", ("aggregation", "level")
     else:
         path, names = "Gaussian", ("probit_iterations", "probit_burnin")
     default = TarpConfig()
-    off = [name for name in names if attrgetter(name)(cfg) != attrgetter(name)(default)]
+    off = [name for name in names if getattr(cfg, name) != getattr(default, name)]
     if off:
         raise ParameterError(f"the {path} path never reads {', '.join(off)}: leave it at its default")
     if cfg.aggregation == AGG_CV and train.n < _K_FOLDS:

@@ -85,8 +85,8 @@ def fit_compressed(Z: np.ndarray, y: np.ndarray, prior: PriorHyper) -> Compresse
         raise DimensionError("y length must match Z rows")
     if not (np.isfinite(Z).all() and np.isfinite(y).all()):
         raise IngestionError("fit_compressed requires finite inputs")
-    n, m = Z.shape
-    chol_inv = _lower_inverse(np.linalg.cholesky(Z.T @ Z + np.eye(m)))
+    n = Z.shape[0]
+    chol_inv = _prior_factor_inverse(Z)
     Zty = Z.T @ y
     mu = chol_inv.T @ (chol_inv @ Zty)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
@@ -114,7 +114,10 @@ def predict(post: CompressedPosterior, Z_new: np.ndarray, level: float) -> Predi
     mean = Z_new @ post.mu_t
     V = Z_new @ post.chol_inv.T              # z' W z = |L^{-1} z|^2, all rows at once
     quad = np.einsum("ij,ij->i", V, V)
-    scale = np.sqrt(post.scale_factor * (1.0 + quad) / post.df)
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        scale = np.sqrt(post.scale_factor * (1.0 + quad) / post.df)
+    if not np.isfinite(scale).all():
+        raise TarpError(f"predictive scale must be finite, got {scale.max()}")
     half = t_interval_halfwidth(level, post.df) * scale
     return PredictiveSummary(mean, scale, post.df, mean - half, mean + half)
 
@@ -156,7 +159,7 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
     checked_int("burnin", burnin, 0, iterations)
     from scipy import special
     n, m = Z.shape
-    upper_inv = _lower_inverse(np.linalg.cholesky(Z.T @ Z + np.eye(m))).T  # U = L'
+    upper_inv = _prior_factor_inverse(Z).T  # U = L'
     B = np.where(y == 1.0, 1.0, -1.0)[:, None] * Z @ upper_inv
     e, scratch = np.zeros(n), np.empty((3, n))
     kept_v = np.empty((iterations - burnin, m))
@@ -176,6 +179,11 @@ def predict_probit(fit: ProbitFit, Z_new: np.ndarray) -> np.ndarray:
         raise DimensionError("Z_new column count does not match fit")
     from scipy import special
     return special.ndtr(Z_new @ fit.theta_mean)
+
+
+def _prior_factor_inverse(Z: np.ndarray) -> np.ndarray:
+    """L^{-1}, L the lower Cholesky factor of Z'Z + I (the unit theta prior's precision)."""
+    return _lower_inverse(np.linalg.cholesky(Z.T @ Z + np.eye(Z.shape[1])))
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:

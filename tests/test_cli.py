@@ -158,7 +158,7 @@ def test_fit_pcr_delta_zero_baseline(sim_dir, tmp_path):
 
 def test_fit_config_file_with_flag_override(sim_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\nreplicates=4\nlevel=0.8\na_sigma=0.1\n")
+    cfg.write_text("# comment line\nreplicates=4\nlevel=0.8\nseed=9\n")
     prefix = tmp_path / "cfgd"
     assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"),
                    "--config", str(cfg), "--replicates", "2",
@@ -166,40 +166,35 @@ def test_fit_config_file_with_flag_override(sim_dir, tmp_path):
     summary = json.loads((tmp_path / "cfgd.summary.json").read_text())
     assert summary["config"]["n_replicates"] == 2          # flag wins
     assert summary["config"]["level"] == 0.8               # file value applied
-    assert summary["config"]["prior"]["a_sigma"] == 0.1
+    assert summary["config"]["seed"] == 9
     assert summary["config_file_values"]["replicates"] == 4
 
 
 def test_config_file_values_echo_only_the_file(sim_dir, tmp_path):
-    cfg = tmp_path / "resp.cfg"
-    cfg.write_text("response=y\nreplicates=2\n")
-    runs = {"flag": ["--response", "y", "--replicates", "2"], "file": ["--config", str(cfg)],
-            "both": ["--config", str(cfg), "--response", "0"], "neither": ["--replicates", "2"]}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=5\nreplicates=2\n")
+    runs = {"flag": ["--seed", "5", "--replicates", "2"], "file": ["--config", str(cfg)],
+            "both": ["--config", str(cfg), "--seed", "6"], "neither": ["--replicates", "2"]}
     summaries = {}
     for name, flags in runs.items():
         assert run_cli("fit", str(sim_dir / "train.csv"), str(sim_dir / "test.csv"), *flags,
                        "--out", str(tmp_path / name)) == 0
         summaries[name] = json.loads((tmp_path / f"{name}.summary.json").read_text())
-    in_file = {"response": "y", "replicates": 2}
+    in_file = {"seed": 5, "replicates": 2}
     assert [s["config_file_values"] for s in summaries.values()] == [{}, in_file, in_file, {}]
-    assert [s["train"]["response"] for s in summaries.values()] == ["y", "y", 0, -1]
+    assert [s["config"]["seed"] for s in summaries.values()] == [5, 5, 6, 0]
 
 
-@pytest.mark.parametrize("command, spelling", [
-    ("fit", "flag"), ("fit", "config-file"), ("screen", "flag"),
-], ids=["fit-flag", "fit-config-file", "screen-flag"])
-def test_empty_response_is_an_ingestion_error(sim_dir, tmp_path, capsys, command, spelling):
+@pytest.mark.parametrize("command", ["fit", "screen"], ids=["fit-flag", "screen-flag"])
+def test_empty_response_is_an_ingestion_error(sim_dir, tmp_path, capsys, command):
     # an empty name is a name that is not in the header, not "use the default"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("response=\n")
-    flags = ["--response", ""] if spelling == "flag" else ["--config", str(cfg)]
     files = [str(sim_dir / "train.csv")] + ([str(sim_dir / "test.csv")] if command == "fit" else [])
-    assert run_cli(command, *files, *flags, "--replicates", "2",
+    assert run_cli(command, *files, "--response", "", "--replicates", "2",
                    "--out", str(tmp_path / "x")) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "IngestionError",
         "message": f"{sim_dir / 'train.csv'}: response column '' not found"}
-    assert list(tmp_path.iterdir()) == [cfg]
+    assert not list(tmp_path.iterdir())
 
 
 def test_fit_unknown_config_key_fails(sim_dir, tmp_path):
@@ -218,7 +213,6 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("fit", [], "replicates=abc\n"),
     ("fit", ["--delta", "abc"], None),
     ("fit", ["--delta", "nan"], None),
-    ("fit", ["--b-sigma", "nan"], None),
     ("screen", ["--delta", "abc"], None),
     ("fit", [], "probit_burnin=50\nprobit_iterations=10\n"),
     ("benchmark", _BENCH_FLAGS + ["--m", "5"], None),
@@ -227,8 +221,6 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "50"], None),
     ("benchmark", _BENCH_FLAGS + ["--backend", "ris-pcr", "--no-aggregate", "--m", "5",
                                   "--psi", "0.3"], None),
-    ("fit-binary", ["--a-sigma", "3"], None),
-    ("fit-binary", ["--b-sigma", "5"], None),
     ("fit", [], "backend=sparse-ris-rp\n"),
     ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "5", "--replicates", "50"], None),
     ("benchmark", _BENCH_FLAGS + ["--no-aggregate", "--m", "5"], "replicates=50\n"),
@@ -236,28 +228,22 @@ _BENCH_FLAGS = ["--scheme", "ar1", "--n", "20", "--p", "30", "--n-test", "4",
     ("fit", ["--seed", str(2 ** 64)], None),
     ("benchmark", _BENCH_FLAGS + ["--seed", "-3"], None),
     ("screen", ["--seed", "-1"], None),
-    # each used to run: delta failed on the summary JSON after every replicate,
-    # a or b at 1e308 (2a or 2b overflows) inside replicate 0
+    # used to run, and fail on the summary JSON after every replicate
     ("fit", ["--delta", "inf"], None),
-    ("fit", ["--a-sigma", "1e308"], None),
-    ("fit", ["--b-sigma", "1e308"], None),
-], ids=["config-replicates-abc", "delta-abc", "delta-nan", "b-sigma-nan",
+], ids=["config-replicates-abc", "delta-abc", "delta-nan",
         "screen-delta-abc", "config-burnin-exceeds-iterations",
         "benchmark-m-without-no-aggregate", "benchmark-psi-without-no-aggregate",
         "benchmark-workers-negative", "benchmark-m-above-p", "benchmark-psi-on-ris-pcr",
-        "binary-a-sigma", "binary-b-sigma", "config-sparse-backend-removed",
+        "config-sparse-backend-removed",
         "benchmark-replicates-with-no-aggregate",
         "benchmark-config-replicates-with-no-aggregate",
         "benchmark-config-m-range-with-no-aggregate", "fit-seed-2-64",
-        "benchmark-seed-negative", "screen-seed-negative", "delta-inf", "a-sigma-1e308",
-        "b-sigma-1e308"])
+        "benchmark-seed-negative", "screen-seed-negative", "delta-inf"])
 def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
                                                  command, flags, cfg_text):
     files = [] if command == "benchmark" else [str(sim_dir / "train.csv")]
     if command == "fit":
         files.append(str(sim_dir / "test.csv"))
-    if command == "fit-binary":
-        command, files = "fit", [str(_binary_csv(tmp_path))] * 2
     if cfg_text is not None:
         cfg = tmp_path / "settings.cfg"
         cfg.write_text(cfg_text)
@@ -282,10 +268,32 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
         assert f"{cfg}:1:" in payload["message"]
     if cfg_text == "backend=sparse-ris-rp\n":
         assert payload["message"] == "backend must be one of ('ris-rp', 'ris-pcr')"
-    for flag in ("--delta", "--a-sigma", "--b-sigma"):
-        if flag in flags:
-            assert flag[2:].replace("-", "_") in payload["message"]
+    if "--delta" in flags:
+        assert "delta" in payload["message"]
     assert not list(tmp_path.glob("bad.*"))  # no predictions or summary written
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--a-sigma", "1"]),
+    ("benchmark", ["--b-sigma", "1"]),
+    ("fit", ["--b-sigma", "nan"]),
+    ("fit", ["--a-sigma", "1e308"]),
+    ("fit", ["--b-sigma", "1e308"]),
+], ids=["fit-a-sigma", "benchmark-b-sigma", "fit-b-sigma-nan", "fit-a-sigma-1e308",
+        "fit-b-sigma-1e308"])
+def test_removed_prior_flag_is_one_json_usage_error(sim_dir, tmp_path, capsys, command, flags):
+    # sigma^2's Inv-Gamma(0.02, 0.02) prior is fixed, not a setting
+    files = (_BENCH_FLAGS if command == "benchmark"
+             else [str(sim_dir / "train.csv"), str(sim_dir / "test.csv")])
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, *files, *flags, "--out", str(tmp_path / "x"))
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "UsageError"
+    assert f"unrecognized arguments: {' '.join(flags)}" in payload["message"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("cfg_text, message", [
@@ -299,9 +307,13 @@ def test_bad_setting_is_one_json_parameter_error(sim_dir, tmp_path, capsys,
     ("psi_hi=0.3\n", "{cfg}:1: unknown key 'psi_hi'"),
     ("aggregation=cv\npi_method=mixture\n", "{cfg}:2: unknown key 'pi_method'"),
     ("aggregation=model-average\npi_method=mixture\n", "{cfg}:2: unknown key 'pi_method'"),
+    ("a_sigma=0.1\n", "{cfg}:1: unknown key 'a_sigma'"),
+    ("replicates=2\nb_sigma=0.02\n", "{cfg}:2: unknown key 'b_sigma'"),
+    ("response=y\n", "{cfg}:1: unknown key 'response'"),
 ], ids=["repeated-key", "center-y-removed", "kappa-removed", "k-folds-removed",
         "theta-scale-removed", "probit-average-removed", "psi-lo-removed", "psi-hi-removed",
-        "pi-method-mixture-cv-removed", "pi-method-mixture-model-average-removed"])
+        "pi-method-mixture-cv-removed", "pi-method-mixture-model-average-removed",
+        "a-sigma-removed", "b-sigma-removed", "response-removed"])
 def test_config_file_error_names_line_and_key(sim_dir, tmp_path, capsys, cfg_text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(cfg_text)
@@ -542,10 +554,7 @@ def test_cli_defaults_are_the_dataclass_defaults(sim_dir, tmp_path):
 def _config_key_default(key):
     # the field a key sets, so a key that outlives its field raises AttributeError
     cfg = TarpConfig()
-    by_key = {"replicates": cfg.n_replicates, "response": "-1"}  # "-1": the last column
-    if key in by_key:
-        return by_key[key]
-    return getattr(cfg.prior if hasattr(cfg.prior, key) else cfg, key)
+    return cfg.n_replicates if key == "replicates" else getattr(cfg, key)
 
 
 def test_every_config_key_parses_to_its_own_default(tmp_path):
@@ -571,9 +580,8 @@ def test_benchmark_config_response_key_is_named(tmp_path, capsys):
     cfg.write_text("replicates=2\nresponse=y\n")
     assert run_cli("benchmark", *_BENCH_FLAGS, "--config", str(cfg),
                    "--out", str(tmp_path / "b")) == 1
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "ParameterError"
-    assert "'response'" in payload["message"] and str(cfg) in payload["message"]
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ParameterError", "message": f"{cfg}:2: unknown key 'response'"}
     assert not list(tmp_path.glob("b.*"))
 
 

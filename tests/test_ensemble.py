@@ -192,6 +192,10 @@ def test_m_range_fails_the_run_before_any_replicate():
     (PriorHyper, {"a_sigma": 1e308}),
     (PriorHyper, {"b_sigma": 1e308}),
     (SchemeSpec, {"scheme": "ar1", "n_active": 2.5}),
+    # a truthy "no" kept the replicate records
+    (TarpConfig, {"keep_replicates": "no"}),
+    (TarpConfig, {"keep_replicates": 1}),
+    (TarpConfig, {"keep_replicates": None}),
 ], ids=["delta-abc", "delta-nan", "b_sigma-nan", "burnin-exceeds-iterations",
         "burnin-negative", "replicates-nan", "replicates-float", "m-range-nan",
         *[f"{cls}-seed-{seed}" for cls in ("config", "scheme")
@@ -199,7 +203,8 @@ def test_m_range_fails_the_run_before_any_replicate():
         "iterations-float", "burnin-float", "iterations-bool", "psi-range-triple",
         "psi-range-scalar", "m-range-single", "m-range-scalar", "level-str", "delta-inf",
         "delta-str-overflows", "a_sigma-str", "a_sigma-bool", "a_sigma-doubles-to-inf",
-        "b_sigma-doubles-to-inf", "n-active-float"])
+        "b_sigma-doubles-to-inf", "n-active-float", "keep-replicates-str",
+        "keep-replicates-int", "keep-replicates-none"])
 def test_settings_reject_unparsed_and_non_finite_values(cls, kwargs):
     with pytest.raises(ParameterError, match=list(kwargs)[-1]):
         cls(**kwargs)
@@ -250,7 +255,7 @@ def test_a_setting_is_accepted_or_rejected_by_name(setting, value):
     cls, name = setting
     if value is _VALID:
         value = (_SCHEME_VALID if cls is SchemeSpec
-                 else {**_off_default(TarpConfig()), "prior": PriorHyper(a_sigma=3.0)})[name]
+                 else {**_off_default(TarpConfig()), "a_sigma": 3.0, "b_sigma": 5.0})[name]
     try:  # a TypeError or ValueError fails the test
         if cls is SchemeSpec:
             SchemeSpec(value) if name == "scheme" else SchemeSpec("ar1", **{name: value})
@@ -263,6 +268,13 @@ def test_a_setting_is_accepted_or_rejected_by_name(setting, value):
 def test_largest_seed_is_accepted():
     for seed in (2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
         assert TarpConfig(seed=seed).seed == SchemeSpec("ar1", seed=seed).seed == 2 ** 64 - 1
+
+
+def test_sigma2_prior_is_fixed_not_a_setting():
+    assert TarpConfig.prior == TarpConfig().prior == PriorHyper(0.02, 0.02)
+    assert "prior" not in {f.name for f in fields(TarpConfig)}
+    with pytest.raises(TypeError):
+        TarpConfig(prior=PriorHyper(b_sigma=5.0))
 
 
 def test_delta_string_is_stored_as_its_float():
@@ -403,10 +415,8 @@ def test_phase_times_are_the_five_phases_within_the_wall_time(path):
 
 @pytest.mark.parametrize("setting", [dict(aggregation="cv"),
                                      dict(aggregation="model-average"),
-                                     dict(level=0.9),
-                                     dict(prior=PriorHyper(a_sigma=3.0)),
-                                     dict(prior=PriorHyper(b_sigma=5.0))],
-                         ids=["cv", "model-average", "level", "a_sigma", "b_sigma"])
+                                     dict(level=0.9)],
+                         ids=["cv", "model-average", "level"])
 def test_binary_path_rejects_settings_it_cannot_honour(setting):
     train, Xn = _binary_toy()
     cfg = TarpConfig(n_replicates=2, probit_iterations=20, probit_burnin=5, **setting)
@@ -417,8 +427,8 @@ def test_binary_path_rejects_settings_it_cannot_honour(setting):
 @pytest.mark.parametrize("setting, message", [
     (dict(probit_iterations=3000), "Gaussian path never reads probit_iterations"),
     (dict(probit_burnin=100), "Gaussian path never reads probit_burnin"),
-    (dict(prior=PriorHyper(b_sigma=5.0)), "binary path never reads prior.b_sigma"),
-], ids=["probit-iterations", "probit-burnin", "binary-b-sigma"])
+    (dict(level=0.9), "binary path never reads level"),
+], ids=["probit-iterations", "probit-burnin", "binary-level"])
 def test_a_setting_the_path_never_reads_is_named(setting, message):
     if "binary" in message:
         train, Xn = _binary_toy()
@@ -431,12 +441,11 @@ def test_a_setting_the_path_never_reads_is_named(setting, message):
 
 
 def _off_default(cfg):
-    """A value off its default, and off ``cfg``'s, for each TarpConfig and PriorHyper field."""
+    """A value off its default, and off ``cfg``'s, for each TarpConfig field."""
     return {"backend": "ris-pcr", "delta": 0.5, "n_replicates": cfg.n_replicates + 1,
             "m_range": (2, 4), "psi_range": (0.2, 0.3), "aggregation": "model-average",
             "level": 0.8, "seed": cfg.seed + 1, "probit_iterations": cfg.probit_iterations + 1,
-            "probit_burnin": cfg.probit_burnin + 1, "keep_replicates": False,
-            "a_sigma": 3.0, "b_sigma": 5.0}
+            "probit_burnin": cfg.probit_burnin + 1, "keep_replicates": False}
 
 
 def _same_result(a, b):
@@ -455,26 +464,23 @@ def _same_result(a, b):
 @pytest.mark.parametrize("path", ["continuous", "binary"])
 def test_every_run_setting_changes_the_result_or_is_rejected(path):
     # a setting the run never reads must not pass silently; this also covers
-    # the next field added to TarpConfig or PriorHyper
+    # the next field added to TarpConfig
     if path == "binary":
         (train, Xn), run = _binary_toy(), run_tarp_binary
         base = TarpConfig(n_replicates=2, probit_iterations=40, probit_burnin=10)
-        never_read = {"aggregation", "level", "a_sigma", "b_sigma"}
+        never_read = {"aggregation", "level"}
     else:
         (train, Xn, _), run = _toy(seed=26), run_tarp
         base = TarpConfig(n_replicates=2)
         never_read = {"probit_iterations", "probit_burnin"}
     off = _off_default(base)
-    prior_fields = {f.name for f in fields(PriorHyper)}
-    assert set(off) == {f.name for f in fields(TarpConfig) if f.name != "prior"} | prior_fields
+    assert set(off) == {f.name for f in fields(TarpConfig)}
     expected = run(train, Xn, base)
     rejected = set()
     for name, value in off.items():
-        assert value != getattr(TarpConfig(), name, getattr(PriorHyper(), name, None)), name
+        assert value != getattr(TarpConfig(), name), name
         try:
-            cfg = (replace(base, prior=replace(base.prior, **{name: value}))
-                   if name in prior_fields else replace(base, **{name: value}))
-            result = run(train, Xn, cfg)
+            result = run(train, Xn, replace(base, **{name: value}))
         except ParameterError as exc:
             assert name in str(exc), (name, str(exc))
             rejected.add(name)

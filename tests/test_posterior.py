@@ -104,6 +104,16 @@ def test_predict_validates():
         predict(post, np.zeros((1, 2)), 1.0)
 
 
+def test_predict_rejects_an_overflowing_predictive_scale():
+    # scale factor * (1 + z'Wz) overflowed to +-inf endpoints with a RuntimeWarning
+    rng = np.random.default_rng(2)
+    Z, y = rng.normal(size=(20, 3)), rng.normal(size=20)
+    post = fit_compressed(Z, y, PriorHyper(b_sigma=8e307))
+    with pytest.raises(TarpError, match="predictive scale must be finite, got inf"):
+        predict(post, rng.normal(size=(4, 3)), 0.5)
+    assert np.isfinite(predict(post, np.zeros((1, 3)), 0.5).upper).all()  # z'Wz = 0 still fits
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 8), st.integers(1, 6),
        st.integers(0, 2 ** 31 - 1), st.floats(0.05, 0.95))
