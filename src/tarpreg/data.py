@@ -46,6 +46,8 @@ class Dataset:
         means, scales = (np.asarray(a, dtype=np.float64) for a in (self.col_means, self.col_scales))
         if X.ndim != 2:
             raise DimensionError(f"X must be 2-d, got ndim={X.ndim}")
+        if X.shape[1] < 1:
+            raise IngestionError(f"a predictor column is needed, got X of shape {X.shape}")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise DimensionError(f"y length {y.shape} does not match X rows {X.shape[0]}")
         for name, a in (("X", X), ("y", y)):

@@ -1,7 +1,7 @@
 """Evaluation metrics: MSPE, interval coverage/width, classification scores.
 
 Conventions stated once: coverage counts the closed interval
-lower <= y <= upper; a predicted probability exactly at the threshold
+lower <= y <= upper; a predicted probability exactly at the 0.5 threshold
 classifies as positive; calibration bins are the ten intervals
 [0, 0.1), ..., [0.9, 1.0] and empty bins are excluded from the mean.
 """
@@ -33,8 +33,8 @@ def ecp_width(lower, upper, ytrue):
     return ecp, float(np.mean(upper - lower))
 
 
-def misclass(probs, ytrue, threshold: float = 0.5) -> float:
-    """Misclassification rate with prob >= threshold classified as 1."""
+def misclass(probs, ytrue) -> float:
+    """Misclassification rate with prob >= 0.5 classified as 1."""
     probs = np.asarray(probs, dtype=np.float64)
     ytrue = np.asarray(ytrue, dtype=np.float64)
     if probs.shape != ytrue.shape:
@@ -43,7 +43,7 @@ def misclass(probs, ytrue, threshold: float = 0.5) -> float:
         raise ParameterError("probabilities must lie in [0, 1]")
     if not np.isin(ytrue, (0.0, 1.0)).all():
         raise ParameterError("ytrue must be binary")
-    return float(np.mean((probs >= threshold) != (ytrue == 1.0)))
+    return float(np.mean((probs >= 0.5) != (ytrue == 1.0)))
 
 
 def roc_auc(scores, ytrue) -> float:

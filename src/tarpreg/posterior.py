@@ -15,8 +15,10 @@ one product, log det W (the evidence) from its diagonal, and W on request.
 
 For binary responses a probit data-augmentation Gibbs sampler replaces the
 closed form: latent y*_i ~ N(z_i'theta, 1) with y*_i > 0 iff y_i = 1, and
-theta | y* ~ N((Z'Z + I)^{-1} Z'y*, (Z'Z + I)^{-1}).  Only this binary path
-imports ``scipy.special`` (on first use); the Gaussian one needs numpy alone.
+theta | y* ~ N((Z'Z + I)^{-1} Z'y*, (Z'Z + I)^{-1}).  The sampler draws its
+truncated latent inline, in buffers it allocates once per chain.  Only this
+binary path imports ``scipy.special`` (on first use); the Gaussian one needs
+numpy alone.
 """
 from __future__ import annotations
 
@@ -146,10 +148,15 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
     the post-burnin mean of theta and the draws.
 
     The chain runs on the reflected latent w = S y* with S = diag(+-1) from
-    the labels, so every w is truncated to [0, inf).  All linear algebra is
-    done once: with U'U = Z'Z + I and B = S Z U^{-1}, the chain carries v = U theta,
-    so each iteration is two products with one n x m operator, v = B'w + N(0, I)
-    and the next latent mean B v; one product maps the kept v back to theta.
+    the labels, so every w_i ~ N(e_i, 1) is truncated to [0, inf), where
+    e = S eta is the reflected latent mean.  w is drawn by the inverse CDF in
+    the complementary tail, w = e - Phi^{-1}(u Phi(e)), stable down to ~1e-300
+    tail mass Phi(e); below that mass, which means e < -37
+    (ndtr(-37) = 5.7e-300), the law is approximated by the boundary
+    exponential with rate -e.  All linear algebra is done once: with
+    U'U = Z'Z + I and B = S Z U^{-1}, the chain carries v = U theta, so each
+    iteration is two products with one n x m operator, v = B'w + N(0, I) and
+    the next latent mean B v; one product maps the kept v back to theta.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -157,17 +164,23 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
         raise ParameterError("probit_gibbs requires a binary response in {0, 1}")
     checked_int("iterations", iterations, 1)
     checked_int("burnin", burnin, 0, iterations)
-    from scipy import special
+    from scipy.special import ndtr, ndtri
     n, m = Z.shape
     upper_inv = _prior_factor_inverse(Z).T  # U = L'
     B = np.where(y == 1.0, 1.0, -1.0)[:, None] * Z @ upper_inv
-    e, scratch = np.zeros(n), np.empty((3, n))
+    e, (u, q, w) = np.zeros(n), np.empty((3, n))
     kept_v = np.empty((iterations - burnin, m))
     for it in range(iterations):
-        v = B.T @ _truncated_latent(e, rng, special, scratch) + rng.standard_normal(m)
+        rng.random(out=u)
+        ndtr(e, out=q)                   # mass of N(e, 1) above the truncation point
+        ndtri(np.maximum(np.multiply(u, q, out=w), 1e-308, out=w), out=w)
+        np.subtract(e, w, out=w)
+        if np.minimum.reduce(q) < 1e-300:     # one C-level reduction per iteration
+            deep = q < 1e-300
+            w[deep] = -np.log(u[deep]) / -e[deep]
+        v = kept_v[max(it - burnin, 0)]  # a burn-in draw is overwritten by the next
+        np.add(B.T @ w, rng.standard_normal(m), out=v)
         np.matmul(B, v, out=e)
-        if it >= burnin:
-            kept_v[it - burnin] = v
     kept = kept_v @ upper_inv.T
     return ProbitFit(kept.mean(axis=0), kept)
 
@@ -197,24 +210,3 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
     return out
 
-
-def _truncated_latent(e: np.ndarray, rng, special, scratch=None) -> np.ndarray:
-    """Sample w_i ~ N(e_i, 1) truncated to [0, inf).
-
-    This is the latent y*_i ~ N(eta_i, 1), truncated to (0, inf) if y_i = 1
-    and to (-inf, 0] otherwise, reflected by s_i = +-1: e = s eta, y* = s w.
-    Inverse-CDF in the complementary tail (stable down to ~1e-300 tail mass);
-    below that mass, which means e < -37 (ndtr(-37) = 5.7e-300), the law is
-    approximated by the boundary exponential with rate -e.  ``special`` is
-    scipy.special.  The rows of a 3 x n ``scratch`` array, if given, hold u,
-    the tail mass and w.
-    """
-    u, q, w = np.empty((3, e.shape[0])) if scratch is None else scratch
-    rng.random(out=u)
-    special.ndtr(e, out=q)           # mass of N(e, 1) above the truncation point
-    special.ndtri(np.maximum(np.multiply(u, q, out=w), 1e-308, out=w), out=w)
-    np.subtract(e, w, out=w)
-    if np.minimum.reduce(q) < 1e-300:     # one C-level reduction per iteration
-        deep = q < 1e-300
-        w[deep] = -np.log(u[deep]) / -e[deep]
-    return w

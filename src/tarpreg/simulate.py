@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_thread
-from .data import Dataset, all_finite
+from .data import RESPONSE_CONTINUOUS, Dataset, all_finite
 from .errors import DimensionError, IngestionError, ParameterError, checked_int, checked_number
 
 SCHEME_AR1 = "ar1"
@@ -94,14 +94,15 @@ def generate(spec: SchemeSpec) -> SimulatedData:
     """n training rows, then n_test test rows, drawn from ``spec.seed``; data that
     overflows float64 is a ParameterError, raised before any of it is written.
     ``train.X`` and ``test_X`` are read-only views of the first n and the last
-    n_test rows of one drawn matrix, as are ``train.y`` and ``test_y``."""
+    n_test rows of one drawn matrix, as are ``train.y`` and ``test_y``.  The
+    response is continuous by construction, even when every drawn value is 0 or 1."""
     rng = np.random.default_rng(spec.seed)
     design = {SCHEME_AR1: _ar1, SCHEME_BLOCK: _block,
               SCHEME_PCR: _pcr, SCHEME_BRIDGE: _bridge}[spec.scheme]
     with one_thread(), np.errstate(over="ignore", invalid="ignore"):  # overflow is the check below
         X, y, beta, active = design(spec, rng, spec.n + spec.n_test)
     try:  # from_arrays checks the training rows, and rejects a column whose variance overflows
-        train = Dataset.from_arrays(X[:spec.n], y[:spec.n])
+        train = Dataset.from_arrays(X[:spec.n], y[:spec.n], response_kind=RESPONSE_CONTINUOUS)
         if not (all_finite(X[spec.n:]) and all_finite(y[spec.n:])):
             raise IngestionError("non-finite test rows")
     except IngestionError:  # the design is fixed, so y overflows; pcr's beta is a unit vector

@@ -197,6 +197,34 @@ def test_empty_response_is_an_ingestion_error(sim_dir, tmp_path, capsys, command
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["fit", "screen"])
+def test_a_csv_with_no_predictor_column_is_one_json_error(tmp_path, capsys, command):
+    data = tmp_path / "one.csv"
+    data.write_text("y\n1\n2\n3\n4\n5\n")
+    files = [str(data)] * (2 if command == "fit" else 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, *files, "--out", str(tmp_path / "q")) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "IngestionError",
+        "message": f"{data}: a predictor column is needed, got X of shape (5, 0)"}
+    assert [f.name for f in tmp_path.iterdir()] == ["one.csv"]
+
+
+@pytest.mark.parametrize("flags", [["--n-active", "2", "--coef", "0"], ["--n-active", "0"]],
+                         ids=["coef-0", "n-active-0"])
+def test_benchmark_on_a_constant_response_runs_the_gaussian_path(tmp_path, flags):
+    # y = 0 exactly lies in {0, 1}, but a simulated response is continuous
+    assert run_cli("benchmark", "--scheme", "ar1", "--n", "20", "--p", "20", "--n-test", "5",
+                   *flags, "--noise-sd", "0", "--datasets", "1", "--workers", "1",
+                   "--replicates", "2", "--out", str(tmp_path / "b")) == 0
+    with open(tmp_path / "b.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (float(row["mspe"]), float(row["ecp"])) == (0.0, 1.0)
+
+
 def test_fit_unknown_config_key_fails(sim_dir, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense=1\n")

@@ -125,6 +125,11 @@ def test_read_csv_rejects_overflowing_column(tmp_path):
     assert str(err.value).startswith(f"{path}: ")  # the file is named
 
 
+def test_dataset_rejects_a_matrix_with_no_predictor_column():
+    with pytest.raises(IngestionError, match="a predictor column is needed"):
+        Dataset.from_arrays(np.zeros((5, 0)), np.arange(5.0))
+
+
 def test_dataset_binary_kind_enforced():
     with pytest.raises(IngestionError):
         Dataset.from_arrays(np.ones((3, 1)), np.array([0.0, 1.0, 2.0]),
@@ -249,10 +254,13 @@ def test_read_csv_parses_clean_files_in_one_call(tmp_path, monkeypatch):
         raise AssertionError("per-cell parse ran on a clean file")
     monkeypatch.setattr(tarpreg.data, "_read_cells", per_cell)
     path = tmp_path / "d.csv"
-    for text in ("a,b,y\r\n1, 2,3\r\n\r\n4,5e-1,6\r\n", "1,2,0\r4,5,1\r", "y\n1\n2",
+    for text in ("a,b,y\r\n1, 2,3\r\n\r\n4,5e-1,6\r\n", "1,2,0\r4,5,1\r",
                  '"a","b","y"\r\n"1","2","3"\r\n"4","5","6"\r\n'):
         path.write_bytes(text.encode())
         assert read_csv(path).n == 2
+    path.write_bytes(b"y\n1\n2")  # parsed in one call too, then rejected: no predictor column
+    with pytest.raises(IngestionError, match="a predictor column is needed"):
+        read_csv(path)
 
 
 def test_read_csv_names_a_fault_after_one_c_parse(tmp_path, monkeypatch):

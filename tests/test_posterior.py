@@ -270,34 +270,6 @@ def test_predict_probit_values():
         predict_probit(fit, np.zeros((1, 2)))
 
 
-def test_truncated_latent_far_tail_robust():
-    from tarpreg.posterior import _truncated_latent
-    rng = np.random.default_rng(9)
-    eta = np.array([-50.0, -8.0, 0.0, 8.0, 50.0])
-    # the helper draws the reflected latent w = s y* given e = s eta, with
-    # s = +1 for a positive label and -1 for a negative one
-    for _ in range(200):
-        v = _truncated_latent(eta, rng, special)
-        assert np.isfinite(v).all()
-        assert (v > 0).all()
-    for _ in range(200):
-        v = -_truncated_latent(-eta, rng, special)
-        assert np.isfinite(v).all()
-        assert (v <= 0).all()
-
-
-def test_truncated_latent_switches_to_the_exponential_below_1e_300_mass():
-    # ndtr(-35) = 1.1e-268 takes the inverse CDF and ndtr(-40) = 0 the exponential,
-    # which at e = -35 would be off by about 1e-3 relative
-    from tarpreg.posterior import _truncated_latent
-    e = np.array([-35.0, -40.0])
-    w = _truncated_latent(e, np.random.default_rng(10), special)
-    u = np.random.default_rng(10).random(2)
-    assert w[0] == pytest.approx(e[0] - special.ndtri(u[0] * special.ndtr(e[0])), abs=1e-12)
-    assert w[1] == pytest.approx(-np.log(u[1]) / 40.0, abs=1e-12)
-    assert abs(-np.log(u[0]) / 35.0 - w[0]) > 1e-4 * w[0]
-
-
 def test_probit_gibbs_matches_the_grid_posterior():
     # n = 12, m = 2: the exact posterior of theta under the N(0, I) prior is
     # summed on an 801 x 801 grid over [-8, 8]^2; the chain's means of theta and
@@ -365,11 +337,14 @@ def _truncated_latent_reference(eta, pos, rng):
     return ystar
 
 
-def _separated_with_far_outlier():
-    # 5000 separated rows drive theta to about 1; the one mislabelled row at
-    # z = 40 then sits at eta < -38, beyond the inverse-CDF range
-    z = np.where(np.arange(5000) % 2 == 0, 1.0, -1.0)
-    return (np.append(z, 40.0)[:, None], np.append(z > 0, False).astype(float), 60, 10)
+def _separated_with_far_outliers():
+    # 20000 separated rows drive theta to about 1; then the mislabelled rows at
+    # z = +-35 (one of each label) sit at e = s eta ~ -35, where the inverse CDF
+    # draws from ndtr(-35) = 1.1e-268 tail mass, and those at z = +-40 at
+    # e ~ -40, where ndtr(-40) = 0 and the boundary exponential draws instead
+    z = np.where(np.arange(20000) % 2 == 0, 1.0, -1.0)
+    far = np.array([35.0, -35.0, 40.0, -40.0])
+    return (np.append(z, far)[:, None], np.append(z > 0, far < 0).astype(float), 60, 10)
 
 
 @pytest.mark.parametrize("case", ["random", "far-tail"])
@@ -381,7 +356,7 @@ def test_probit_gibbs_matches_reference_sampler(case, seed):
         y = (Z @ rng.normal(size=25) + rng.normal(size=120) > 0).astype(float)
         iterations, burnin = 400, 100
     else:
-        Z, y, iterations, burnin = _separated_with_far_outlier()
+        Z, y, iterations, burnin = _separated_with_far_outliers()
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want, deep_draws = _probit_gibbs_reference(Z, y, iterations, burnin, ref_rng)
     fit = probit_gibbs(Z, y, iterations, burnin, rng)
@@ -389,3 +364,7 @@ def test_probit_gibbs_matches_reference_sampler(case, seed):
     assert np.abs(fit.theta_draws - want).max() <= 1e-10
     assert fit.theta_mean == pytest.approx(want.mean(axis=0), abs=1e-10)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if case == "far-tail":  # each kept theta sets e = -|z| theta at the mislabelled rows next
+        mass = special.ndtr(fit.theta_draws[:-1] * -np.abs(Z[-4:, 0]))
+        assert ((mass[:, :2] > 1e-300) & (mass[:, :2] < 1e-250)).all()  # z = +-35: inverse CDF
+        assert (mass[:, 2:] < 1e-300).all()                            # z = +-40: exponential

@@ -6,6 +6,7 @@ import pytest
 from scipy import signal, stats
 
 from tarpreg import ParameterError, SchemeSpec, generate
+from tarpreg.data import RESPONSE_CONTINUOUS
 
 
 def test_ar1_lag_two_correlation():
@@ -152,6 +153,13 @@ def test_response_is_x_beta_plus_noise_sd_noise():
                                     **active))
         residual = noisy.train.y - noisy.train.X @ noisy.true_beta
         assert residual.var() == pytest.approx(9.0, rel=0.1), scheme
+
+
+@pytest.mark.parametrize("scheme, p", [("ar1", 20), ("block", 400), ("bridge", 20)])
+def test_response_is_continuous_even_when_every_value_is_0_or_1(scheme, p):
+    data = generate(SchemeSpec(scheme, n=20, p=p, n_test=5, n_active=0, noise_sd=0.0))
+    assert (data.train.y == 0.0).all()
+    assert data.train.response_kind == RESPONSE_CONTINUOUS
 
 
 def test_scheme_validation():
