@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, IngestionError
+from .errors import DimensionError, IngestionError, all_finite, checked_array
 
 RESPONSE_CONTINUOUS = "continuous"
 RESPONSE_BINARY = "binary"
@@ -29,7 +29,10 @@ class Dataset:
 
     ``col_means``/``col_scales`` always hold the transform parameters of the
     originating raw data, so test rows can be mapped with training statistics
-    whether or not ``X`` itself has been standardized yet.
+    whether or not ``X`` itself has been standardized yet.  Each array is kept
+    without a copy when it already is C-contiguous float64, and is made read-only:
+    after ``Dataset.from_arrays(X, y)`` the caller's own ``X`` and ``y`` are
+    read-only (copy them first to keep writing into them).
     """
 
     X: np.ndarray
@@ -41,24 +44,16 @@ class Dataset:
     col_names: tuple = ()
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.X, dtype=np.float64)
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        means, scales = (np.asarray(a, dtype=np.float64) for a in (self.col_means, self.col_scales))
-        if X.ndim != 2:
-            raise DimensionError(f"X must be 2-d, got ndim={X.ndim}")
+        X = np.ascontiguousarray(checked_array("X", self.X, (None, None)))
         if X.shape[1] < 1:
             raise IngestionError(f"a predictor column is needed, got X of shape {X.shape}")
-        if y.ndim != 1 or y.shape[0] != X.shape[0]:
-            raise DimensionError(f"y length {y.shape} does not match X rows {X.shape[0]}")
-        for name, a in (("X", X), ("y", y)):
-            if not all_finite(a):
-                raise IngestionError(f"{name} contains non-finite entries")
+        y = np.ascontiguousarray(checked_array("y", self.y, (X.shape[0],)))
+        means, scales = (checked_array(name, getattr(self, name), (X.shape[1],), finite=False)
+                         for name in ("col_means", "col_scales"))
         if self.response_kind not in (RESPONSE_CONTINUOUS, RESPONSE_BINARY):
             raise IngestionError(f"unknown response kind {self.response_kind!r}")
         if self.response_kind == RESPONSE_BINARY and not np.isin(y, (0.0, 1.0)).all():
             raise IngestionError("binary response must take values in {0, 1}")
-        if means.shape != (X.shape[1],) or scales.shape != (X.shape[1],):
-            raise DimensionError("standardization statistics must have length p")
         if (scales < 0).any():
             raise IngestionError("column scales must be >= 0")
         names = tuple(self.col_names) if self.col_names else tuple(f"x{j}" for j in range(X.shape[1]))
@@ -83,11 +78,6 @@ class Dataset:
         kind = response_kind or (RESPONSE_BINARY if np.isin(y, (0.0, 1.0)).all()
                                  else RESPONSE_CONTINUOUS)
         return cls(X, y, kind, *column_statistics(X), standardized=False, col_names=col_names)
-
-
-def all_finite(a: np.ndarray) -> bool:
-    """Every entry finite, by min and max (which propagate NaN): no bool mask."""
-    return not a.size or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def column_statistics(X: np.ndarray):
@@ -154,10 +144,7 @@ def apply_standardization(train: Dataset, new_X) -> np.ndarray:
 
     Constant training columns map to 0 regardless of the new values.
     """
-    new_X = np.ascontiguousarray(new_X, dtype=np.float64)
-    if new_X.ndim != 2 or new_X.shape[1] != train.p:
-        raise DimensionError(
-            f"new matrix has {new_X.shape[1] if new_X.ndim == 2 else '?'} columns, expected {train.p}")
+    new_X = np.ascontiguousarray(checked_array("new_X", new_X, (None, train.p)))
     return transform_columns(new_X, train.col_means, train.col_scales)
 
 
@@ -256,17 +243,20 @@ def _read_cells(path):
 
 
 def write_csv(path, columns, names):
-    """Write named numeric columns as CSV, lossless to full double precision."""
+    """Write named finite columns as CSV, lossless to full double precision."""
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    if len(columns) != len(names):
-        raise DimensionError("one name per column required")
+    if not columns or len(columns) != len(names):
+        raise DimensionError("one name per column, and a column, required")
     n = columns[0].shape[0]
     if any(c.shape != (n,) for c in columns):
         raise DimensionError("all columns must share the same length")
+    table = np.column_stack(columns)
+    if not all_finite(table):  # the mask only to name the first bad column
+        j = np.flatnonzero(~np.isfinite(table).all(axis=0))[0]
+        raise IngestionError(f"columns[{j}] ({names[j]!r}) contains non-finite entries")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(names)
-        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                   newline="\r\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def write_matrix_csv(path, X, y, col_names=None):

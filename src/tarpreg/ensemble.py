@@ -25,9 +25,9 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from ._blas import one_thread
-from .data import Dataset, RESPONSE_BINARY, RESPONSE_CONTINUOUS, all_finite
-from .errors import (DimensionError, IngestionError, ParameterError, ReplicateError,
-                     TarpError, checked_int, checked_number, checked_pair)
+from .data import Dataset, RESPONSE_BINARY, RESPONSE_CONTINUOUS
+from .errors import (ParameterError, ReplicateError, TarpError, checked_array, checked_int,
+                     checked_number, checked_pair)
 from .posterior import (CompressedPosterior, PriorHyper, fit_compressed,
                         log_marginal_likelihood, predict, predict_probit, probit_gibbs)
 from .projection import compress, gen_pcr_matrix, gen_rp_matrix
@@ -315,14 +315,12 @@ def kfold_mse(Z: np.ndarray, y: np.ndarray, post: CompressedPosterior, k: int,
     (I - H_vv)^{-1} (y_v - Z_v mu) on them, and H_vv is read off the columns v
     of L^{-1} Z', L^{-1} being the fit's inverse factor.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, m = Z.shape
-    if (post.n, post.m) != (n, m) or y.shape != (n,):
-        raise DimensionError("kfold_mse needs the posterior fitted on (Z, y)")
+    n = post.n  # post is the fit on (Z, y), so it gives their shapes
+    Z = checked_array("Z", Z, (n, post.m))
+    y = checked_array("y", y, (n,))
     checked_int("k", k, 2, n + 1)
     fold_plan = np.asarray(fold_plan)
-    if not np.array_equal(np.sort(fold_plan), np.arange(n)):
+    if fold_plan.dtype.kind not in "iu" or not np.array_equal(np.sort(fold_plan), np.arange(n)):
         raise ParameterError("fold_plan must be a permutation of the n rows")
     G, resid = post.chol_inv @ Z.T, y - Z @ post.mu_t         # H = G'G
     errors = [np.mean(np.linalg.solve(np.eye(v.size) - G[:, v].T @ G[:, v], resid[v]) ** 2)
@@ -336,11 +334,7 @@ def _checked_probs(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> Inclus
     never reads is an error, not a silent no-op."""
     if not train.standardized:
         raise ParameterError("training data must be standardized first")
-    X_new = np.asarray(X_new)
-    if X_new.ndim != 2 or X_new.shape[1] != train.p:
-        raise DimensionError("X_new must be 2-d with p columns (training statistics applied)")
-    if not all_finite(X_new):
-        raise IngestionError("X_new contains non-finite entries")
+    checked_array("X_new", X_new, (None, train.p))
     if train.response_kind == RESPONSE_BINARY:
         path, names = "binary", ("aggregation", "level")
     else:

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the three rules every setting is checked by."""
+"""Exception types shared across the package, the three rules every setting is checked by,
+and the two every array argument is checked by."""
 import sys
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class TarpError(Exception):
@@ -46,6 +49,38 @@ def checked_pair(name, value, rule, *args) -> tuple:
     if len(ends) == 2 and ends[0] <= ends[1]:
         return ends
     raise ParameterError(f"{name} must be a (lo, hi) pair with lo <= hi, got {value!r}")
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Every entry finite, by min and max (which propagate NaN): no bool mask."""
+    return not a.size or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def checked_array(name, value, shape, finite=True, nonempty=False) -> np.ndarray:
+    """The array rule: ``value`` as a float64 array with len(shape) axes, each of the length
+    ``shape`` gives (None: any length) and, if ``nonempty``, at least one entry, else a
+    DimensionError; with ``finite``, a NaN or +-inf entry is an IngestionError (all_finite)."""
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a str cell, a ragged list
+        raise IngestionError(f"{name} must be a numeric array: {exc}") from None
+    if (a.ndim != len(shape) or any(k not in (None, s) for k, s in zip(shape, a.shape))
+            or nonempty and not a.size):
+        want = ", ".join("*" if k is None else str(k) for k in shape) + "," * (len(shape) == 1)
+        raise DimensionError(f"{name} must be {'a non-empty' if nonempty else 'an'} array of "
+                             f"shape ({want}), got shape {a.shape}")
+    if finite and not all_finite(a):
+        raise IngestionError(f"{name} contains non-finite entries")
+    return a
+
+
+def checked_unit(name, value, length, binary=False, nonempty=False) -> np.ndarray:
+    """The unit rule: a finite vector of ``length`` entries (checked_array), each in [0, 1],
+    or with ``binary`` in {0, 1}, else a ParameterError."""
+    a = checked_array(name, value, (length,), nonempty=nonempty)
+    if not (np.isin(a, (0.0, 1.0)) if binary else (a >= 0) & (a <= 1)).all():
+        raise ParameterError(f"{name} must lie in {'{0, 1}' if binary else '[0, 1]'}")
+    return a
 
 
 class ReplicateError(TarpError):

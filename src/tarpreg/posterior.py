@@ -28,8 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (DimensionError, IngestionError, ParameterError, TarpError, checked_int,
-                     checked_number)
+from .errors import TarpError, checked_array, checked_int, checked_number, checked_unit
 from .studentt import t_interval_halfwidth
 
 
@@ -79,15 +78,9 @@ class ProbitFit:
 
 
 def fit_compressed(Z: np.ndarray, y: np.ndarray, prior: PriorHyper) -> CompressedPosterior:
-    Z = np.asarray(Z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] < 1:
-        raise DimensionError("Z must be n x m with n, m >= 1")
-    if y.shape != (Z.shape[0],):
-        raise DimensionError("y length must match Z rows")
-    if not (np.isfinite(Z).all() and np.isfinite(y).all()):
-        raise IngestionError("fit_compressed requires finite inputs")
+    Z = checked_array("Z", Z, (None, None), nonempty=True)
     n = Z.shape[0]
+    y = checked_array("y", y, (n,))
     chol_inv = _prior_factor_inverse(Z)
     Zty = Z.T @ y
     mu = chol_inv.T @ (chol_inv @ Zty)
@@ -110,9 +103,7 @@ def predict(post: CompressedPosterior, Z_new: np.ndarray, level: float) -> Predi
     Only the marginal scales (diagonal of the predictive scale matrix) are
     formed, never the full n_new x n_new matrix.
     """
-    Z_new = np.atleast_2d(np.asarray(Z_new, dtype=np.float64))
-    if Z_new.shape[1] != post.m:
-        raise DimensionError(f"Z_new has {Z_new.shape[1]} columns, expected {post.m}")
+    Z_new = checked_array("Z_new", Z_new, (None, post.m))
     mean = Z_new @ post.mu_t
     V = Z_new @ post.chol_inv.T              # z' W z = |L^{-1} z|^2, all rows at once
     quad = np.einsum("ij,ij->i", V, V)
@@ -158,10 +149,8 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
     iteration is two products with one n x m operator, v = B'w + N(0, I) and
     the next latent mean B v; one product maps the kept v back to theta.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ParameterError("probit_gibbs requires a binary response in {0, 1}")
+    Z = checked_array("Z", Z, (None, None))
+    y = checked_unit("y", y, Z.shape[0], binary=True)
     checked_int("iterations", iterations, 1)
     checked_int("burnin", burnin, 0, iterations)
     from scipy.special import ndtr, ndtri
@@ -187,9 +176,7 @@ def probit_gibbs(Z: np.ndarray, y: np.ndarray, iterations: int, burnin: int,
 
 def predict_probit(fit: ProbitFit, Z_new: np.ndarray) -> np.ndarray:
     """P(y = 1) = Phi(z' theta), plug-in at the posterior mean of theta."""
-    Z_new = np.atleast_2d(np.asarray(Z_new, dtype=np.float64))
-    if Z_new.shape[1] != fit.theta_mean.shape[0]:
-        raise DimensionError("Z_new column count does not match fit")
+    Z_new = checked_array("Z_new", Z_new, (None, fit.theta_mean.shape[0]))
     from scipy import special
     return special.ndtr(Z_new @ fit.theta_mean)
 

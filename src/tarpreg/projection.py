@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, checked_int, checked_number
+from .errors import DimensionError, checked_array, checked_int, checked_number
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,9 @@ class ProjectionMatrix:
     rank_truncated: bool = False
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.float64)
         cmap = np.ascontiguousarray(self.column_map, dtype=np.int64)
-        if entries.ndim != 2:
-            raise DimensionError("entries must be 2-d")
-        if entries.shape != (self.m, cmap.shape[0]):
-            raise DimensionError("entries shape does not match (m, p_gamma)")
+        entries = np.ascontiguousarray(
+            checked_array("entries", self.entries, (self.m, cmap.shape[0]), finite=False))
         entries.setflags(write=False)
         cmap.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -64,9 +61,7 @@ def gen_pcr_matrix(X_gamma: np.ndarray, m: int, column_map=None) -> ProjectionMa
     normalized so each row's largest-magnitude entry is positive.  If m
     exceeds the numerical rank the effective m is truncated and flagged.
     """
-    X_gamma = np.asarray(X_gamma, dtype=np.float64)
-    if X_gamma.ndim != 2 or X_gamma.shape[1] < 1:
-        raise DimensionError("X_gamma must be a non-empty 2-d matrix")
+    X_gamma = checked_array("X_gamma", X_gamma, (None, None), finite=False, nonempty=True)
     checked_int("m", m, 1, error=DimensionError)
     _, s, vt = np.linalg.svd(X_gamma, full_matrices=False)
     if s.size and s[0] > 0:
@@ -85,9 +80,7 @@ def gen_pcr_matrix(X_gamma: np.ndarray, m: int, column_map=None) -> ProjectionMa
 
 def compress(X: np.ndarray, proj: ProjectionMatrix) -> np.ndarray:
     """Z = X[:, column_map] @ entries'; columns outside the screen never enter."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionError("X must be 2-d")
+    X = checked_array("X", X, (None, None), finite=False)
     cmap = proj.column_map
     if cmap.size and (cmap.min() < 0 or cmap.max() >= X.shape[1]):
         raise DimensionError("column_map index outside X columns")

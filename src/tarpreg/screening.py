@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _column_blocks
-from .errors import DimensionError, IngestionError, ParameterError, checked_number
+from .errors import DimensionError, IngestionError, ParameterError, checked_array, checked_number
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def inclusion_probabilities(r: np.ndarray, delta: float) -> InclusionProbs:
     is flagged degenerate with q = 0 and the caller chooses a fallback.
     """
     delta = checked_number("delta", delta, 0, ends="[)")
-    r = np.asarray(r, dtype=np.float64)
+    r = checked_array("r", r, (None,))
     a = np.abs(r)
     if delta == 0.0:
         return InclusionProbs(np.ones_like(a), r, 0.0)

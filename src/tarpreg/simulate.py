@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_thread
-from .data import RESPONSE_CONTINUOUS, Dataset, all_finite
-from .errors import DimensionError, IngestionError, ParameterError, checked_int, checked_number
+from .data import RESPONSE_CONTINUOUS, Dataset
+from .errors import (DimensionError, IngestionError, ParameterError, all_finite, checked_int,
+                     checked_number)
 
 SCHEME_AR1 = "ar1"
 SCHEME_BLOCK = "block"

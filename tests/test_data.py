@@ -417,6 +417,13 @@ def test_write_csv_bytes_match_reference_format(tmp_path):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def test_write_csv_needs_a_column(tmp_path):
+    # no column raised an IndexError
+    with pytest.raises(DimensionError, match="a column"):
+        write_csv(tmp_path / "w.csv", [], [])
+    assert not (tmp_path / "w.csv").exists()
+
+
 @pytest.mark.parametrize("step", ["standardize", "apply_standardization"])
 def test_standardization_allocates_one_output_matrix(step):
     # tracemalloc sees numpy's buffers; the bound leaves room for the per-column

@@ -1,5 +1,6 @@
 import re
 from dataclasses import fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tarpreg import (Dataset, DimensionError, IngestionError, ParameterError, PriorHyper,
-                     ReplicateError, TarpConfig, TarpError, TarpResult, apply_standardization,
+                     ProbitFit, ProjectionMatrix, ReplicateError, TarpConfig, TarpError,
+                     TarpResult, apply_standardization, calibration_msd, compress, ecp_width,
                      fit_compressed, gen_pcr_matrix, gen_rp_matrix, inclusion_probabilities,
-                     kfold_mse, predict, probit_gibbs, run_replicate, run_tarp, run_tarp_binary,
-                     screening_probs, standardize, t_interval_halfwidth, t_ppf)
+                     kfold_mse, misclass, mspe, predict, predict_probit, probit_gibbs, roc_auc,
+                     run_replicate, run_tarp, run_tarp_binary, screening_probs, standardize,
+                     t_interval_halfwidth, t_ppf, write_csv)
 from tarpreg.ensemble import BACKENDS
 from tarpreg.simulate import SchemeSpec, generate
 
@@ -237,6 +240,100 @@ def test_functions_reject_unparsed_and_non_finite_arguments(call, error, field):
     Z, y = rng.normal(size=(10, 2)), rng.normal(size=10)
     with pytest.raises(error, match=rf"^{field} must be"):
         call(Z, y, fit_compressed(Z, y, PriorHyper()), rng)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_RULE_MESSAGE = {DimensionError: r"must be (an|a non-empty) array of shape \(",
+                 IngestionError: "contains non-finite entries", ParameterError: "must lie in "}
+_ARRAY_CASES = {
+    # the gaps: each returned NaN or a wrong number, wrote the cells, or raised numpy's error
+    "misclass-nan-prob": (lambda a: misclass([_NAN, .9], [1, 1]), IngestionError, "probs"),
+    "roc-auc-nan-score": (lambda a: roc_auc([_NAN, .2, .9], [1, 0, 1]), IngestionError, "scores"),
+    "calibration-nan-prob": (lambda a: calibration_msd([_NAN, .95], [1, 1]), IngestionError,
+                             "probs"),
+    "mspe-nan": (lambda a: mspe([_NAN, 1], [0, 1]), IngestionError, "yhat"),
+    "ecp-nan-endpoint": (lambda a: ecp_width([_NAN, 0], [1, 1], [.5, .5]), IngestionError,
+                         "lower"),
+    "ecp-inf-endpoints": (lambda a: ecp_width([-_INF, 0], [1, _INF], [.5, .5]), IngestionError,
+                          "lower"),
+    "gibbs-y-short": (lambda a: probit_gibbs(a.Z, a.b[:-1], 20, 5, a.rng), DimensionError, "y"),
+    "gibbs-z-1d": (lambda a: probit_gibbs(a.Z[:, 0], a.b, 20, 5, a.rng), DimensionError, "Z"),
+    "gibbs-z-nan": (lambda a: probit_gibbs(a.Z_nan, a.b, 20, 5, a.rng), IngestionError, "Z"),
+    "predict-probit-nan-row": (lambda a: predict_probit(a.fit, a.Z_nan), IngestionError,
+                               "Z_new"),
+    "kfold-z-nan": (lambda a: kfold_mse(a.Z_nan, a.y, a.post, 2, np.arange(10)),
+                    IngestionError, "Z"),
+    "standardize-nan-row": (lambda a: apply_standardization(a.std, a.X_nan), IngestionError,
+                            "new_X"),
+    "write-csv-nan-inf-column": (lambda a: write_csv(a.path, [[1, 2], [_NAN, -_INF]], ["a", "b"]),
+                                 IngestionError, "columns[1] ('b')"),
+    # one wrong-ndim and one wrong-length case per routed function
+    "fit-z-1d": (lambda a: fit_compressed(a.Z[:, 0], a.y, PriorHyper()), DimensionError, "Z"),
+    "fit-y-short": (lambda a: fit_compressed(a.Z, a.y[:-1], PriorHyper()), DimensionError, "y"),
+    "predict-z-1d": (lambda a: predict(a.post, a.Z[0], 0.5), DimensionError, "Z_new"),
+    "predict-z-wide": (lambda a: predict(a.post, a.X, 0.5), DimensionError, "Z_new"),
+    "gibbs-label-2": (lambda a: probit_gibbs(a.Z, 2 * a.b, 20, 5, a.rng), ParameterError, "y"),
+    "predict-probit-z-1d": (lambda a: predict_probit(a.fit, a.Z[0]), DimensionError, "Z_new"),
+    "predict-probit-z-wide": (lambda a: predict_probit(a.fit, a.X), DimensionError, "Z_new"),
+    "kfold-y-2d": (lambda a: kfold_mse(a.Z, a.Z, a.post, 2, np.arange(10)), DimensionError, "y"),
+    "kfold-z-short": (lambda a: kfold_mse(a.Z[:-1], a.y, a.post, 2, np.arange(10)),
+                      DimensionError, "Z"),
+    "inclusion-nan-utility": (lambda a: inclusion_probabilities([_NAN, .5], 0.0), IngestionError,
+                              "r"),
+    "inclusion-r-2d": (lambda a: inclusion_probabilities(a.Z, 1.0), DimensionError, "r"),
+    "compress-x-1d": (lambda a: compress(a.X[0], a.proj), DimensionError, "X"),
+    "pcr-x-1d": (lambda a: gen_pcr_matrix(a.X[0], 2), DimensionError, "X_gamma"),
+    "pcr-x-no-column": (lambda a: gen_pcr_matrix(a.X[:, :0], 2), DimensionError, "X_gamma"),
+    "projection-entries-wide": (lambda a: ProjectionMatrix(a.X, np.arange(2), 10),
+                                DimensionError, "entries"),
+    "standardize-1d": (lambda a: apply_standardization(a.std, a.X[0]), DimensionError, "new_X"),
+    "standardize-narrow": (lambda a: apply_standardization(a.std, a.Z), DimensionError, "new_X"),
+    "dataset-x-1d": (lambda a: Dataset(a.X[0], a.y[:3], "continuous", np.zeros(3), np.ones(3),
+                                       False), DimensionError, "X"),
+    "dataset-y-short": (lambda a: Dataset(a.X, a.y[:-1], "continuous", np.zeros(3), np.ones(3),
+                                          False), DimensionError, "y"),
+    "run-x-new-1d": (lambda a: run_tarp(a.std, a.X[0], TarpConfig()), DimensionError, "X_new"),
+    "run-x-new-narrow": (lambda a: run_tarp(a.std, a.Z, TarpConfig()), DimensionError, "X_new"),
+    "mspe-2d": (lambda a: mspe(a.Z, a.Z), DimensionError, "yhat"),
+    "mspe-short": (lambda a: mspe(a.y, a.y[:-1]), DimensionError, "ytrue"),
+    "ecp-2d": (lambda a: ecp_width(a.Z, a.Z + 1, a.Z), DimensionError, "lower"),
+    "ecp-short": (lambda a: ecp_width(a.y, a.y + 1, a.y[:-1]), DimensionError, "ytrue"),
+    "misclass-2d": (lambda a: misclass(a.b[:, None], a.b[:, None]), DimensionError, "probs"),
+    "misclass-short": (lambda a: misclass(a.b, a.b[:-1]), DimensionError, "ytrue"),
+    "misclass-prob-above-1": (lambda a: misclass([1.5], [1]), ParameterError, "probs"),
+    "roc-auc-2d": (lambda a: roc_auc(a.Z, a.b[:, None]), DimensionError, "scores"),
+    "roc-auc-short": (lambda a: roc_auc(a.y, a.b[:-1]), DimensionError, "ytrue"),
+    "calibration-2d": (lambda a: calibration_msd(a.b[:, None], a.b[:, None]), DimensionError,
+                       "probs"),
+    "calibration-short": (lambda a: calibration_msd(a.b, a.b[:-1]), DimensionError, "ytrue"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ARRAY_CASES))
+def test_array_arguments_are_checked_by_one_rule_per_kind(case, tmp_path):
+    call, error, name = _ARRAY_CASES[case]
+    rng = np.random.default_rng(3)
+    Z, X, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 3)), rng.normal(size=10)
+    Z_nan, X_nan = Z.copy(), X.copy()
+    Z_nan[4, 1] = X_nan[6, 0] = np.nan
+    a = SimpleNamespace(Z=Z, X=X, y=y, b=(y > 0).astype(float), Z_nan=Z_nan, X_nan=X_nan,
+                        rng=rng, post=fit_compressed(Z, y, PriorHyper()),
+                        fit=ProbitFit(np.zeros(2), np.zeros((1, 2))),
+                        std=standardize(Dataset.from_arrays(X.copy(), y)),
+                        proj=gen_rp_matrix(2, 2, 0.3, rng), path=tmp_path / "out.csv")
+    with pytest.raises(error, match="^" + re.escape(name) + " " + _RULE_MESSAGE[error]):
+        call(a)
+    assert not a.path.exists()
+
+
+@pytest.mark.parametrize("fold_plan", [np.arange(10.0), np.arange(9), np.zeros(10, dtype=int)],
+                         ids=["float", "short", "repeated"])
+def test_kfold_mse_takes_only_a_permutation_of_the_rows(fold_plan):
+    # a float permutation raised numpy's IndexError
+    rng = np.random.default_rng(3)
+    Z, y = rng.normal(size=(10, 2)), rng.normal(size=10)
+    with pytest.raises(ParameterError, match="^fold_plan must be a permutation"):
+        kfold_mse(Z, y, fit_compressed(Z, y, PriorHyper()), 2, fold_plan)
 
 
 _SCHEME_VALID = {"scheme": "bridge", "n": 30, "p": 600, "n_test": 5, "n_active": 3,
@@ -549,7 +646,7 @@ def _rejected_run(case):
         "unstandardized": (data.train, Xn, TarpConfig(), ParameterError,
                            "training data must be standardized first"),
         "wrong-width": (std, Xn[:, :-1], TarpConfig(), DimensionError,
-                        "X_new must be 2-d with p columns (training statistics applied)"),
+                        "X_new must be an array of shape (*, 60), got shape (25, 59)"),
         "nan-row": (std, bad_rows, TarpConfig(), IngestionError,
                     "X_new contains non-finite entries"),
         "inf-row": (std, bad_rows, TarpConfig(), IngestionError,
