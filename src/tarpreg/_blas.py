@@ -6,8 +6,9 @@ restored after.  tarpreg does all its linear algebra through numpy, so scipy's
 own OpenBLAS copy (loaded only by the probit path's scipy.special) is left
 alone; without a bundled OpenBLAS (MKL, a system BLAS) nothing is touched.
 OpenBLAS starts its threads when it loads, so the command line also calls
-``pin_at_start`` before numpy loads.  This module imports numpy only inside
-its functions."""
+``pin_at_start`` before numpy loads.  ``runtime`` is the report each run
+writes: these thread counts, the versions and the process's own peak memory.
+This module imports numpy only inside its functions."""
 import ctypes
 import glob
 import os
@@ -58,7 +59,9 @@ def one_thread():
 
 
 def runtime() -> dict:
-    """Thread counts outside and inside the guard, CPU count, versions (scipy None if unused)."""
+    """Thread counts outside and inside the guard, CPU count, versions (scipy None if
+    unused) and the process's peak resident memory so far: its own ``VmHWM`` in 10^6
+    bytes, None without /proc.  Only this process's: not a pool worker's."""
     import numpy
     libs = _openblas()
     outside = [get() for _, get, _ in libs]
@@ -67,4 +70,16 @@ def runtime() -> dict:
                    for (name, get, _), count in zip(libs, outside)}
     return {"blas_threads": threads or "unknown", "cpu_count": os.cpu_count(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": getattr(sys.modules.get("scipy"), "__version__", None)}
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
+            "peak_rss_mb": _peak_rss_mb()}
+
+
+def _peak_rss_mb():
+    # VmHWM is the high-water mark of the memory map exec gave this process.  A
+    # child's ru_maxrss is not: Linux carries a vfork parent's peak into it.
+    try:
+        with open("/proc/self/status", "rb") as fh:  # bytes: Name: may be any encoding
+            kib = next(int(line.split()[1]) for line in fh if line.startswith(b"VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+    return kib * 1024 / 1e6

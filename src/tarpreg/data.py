@@ -75,9 +75,13 @@ class Dataset:
     @classmethod
     def from_arrays(cls, X, y, response_kind=None, col_names=()) -> "Dataset":
         X = np.ascontiguousarray(X, dtype=np.float64)
-        kind = response_kind or (RESPONSE_BINARY if np.isin(y, (0.0, 1.0)).all()
-                                 else RESPONSE_CONTINUOUS)
-        return cls(X, y, kind, *column_statistics(X), standardized=False, col_names=col_names)
+        if not response_kind:
+            # binary only when both labels occur: a y all 0 (or all 1) is continuous.  Not
+            # np.unique, nor np.isin with y second: each imports numpy.ma (1.5 MB).
+            both = np.isin(y, (0.0, 1.0)).all() and np.isin(y, 0.0).any() and np.isin(y, 1.0).any()
+            response_kind = RESPONSE_BINARY if both else RESPONSE_CONTINUOUS
+        return cls(X, y, response_kind, *column_statistics(X), standardized=False,
+                   col_names=col_names)
 
 
 def column_statistics(X: np.ndarray):
@@ -150,7 +154,7 @@ def apply_standardization(train: Dataset, new_X) -> np.ndarray:
 
 def read_csv(path, response=-1):
     """Read a rectangular numeric CSV into a Dataset (see ``_read_table``).  Response
-    kind is binary iff every response value is 0 or 1."""
+    kind is binary iff the response takes both values 0 and 1 and no other."""
     X, y, col_names = _read_table(path, response)
     try:
         return Dataset.from_arrays(X, y, col_names=col_names)

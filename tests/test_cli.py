@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tarpreg
+import tarpreg._blas
 import tarpreg.cli as cli
 import tarpreg.data
 import tarpreg.ensemble
@@ -654,6 +655,20 @@ def test_fit_binary_writes_probabilities(tmp_path):
     assert ((pred.y >= 0) & (pred.y <= 1)).all()  # probability column
 
 
+def test_fit_reads_a_one_label_response_as_continuous(tmp_path):
+    # the simulated y is all 0: benchmark runs the Gaussian path on it, and so must fit
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--scheme", "ar1", "--n", "20", "--p", "20", "--n-test", "5",
+                   "--n-active", "2", "--coef", "0", "--noise-sd", "0", "--out", str(sim)) == 0
+    prefix = tmp_path / "q"
+    assert run_cli("fit", str(sim / "train.csv"), str(sim / "test.csv"), "--replicates", "2",
+                   "--out", str(prefix)) == 0
+    summary = json.loads((tmp_path / "q.summary.json").read_text())
+    assert summary["train"]["response_kind"] == "continuous"
+    with open(str(prefix) + ".predictions.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["index", "yhat", "lower", "upper"]
+
+
 def test_benchmark_single_dataset_reports_zero_sd(tmp_path):
     prefix = tmp_path / "b1"
     assert run_cli("benchmark", "--scheme", "ar1", "--n", "30", "--p", "40",
@@ -689,8 +704,28 @@ def test_benchmark_timing_reports_elapsed_and_summed_time(tmp_path):
     timing = json.loads((tmp_path / "t.timing.json").read_text())
     assert timing["dataset_time_sum"] == sum(timing["per_dataset_wall_time"])
     assert timing["wall_time"] >= timing["dataset_time_sum"]
-    assert set(timing["runtime"]) == {"blas_threads", "cpu_count", "python", "numpy", "scipy"}
+    assert set(timing["runtime"]) == {"blas_threads", "cpu_count", "python", "numpy", "scipy",
+                                      "peak_rss_mb"}
     assert "runtime" not in json.loads((tmp_path / "t.json").read_text())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_runtime_reports_the_process_own_peak_memory():
+    # a fresh interpreter, whose peak is its own and not this test run's
+    code = ("import json, numpy as np; from tarpreg._blas import runtime; "
+            "np.ones(8_000_000); print(json.dumps(runtime()['peak_rss_mb']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(tarpreg.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) >= 64  # the 64 MB array was touched, then freed
+
+
+def test_runtime_peak_memory_is_null_without_proc(monkeypatch):
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/status")
+    monkeypatch.setattr(tarpreg._blas, "open", no_proc, raising=False)
+    assert tarpreg._blas.runtime()["peak_rss_mb"] is None
 
 
 # Runs in a fresh interpreter, so modules other tests imported do not count.

@@ -130,6 +130,19 @@ def test_dataset_rejects_a_matrix_with_no_predictor_column():
         Dataset.from_arrays(np.zeros((5, 0)), np.arange(5.0))
 
 
+@pytest.mark.parametrize("y, kind", [([0, 1, 1], "binary"), ([1.0, 0.0, 0.0], "binary"),
+                                     ([0, 0, 0], "continuous"), ([1, 1, 1], "continuous"),
+                                     ([0, 1, 2], "continuous")],
+                         ids=["both", "both-float", "zeros", "ones", "three-values"])
+def test_dataset_response_is_binary_only_with_both_labels(y, kind):
+    assert Dataset.from_arrays(np.eye(3), y).response_kind == kind
+
+
+def test_dataset_keeps_a_response_kind_given_on_one_label():
+    ds = Dataset.from_arrays(np.eye(3), np.zeros(3), response_kind="binary")
+    assert ds.response_kind == "binary"
+
+
 def test_dataset_binary_kind_enforced():
     with pytest.raises(IngestionError):
         Dataset.from_arrays(np.ones((3, 1)), np.array([0.0, 1.0, 2.0]),
