@@ -59,7 +59,8 @@ def dataset_seed(seed: int, index: int) -> int:
 
     Kept within 48 bits so the value survives a float64 CSV column exactly.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_DOMAIN_DATASET, index))
+    ss = np.random.SeedSequence(entropy=checked_int("seed", seed, 0, 1 << 64),
+                                spawn_key=(_DOMAIN_DATASET, checked_int("index", index, 0)))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 16)
 
 
@@ -200,6 +201,7 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
     input comes from (train, cfg) and the generator from (cfg.seed, index), so
     a single replicate reproduces exactly what a full run computes at that index.
     """
+    index = checked_int("index", index, 0)
     if probs is None:  # called alone: the run's checks and thread guard first
         with one_thread():
             return run_replicate(train, X_new, cfg, index,
@@ -243,65 +245,61 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
                            p_gamma=mask.p_gamma, mask_digest=mask.digest(), **out)
 
 
-def _run_replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig):
-    """Check and screen once, then run every replicate in index order; (records, phase times)."""
-    t0 = time.perf_counter()
-    probs = _checked_probs(train, X_new, cfg)
-    phase = {"screen": time.perf_counter() - t0, "project": 0.0, "fit": 0.0, "predict": 0.0}
-    records = []
-    for l in range(cfg.n_replicates):
-        try:
-            records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
-        except Exception as exc:  # no silent skipping
-            raise ReplicateError(l, cfg.seed, exc) from exc
-    return records, phase
+def _run(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, aggregate) -> dict:
+    """One run under one thread guard: check and screen once, run every replicate in index
+    order, then ``aggregate(records)``; its fields plus per_replicate, wall_time and
+    phase_times."""
+    started = time.perf_counter()
+    with one_thread():
+        screen_started = time.perf_counter()
+        probs = _checked_probs(train, X_new, cfg)
+        phase = {"screen": time.perf_counter() - screen_started, "project": 0.0, "fit": 0.0,
+                 "predict": 0.0}
+        records = []
+        for l in range(cfg.n_replicates):
+            try:
+                records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
+            except Exception as exc:  # no silent skipping
+                raise ReplicateError(l, cfg.seed, exc) from exc
+        aggregate_started = time.perf_counter()
+        fields = aggregate(records)
+        phase["aggregate"] = time.perf_counter() - aggregate_started
+    return dict(fields, per_replicate=tuple(records) if cfg.keep_replicates else None,
+                wall_time=time.perf_counter() - started, phase_times=phase)
 
 
 def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:
     """Full ensemble run on a standardized training set and pre-transformed test rows."""
     if train.response_kind != RESPONSE_CONTINUOUS:
         raise ParameterError("run_tarp is the Gaussian path; use run_tarp_binary")
-    started = time.perf_counter()
-    with one_thread():
-        records, phase = _run_replicates(train, X_new, cfg)
-        aggregate_started = time.perf_counter()
+
+    def aggregate(records):
         yhats = np.stack([r.yhat for r in records])
         lowers = np.stack([r.lower for r in records])
         uppers = np.stack([r.upper for r in records])
-        weights = cv_mse = selected = None
         if cfg.aggregation == AGG_AVERAGE:
-            yhat, lower, upper = yhats.mean(axis=0), lowers.mean(axis=0), uppers.mean(axis=0)
-        elif cfg.aggregation == AGG_MODEL_AVERAGE:
+            return dict(yhat=yhats.mean(axis=0), lower=lowers.mean(axis=0),
+                        upper=uppers.mean(axis=0))
+        if cfg.aggregation == AGG_MODEL_AVERAGE:
             log_ev = np.array([r.log_evidence for r in records])
             w = np.exp(log_ev - log_ev.max())
             weights = w / w.sum()
-            yhat = weights @ yhats
-            lower, upper = weights @ lowers, weights @ uppers
-        else:
-            cv_mse = np.array([r.cv_mse for r in records])
-            selected = int(np.argmin(cv_mse))
-            yhat, lower, upper = yhats[selected], lowers[selected], uppers[selected]
-        phase["aggregate"] = time.perf_counter() - aggregate_started
-    return TarpResult(
-        yhat=yhat, lower=lower, upper=upper,
-        per_replicate=tuple(records) if cfg.keep_replicates else None,
-        wall_time=time.perf_counter() - started, phase_times=phase,
-        weights=weights, cv_mse=cv_mse, selected_replicate=selected)
+            return dict(yhat=weights @ yhats, lower=weights @ lowers, upper=weights @ uppers,
+                        weights=weights)
+        cv_mse = np.array([r.cv_mse for r in records])
+        selected = int(np.argmin(cv_mse))
+        return dict(yhat=yhats[selected], lower=lowers[selected], upper=uppers[selected],
+                    cv_mse=cv_mse, selected_replicate=selected)
+
+    return TarpResult(**_run(train, X_new, cfg, aggregate))
 
 
 def run_tarp_binary(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpBinaryResult:
     """Binary path: probit Gibbs per replicate, simple average of probabilities."""
     if train.response_kind != RESPONSE_BINARY:
         raise ParameterError("run_tarp_binary requires a binary response")
-    started = time.perf_counter()
-    with one_thread():
-        records, phase = _run_replicates(train, X_new, cfg)
-        aggregate_started = time.perf_counter()
-        prob = np.stack([r.yhat for r in records]).mean(axis=0)
-        phase["aggregate"] = time.perf_counter() - aggregate_started
-    return TarpBinaryResult(
-        prob=prob, per_replicate=tuple(records) if cfg.keep_replicates else None,
-        wall_time=time.perf_counter() - started, phase_times=phase)
+    return TarpBinaryResult(**_run(train, X_new, cfg, lambda records: dict(
+        prob=np.stack([r.yhat for r in records]).mean(axis=0))))
 
 
 def kfold_mse(Z: np.ndarray, y: np.ndarray, post: CompressedPosterior, k: int,

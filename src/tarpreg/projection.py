@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, checked_array, checked_int, checked_number
+from .errors import DimensionError, ParameterError, checked_array, checked_int, checked_number
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,11 @@ class ProjectionMatrix:
     rank_truncated: bool = False
 
     def __post_init__(self):
-        cmap = np.ascontiguousarray(self.column_map, dtype=np.int64)
+        cmap = np.asarray(self.column_map)
+        if cmap.ndim != 1 or cmap.size and cmap.dtype.kind not in "iu":  # empty stays valid
+            raise ParameterError(f"column_map must be a 1-d integer array, got {cmap.dtype} "
+                                 f"of shape {cmap.shape}")
+        cmap = np.ascontiguousarray(cmap, dtype=np.int64)
         entries = np.ascontiguousarray(
             checked_array("entries", self.entries, (self.m, cmap.shape[0]), finite=False))
         entries.setflags(write=False)
@@ -64,11 +68,8 @@ def gen_pcr_matrix(X_gamma: np.ndarray, m: int, column_map=None) -> ProjectionMa
     X_gamma = checked_array("X_gamma", X_gamma, (None, None), finite=False, nonempty=True)
     checked_int("m", m, 1, error=DimensionError)
     _, s, vt = np.linalg.svd(X_gamma, full_matrices=False)
-    if s.size and s[0] > 0:
-        rank = int((s > s[0] * max(X_gamma.shape) * np.finfo(np.float64).eps).sum())
-    else:
-        rank = 0
-    m_eff = max(1, min(m, rank if rank else 1))
+    rank = int((s > s[0] * max(X_gamma.shape) * np.finfo(np.float64).eps).sum())
+    m_eff = max(1, min(m, rank))
     rows = vt[:m_eff].copy()
     for row in rows:
         lead = int(np.argmax(np.abs(row)))

@@ -339,10 +339,13 @@ def test_removed_prior_flag_is_one_json_usage_error(sim_dir, tmp_path, capsys, c
     ("a_sigma=0.1\n", "{cfg}:1: unknown key 'a_sigma'"),
     ("replicates=2\nb_sigma=0.02\n", "{cfg}:2: unknown key 'b_sigma'"),
     ("response=y\n", "{cfg}:1: unknown key 'response'"),
+    ("m_lo=10\n", "config must set both m_lo and m_hi"),
+    ("replicates\n", "{cfg}:1: expected key=value"),
 ], ids=["repeated-key", "center-y-removed", "kappa-removed", "k-folds-removed",
         "theta-scale-removed", "probit-average-removed", "psi-lo-removed", "psi-hi-removed",
         "pi-method-mixture-cv-removed", "pi-method-mixture-model-average-removed",
-        "a-sigma-removed", "b-sigma-removed", "response-removed"])
+        "a-sigma-removed", "b-sigma-removed", "response-removed", "m-lo-without-m-hi",
+        "line-without-equals"])
 def test_config_file_error_names_line_and_key(sim_dir, tmp_path, capsys, cfg_text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(cfg_text)
@@ -351,6 +354,31 @@ def test_config_file_error_names_line_and_key(sim_dir, tmp_path, capsys, cfg_tex
     assert json.loads(capsys.readouterr().err) == {"error": "ParameterError",
                                                    "message": message.format(cfg=cfg)}
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["fit", "{train}", "{narrow}"], "ParameterError",
+     "test has 9 predictor columns, train has 10"),
+    (["fit", "{one_row}", "{train}"], "DimensionError", "standardize needs n >= 2"),
+    (["fit", "{train}", "{train}", "--response", "99"], "IngestionError",
+     "{train}: response column index 99 out of range"),
+    (["screen", "{train}", "--response", "99"], "IngestionError",
+     "{train}: response column index 99 out of range"),
+], ids=["fit-test-one-column-narrower", "fit-one-row-train", "fit-response-99",
+        "screen-response-99"])
+def test_input_that_does_not_fit_the_command_is_one_json_error(tmp_path, capsys, argv, error,
+                                                               message):
+    X, y = np.random.default_rng(4).normal(size=(6, 10)), np.arange(6.0)
+    paths = {"train": tmp_path / "train.csv", "narrow": tmp_path / "narrow.csv",
+             "one_row": tmp_path / "one_row.csv"}
+    write_matrix_csv(paths["train"], X, y)
+    write_matrix_csv(paths["narrow"], X[:, :9], y)
+    write_matrix_csv(paths["one_row"], X[:1], y[:1])
+    assert run_cli(*[a.format(**paths) for a in argv], "--out", str(tmp_path / "x")) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error, "message": message.format(**paths)}
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())  # no output file left
 
 
 @pytest.mark.parametrize("cfg_text, key", [

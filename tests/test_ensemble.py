@@ -14,7 +14,7 @@ from tarpreg import (Dataset, DimensionError, IngestionError, ParameterError, Pr
                      kfold_mse, misclass, mspe, predict, predict_probit, probit_gibbs, roc_auc,
                      run_replicate, run_tarp, run_tarp_binary, screening_probs, standardize,
                      t_interval_halfwidth, t_ppf, write_csv)
-from tarpreg.ensemble import BACKENDS
+from tarpreg.ensemble import BACKENDS, dataset_seed
 from tarpreg.simulate import SchemeSpec, generate
 
 
@@ -231,11 +231,30 @@ def test_scheme_sizes_reject_non_integers(field):
     (lambda Z, y, post, rng: predict(post, Z, "0.5"), ParameterError, "level"),
     (lambda Z, y, post, rng: t_interval_halfwidth("0.5", 10.0), ParameterError, "level"),
     (lambda Z, y, post, rng: t_ppf(0.75, "10"), ParameterError, "df"),
+    *[(lambda Z, y, post, rng, seed=seed: dataset_seed(seed, 0), ParameterError, "seed")
+      for seed in (0.7, True, -1, 2 ** 64)],
+    *[(lambda Z, y, post, rng, index=index: dataset_seed(0, index), ParameterError, "index")
+      for index in (-1, 1.0)],
+    *[(lambda Z, y, post, rng, index=index: run_replicate(
+        standardize(Dataset.from_arrays(Z.copy(), y)), Z, TarpConfig(), index),
+       ParameterError, "index") for index in (True, "1", -1, 1.0)],
+    (lambda Z, y, post, rng: gen_rp_matrix(2, 2, 0.3, rng, column_map=np.array([0.5, 2.7])),
+     ParameterError, "column_map"),
+    (lambda Z, y, post, rng: gen_pcr_matrix(Z, 1, column_map=np.array([True, False])),
+     ParameterError, "column_map"),
+    (lambda Z, y, post, rng: ProjectionMatrix(np.ones((1, 2)), np.array(["a", "b"]), 1),
+     ParameterError, "column_map"),
+    (lambda Z, y, post, rng: ProjectionMatrix(np.ones((1, 2)), np.array([[0, 1]]), 1),
+     ParameterError, "column_map"),
 ], ids=["inclusion-delta-nan", "rp-p-gamma-float", "pcr-m-float", "gibbs-iterations-float",
-        "kfold-k-float", "predict-level-str", "halfwidth-level-str", "t-ppf-df-str"])
+        "kfold-k-float", "predict-level-str", "halfwidth-level-str", "t-ppf-df-str",
+        "dataset-seed-float", "dataset-seed-bool", "dataset-seed-negative", "dataset-seed-2-64",
+        "dataset-index-negative", "dataset-index-float", "replicate-index-bool",
+        "replicate-index-str", "replicate-index-negative", "replicate-index-float",
+        "rp-column-map-float", "pcr-column-map-bool", "column-map-str", "column-map-2d"])
 def test_functions_reject_unparsed_and_non_finite_arguments(call, error, field):
-    # each was accepted (2.5 folds ran, NaN delta gave NaN probabilities) or raised
-    # a TypeError
+    # each was accepted (2.5 folds ran, NaN delta gave NaN probabilities, a float seed or
+    # index was truncated, a bool read as 0 or 1) or raised a TypeError or numpy's ValueError
     rng = np.random.default_rng(3)
     Z, y = rng.normal(size=(10, 2)), rng.normal(size=10)
     with pytest.raises(error, match=rf"^{field} must be"):

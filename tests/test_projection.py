@@ -85,6 +85,8 @@ def test_compress_examples():
     assert np.allclose(compress(np.zeros((4, 3)), proj), 0.0)
     with pytest.raises(DimensionError):
         compress(X[:, :1], proj)  # column_map index out of range
+    empty = ProjectionMatrix(np.zeros((2, 0)), [], m=2)  # an empty map stays valid
+    assert empty.p_gamma == 0 and np.array_equal(compress(X, empty), np.zeros((10, 2)))
 
 
 def test_compress_matches_scores_for_pcr():
