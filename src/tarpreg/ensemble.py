@@ -13,10 +13,15 @@ run, never per replicate.
 Replicate ``l`` draws from a deterministic substream derived from
 (seed, REPLICATE, l), so results are bit-reproducible regardless of
 execution order or worker count, and any replicate of either path can be
-re-run alone, with the evidence or cv error its config implies.
+re-run alone, with the evidence or cv error its config implies.  So a binary
+run splits its chains over the CPUs it may use (``_replicate_processes``) and
+returns the one-process records bit for bit.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass
@@ -255,17 +260,83 @@ def _run(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, aggregate) -> dict:
         probs = _checked_probs(train, X_new, cfg)
         phase = {"screen": time.perf_counter() - screen_started, "project": 0.0, "fit": 0.0,
                  "predict": 0.0}
-        records = []
-        for l in range(cfg.n_replicates):
-            try:
-                records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
-            except Exception as exc:  # no silent skipping
-                raise ReplicateError(l, cfg.seed, exc) from exc
+        records = _replicates(train, X_new, cfg, probs, phase)
         aggregate_started = time.perf_counter()
         fields = aggregate(records)
         phase["aggregate"] = time.perf_counter() - aggregate_started
     return dict(fields, per_replicate=tuple(records) if cfg.keep_replicates else None,
                 wall_time=time.perf_counter() - started, phase_times=phase)
+
+
+def _replicate_processes(train: Dataset, cfg: TarpConfig) -> int:
+    """min(allowed CPUs, replicates) on the binary path when a fork is safe (no other
+    thread), else 1: a Gaussian replicate is too short for a fork to pay off."""
+    if (train.response_kind != RESPONSE_BINARY or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), cfg.n_replicates)
+
+
+def _replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, probs: InclusionProbs,
+                phase: dict) -> list:
+    """Every record in index order.  Replicate l runs in process l mod k, k being
+    ``_replicate_processes``: this process is 0, and each other is forked once, sends its
+    records, phase seconds and first error back through a pipe, and ends in ``os._exit``.
+    The records are the one-process records bit for bit; the lowest failing index is
+    raised, and every child is reaped (killed first if this process fails)."""
+    n, k = cfg.n_replicates, _replicate_processes(train, cfg)
+
+    def share(first, phase):  # indices first, first + k, ...: records and first error
+        records = []
+        for l in range(first, n, k):
+            try:
+                records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
+            except Exception as exc:  # no silent skipping
+                error = ReplicateError(l, cfg.seed, exc)
+                error.__cause__ = exc
+                return records, error
+        return records, None
+
+    if k > 1:  # loaded here, not on the Gaussian path's start-up
+        import signal
+        import scipy.special  # noqa: F401  the sampler's import, paid once, not per child
+    pids, pipes = [], []
+    try:
+        for first in range(1, k):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    own = dict.fromkeys(phase, 0.0)
+                    with os.fdopen(write_fd, "wb") as fh:
+                        pickle.dump((*share(first, own), own), fh)
+                finally:
+                    os._exit(0)  # an unsent result is reported by the parent
+            os.close(write_fd)
+            pids.append(pid)
+            pipes.append(os.fdopen(read_fd, "rb"))
+        shares = [share(0, phase)]
+        for first, fh in enumerate(pipes, 1):
+            try:
+                *result, own = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                raise TarpError(f"the process running the replicates l = {first} (mod {k}) "
+                                "ended without sending them") from None
+            shares.append(result)
+            for key, seconds in own.items():
+                phase[key] += seconds
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fh in pipes:
+            fh.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    errors = [error for _, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error.index)
+    return [shares[l % k][0][l // k] for l in range(n)]
 
 
 def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:

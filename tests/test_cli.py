@@ -114,6 +114,7 @@ def test_fit_predict_on_csv(sim_dir, tmp_path):
     assert summary["train"]["response_kind"] == "continuous"
     threads = summary["runtime"]["blas_threads"]  # conftest's variables leave the guard on
     assert threads == "unknown" or all(c["inside"] == 1 for c in threads.values())
+    assert summary["runtime"]["replicate_processes"] == 1  # the Gaussian path never forks
     assert summary["io_times"]["read"] > 0 and summary["io_times"]["write"] > 0
     m_lo, m_hi = TarpConfig().resolved_m_range(40, 60)
     assert m_lo <= summary["m_effective"]["min"] <= summary["m_effective"]["max"] <= m_hi
@@ -665,7 +666,8 @@ def test_benchmark_scheme_shape_error_fails_before_any_dataset(tmp_path, capsys,
     assert not list(tmp_path.glob("b.*"))
 
 
-def test_fit_binary_writes_probabilities(tmp_path):
+def test_fit_binary_writes_probabilities(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     rng = np.random.default_rng(7)
     rows = ["x0,x1,x2,y"]
     X = rng.normal(size=(30, 3))
@@ -680,6 +682,7 @@ def test_fit_binary_writes_probabilities(tmp_path):
     pred = read_csv(str(prefix) + ".predictions.csv")
     names = json.loads((tmp_path / "binrun.summary.json").read_text())
     assert names["train"]["response_kind"] == "binary"
+    assert names["runtime"]["replicate_processes"] == (2 if hasattr(os, "fork") else 1)
     assert ((pred.y >= 0) & (pred.y <= 1)).all()  # probability column
 
 

@@ -1,4 +1,7 @@
+import os
 import re
+import threading
+import time
 from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
 
@@ -14,6 +17,7 @@ from tarpreg import (Dataset, DimensionError, IngestionError, ParameterError, Pr
                      kfold_mse, misclass, mspe, predict, predict_probit, probit_gibbs, roc_auc,
                      run_replicate, run_tarp, run_tarp_binary, screening_probs, standardize,
                      t_interval_halfwidth, t_ppf, write_csv)
+from tarpreg import ensemble
 from tarpreg.ensemble import BACKENDS, dataset_seed
 from tarpreg.simulate import SchemeSpec, generate
 
@@ -643,13 +647,121 @@ def test_single_replicate_carries_the_runs_selection_statistic(aggregation):
     assert all(getattr(r, field) is not None for r in res.per_replicate)
 
 
-def test_binary_replicate_failure_reports_index_and_seed(fail_second_call):
+def test_binary_replicate_failure_reports_index_and_seed(fail_second_call, monkeypatch):
+    # one process: the fixture counts the calls of the process it runs in
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     train, Xn = _binary_toy(seed=24)
     fail_second_call("probit_gibbs")
     with pytest.raises(ReplicateError) as err:
         run_tarp_binary(train, Xn, TarpConfig(n_replicates=3, seed=31, probit_iterations=20,
                                               probit_burnin=5))
     assert (err.value.index, err.value.seed) == (1, 31)
+
+
+_forking = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                              reason="needs os.fork and os.sched_getaffinity")
+_SHORT_CHAIN = dict(probit_iterations=20, probit_burnin=5)
+
+
+def _allow_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_forking
+def test_binary_records_are_identical_in_one_and_two_processes(monkeypatch):
+    train, Xn = _binary_toy(seed=25)
+    cfg = TarpConfig(n_replicates=5, seed=7, **_SHORT_CHAIN)
+    real_fork, forks, runs = os.fork, [], []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        runs.append(run_tarp_binary(train, Xn, cfg))
+        _no_child_left()
+    assert len(forks) == 1
+    one, two = runs
+    assert one.prob.tobytes() == two.prob.tobytes()
+    record = lambda r: (r.m, r.psi, r.p_gamma, r.mask_digest, r.yhat.tobytes())
+    assert [record(r) for r in one.per_replicate] == [record(r) for r in two.per_replicate]
+    assert one.phase_times.keys() == two.phase_times.keys()
+
+
+@_forking
+@pytest.mark.parametrize("failing, lowest", [((3, 4), 3), ((2, 3), 2)])
+def test_lowest_failing_replicate_is_raised_from_either_process(monkeypatch, failing, lowest):
+    # in two processes, this one runs the even indices and the child the odd ones
+    train, Xn = _binary_toy(seed=24)
+    real = ensemble.run_replicate
+
+    def flaky(train, X_new, cfg, index, **kwargs):
+        if index in failing:
+            raise RuntimeError(f"synthetic failure {index}")
+        return real(train, X_new, cfg, index, **kwargs)
+
+    monkeypatch.setattr(ensemble, "run_replicate", flaky)
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        with pytest.raises(ReplicateError) as err:
+            run_tarp_binary(train, Xn, TarpConfig(n_replicates=5, seed=31, **_SHORT_CHAIN))
+        assert (err.value.index, err.value.seed) == (lowest, 31)
+        assert f"synthetic failure {lowest}" in str(err.value)
+        _no_child_left()
+
+
+@_forking
+def test_a_child_that_dies_or_an_interrupt_leaves_no_process(monkeypatch):
+    train, Xn = _binary_toy(seed=24)
+    cfg = TarpConfig(n_replicates=4, seed=3, **_SHORT_CHAIN)
+    real, parent = ensemble.run_replicate, os.getpid()
+
+    def dies(train, X_new, cfg, index, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(train, X_new, cfg, index, **kwargs)
+
+    def interrupted(train, X_new, cfg, index, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(20)  # killed, not waited for
+
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(ensemble, "run_replicate", dies)
+    with pytest.raises(TarpError, match=r"replicates l = 1 \(mod 2\) ended without sending"):
+        run_tarp_binary(train, Xn, cfg)
+    _no_child_left()
+    monkeypatch.setattr(ensemble, "run_replicate", interrupted)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_tarp_binary(train, Xn, cfg)
+    assert time.perf_counter() - started < 10
+    _no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "another-thread", "gaussian"])
+def test_replicates_run_in_this_process(monkeypatch, case):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+    _allow_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
+    if case == "gaussian":
+        std, Xn, _ = _toy(seed=26)
+        assert run_tarp(std, Xn, TarpConfig(n_replicates=3)).per_replicate
+        return
+    train, Xn = _binary_toy(seed=26)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "another-thread":
+        thread.start()
+    try:
+        assert len(run_tarp_binary(train, Xn, TarpConfig(n_replicates=3, **_SHORT_CHAIN))
+                   .per_replicate) == 3
+    finally:
+        stop.set()
+    if case == "another-thread":
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 def _rejected_run(case):
