@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import (RESPONSE_BINARY, Dataset, _read_table, read_csv, transform_columns,
                    write_csv, write_matrix_csv)
-from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, _replicate_processes, dataset_seed,
+from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
                        draw_replicate, run_tarp, run_tarp_binary, screening_probs)
 from .errors import DimensionError, ParameterError, ReplicateError, TarpError, checked_int
 from .metrics import ecp_width, mspe
@@ -205,7 +205,7 @@ def cmd_fit(args) -> int:
             "phase_times": result.phase_times,
             "io_times": {"read": read_time, "write": write_time},
             "wall_time": time.perf_counter() - started,
-            "runtime": dict(runtime(), replicate_processes=_replicate_processes(std_train, cfg)),
+            "runtime": dict(runtime(), replicate_processes=result.processes),
         }
         _write_json(args.out + ".summary.json", summary)
     return 0

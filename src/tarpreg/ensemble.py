@@ -153,6 +153,7 @@ class TarpResult:
     weights: Optional[np.ndarray] = None     # model averaging
     cv_mse: Optional[np.ndarray] = None      # cv selection
     selected_replicate: Optional[int] = None
+    processes: int = 1                       # that ran the replicates
 
     def __post_init__(self):
         # written as passing conditions so that NaN fails them
@@ -168,6 +169,7 @@ class TarpBinaryResult:
     per_replicate: Optional[tuple]
     wall_time: float
     phase_times: dict
+    processes: int = 1  # that ran the replicates
 
 
 @dataclass(frozen=True)
@@ -252,41 +254,45 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
 
 def _run(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, aggregate) -> dict:
     """One run under one thread guard: check and screen once, run every replicate in index
-    order, then ``aggregate(records)``; its fields plus per_replicate, wall_time and
-    phase_times."""
+    order, then ``aggregate(records)``; its fields plus per_replicate, wall_time,
+    phase_times and the processes that ran the replicates."""
     started = time.perf_counter()
     with one_thread():
         screen_started = time.perf_counter()
         probs = _checked_probs(train, X_new, cfg)
         phase = {"screen": time.perf_counter() - screen_started, "project": 0.0, "fit": 0.0,
                  "predict": 0.0}
-        records = _replicates(train, X_new, cfg, probs, phase)
+        records, processes = _replicates(train, X_new, cfg, probs, phase)
         aggregate_started = time.perf_counter()
         fields = aggregate(records)
         phase["aggregate"] = time.perf_counter() - aggregate_started
     return dict(fields, per_replicate=tuple(records) if cfg.keep_replicates else None,
-                wall_time=time.perf_counter() - started, phase_times=phase)
+                wall_time=time.perf_counter() - started, phase_times=phase, processes=processes)
 
 
 def _replicate_processes(train: Dataset, cfg: TarpConfig) -> int:
-    """min(allowed CPUs, replicates) on the binary path when a fork is safe (no other
-    thread), else 1: a Gaussian replicate is too short for a fork to pay off."""
+    """min(2, allowed CPUs, replicates) on the binary path when a fork is safe (no other
+    thread), else 1: a Gaussian replicate is too short for a fork to pay off, and more than
+    two processes were never measured."""
     if (train.response_kind != RESPONSE_BINARY or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1):
         return 1
-    return min(len(os.sched_getaffinity(0)), cfg.n_replicates)
+    return min(2, len(os.sched_getaffinity(0)), cfg.n_replicates)
 
 
 def _replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, probs: InclusionProbs,
-                phase: dict) -> list:
-    """Every record in index order.  Replicate l runs in process l mod k, k being
-    ``_replicate_processes``: this process is 0, and each other is forked once, sends its
-    records, phase seconds and first error back through a pipe, and ends in ``os._exit``.
-    The records are the one-process records bit for bit; the lowest failing index is
-    raised, and every child is reaped (killed first if this process fails)."""
+                phase: dict) -> tuple:
+    """Every record in index order, and k, the ``_replicate_processes`` that ran them.
+
+    Replicate l runs in process l mod k: this process is 0, and each other is forked once,
+    sends its records and first error back through a pipe, and ends in ``os._exit``.  The
+    records are the one-process records bit for bit; the lowest failing index is raised,
+    and every child is reaped (killed first if this process fails).  ``phase`` counts this
+    process's own seconds, and the time it waits for the others as "fit", so the phases
+    stay within the elapsed time."""
     n, k = cfg.n_replicates, _replicate_processes(train, cfg)
 
-    def share(first, phase):  # indices first, first + k, ...: records and first error
+    def share(first):  # indices first, first + k, ...: records and first error
         records = []
         for l in range(first, n, k):
             try:
@@ -299,6 +305,7 @@ def _replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, probs: Inclu
 
     if k > 1:  # loaded here, not on the Gaussian path's start-up
         import signal
+        import traceback
         import scipy.special  # noqa: F401  the sampler's import, paid once, not per child
     pids, pipes = [], []
     try:
@@ -306,24 +313,25 @@ def _replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, probs: Inclu
             read_fd, write_fd = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
-                    own = dict.fromkeys(phase, 0.0)
+                    records, error = share(first)
+                    if error is not None:  # the cause's traceback does not pickle; its text does
+                        error.__notes__ = ["".join(traceback.format_exception(error.__cause__))]
                     with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump((*share(first, own), own), fh)
+                        pickle.dump((records, error), fh)
                 finally:
                     os._exit(0)  # an unsent result is reported by the parent
             os.close(write_fd)
             pids.append(pid)
             pipes.append(os.fdopen(read_fd, "rb"))
-        shares = [share(0, phase)]
+        shares = [share(0)]
+        waited = time.perf_counter()
         for first, fh in enumerate(pipes, 1):
             try:
-                *result, own = pickle.load(fh)
+                shares.append(pickle.load(fh))
             except (EOFError, pickle.UnpicklingError):
                 raise TarpError(f"the process running the replicates l = {first} (mod {k}) "
                                 "ended without sending them") from None
-            shares.append(result)
-            for key, seconds in own.items():
-                phase[key] += seconds
+        phase["fit"] += time.perf_counter() - waited
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -336,7 +344,7 @@ def _replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, probs: Inclu
     errors = [error for _, error in shares if error is not None]
     if errors:
         raise min(errors, key=lambda error: error.index)
-    return [shares[l % k][0][l // k] for l in range(n)]
+    return [shares[l % k][0][l // k] for l in range(n)], k
 
 
 def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:

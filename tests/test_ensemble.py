@@ -2,6 +2,7 @@ import os
 import re
 import threading
 import time
+import traceback
 from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
 
@@ -519,9 +520,12 @@ def test_binary_path_rejects_non_finite_test_rows():
                                               probit_burnin=5))
 
 
-@pytest.mark.parametrize("path", ["average", "model-average", "cv", "binary"])
-def test_phase_times_are_the_five_phases_within_the_wall_time(path):
-    if path == "binary":
+@pytest.mark.parametrize("path", ["average", "model-average", "cv", "binary",
+                                  "binary-two-processes"])
+def test_phase_times_are_the_five_phases_within_the_wall_time(path, monkeypatch):
+    if path == "binary-two-processes":  # the time waiting for the other process is "fit"
+        _allow_cpus(monkeypatch, 2)
+    if path.startswith("binary"):
         train, Xn = _binary_toy()
         res = run_tarp_binary(train, Xn, TarpConfig(n_replicates=3, probit_iterations=50,
                                                     probit_burnin=10))
@@ -531,6 +535,8 @@ def test_phase_times_are_the_five_phases_within_the_wall_time(path):
     assert list(res.phase_times) == ["screen", "project", "fit", "predict", "aggregate"]
     assert all(t >= 0 for t in res.phase_times.values())
     assert sum(res.phase_times.values()) <= res.wall_time
+    if path == "binary-two-processes":
+        assert res.processes == (2 if hasattr(os, "fork") else 1)
 
 
 @pytest.mark.parametrize("setting", [dict(aggregation="cv"),
@@ -684,6 +690,7 @@ def test_binary_records_are_identical_in_one_and_two_processes(monkeypatch):
         _no_child_left()
     assert len(forks) == 1
     one, two = runs
+    assert (one.processes, two.processes) == (1, 2)
     assert one.prob.tobytes() == two.prob.tobytes()
     record = lambda r: (r.m, r.psi, r.p_gamma, r.mask_digest, r.yhat.tobytes())
     assert [record(r) for r in one.per_replicate] == [record(r) for r in two.per_replicate]
@@ -709,7 +716,14 @@ def test_lowest_failing_replicate_is_raised_from_either_process(monkeypatch, fai
             run_tarp_binary(train, Xn, TarpConfig(n_replicates=5, seed=31, **_SHORT_CHAIN))
         assert (err.value.index, err.value.seed) == (lowest, 31)
         assert f"synthetic failure {lowest}" in str(err.value)
+        assert f'raise RuntimeError(f"synthetic failure {{index}}")' in _diagnostic(err.value)
         _no_child_left()
+
+
+def _diagnostic(error):
+    """What a caller can print of a replicate failure: its chained cause's traceback, or the
+    traceback text that a failure in another process carries as a note."""
+    return "".join(traceback.format_exception(error)) + "".join(getattr(error, "__notes__", ()))
 
 
 @_forking
