@@ -61,7 +61,7 @@ def one_thread():
 def runtime() -> dict:
     """Thread counts outside and inside the guard, CPU count, versions (scipy None if
     unused) and the process's peak resident memory so far: its own ``VmHWM`` in 10^6
-    bytes, None without /proc.  Only this process's: not a pool worker's."""
+    bytes, None without /proc.  Only this process's: not a forked process's."""
     import numpy
     libs = _openblas()
     outside = [get() for _, get, _ in libs]

@@ -14,7 +14,7 @@ object on stderr and exit nonzero: 2 for a usage error, 1 otherwise.
 Benchmark outputs are bit-identical for any ``--workers`` value; wall-clock
 timings go to a separate ``.timing.json`` so the data files stay
 deterministic.  Importing this module starts OpenBLAS at one thread
-(``_blas.pin_at_start``) and loads no process pool.
+(``_blas.pin_at_start``).
 """
 from __future__ import annotations
 
@@ -37,8 +37,9 @@ import numpy as np
 
 from .data import (RESPONSE_BINARY, Dataset, _read_table, read_csv, transform_columns,
                    write_csv, write_matrix_csv)
-from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, dataset_seed,
-                       draw_replicate, run_tarp, run_tarp_binary, screening_probs)
+from .ensemble import (AGGREGATIONS, BACKENDS, TarpConfig, _allowed_cpus, _in_processes,
+                       dataset_seed, draw_replicate, run_tarp, run_tarp_binary,
+                       screening_probs)
 from .errors import DimensionError, ParameterError, ReplicateError, TarpError, checked_int
 from .metrics import ecp_width, mspe
 from .simulate import SCHEMES, SchemeSpec, generate
@@ -232,15 +233,9 @@ def cmd_benchmark(args) -> int:
 
     seeds = [dataset_seed(cfg.seed, i) for i in range(args.datasets)]
     jobs = [(replace(spec, seed=s), cfg) for s in seeds]
-    # the pool starts all its processes up front: never more than there are datasets
-    workers = min(args.workers or os.cpu_count() or 1, args.datasets)
     started = time.perf_counter()
-    if workers == 1:
-        rows = [_benchmark_one(job) for job in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_benchmark_one, jobs, chunksize=1))
+    rows, _, workers = _in_processes(lambda l: _benchmark_one(jobs[l]), args.datasets,
+                                     args.workers or _allowed_cpus(), "datasets")
     elapsed = time.perf_counter() - started
 
     metric_names = ["mspe", "ecp", "width"]

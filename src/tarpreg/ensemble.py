@@ -14,8 +14,8 @@ Replicate ``l`` draws from a deterministic substream derived from
 (seed, REPLICATE, l), so results are bit-reproducible regardless of
 execution order or worker count, and any replicate of either path can be
 re-run alone, with the evidence or cv error its config implies.  So a binary
-run splits its chains over the CPUs it may use (``_replicate_processes``) and
-returns the one-process records bit for bit.
+run splits its chains over two processes (``_in_processes``) and returns the
+one-process records bit for bit.
 """
 from __future__ import annotations
 
@@ -253,16 +253,30 @@ def run_replicate(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, index: int
 
 
 def _run(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, aggregate) -> dict:
-    """One run under one thread guard: check and screen once, run every replicate in index
-    order, then ``aggregate(records)``; its fields plus per_replicate, wall_time,
-    phase_times and the processes that ran the replicates."""
+    """One run under one thread guard: check and screen once, run every replicate (a binary
+    run's in min(2, allowed CPUs) processes; a Gaussian replicate is too short for a fork
+    to pay off), then ``aggregate(records)``; its fields plus per_replicate, wall_time,
+    phase_times and the processes that ran the replicates.  ``phase`` counts this process's
+    own seconds and its wait for the others as "fit", so they stay within the wall time."""
     started = time.perf_counter()
     with one_thread():
         screen_started = time.perf_counter()
         probs = _checked_probs(train, X_new, cfg)
         phase = {"screen": time.perf_counter() - screen_started, "project": 0.0, "fit": 0.0,
                  "predict": 0.0}
-        records, processes = _replicates(train, X_new, cfg, probs, phase)
+
+        def replicate(l):
+            try:
+                return run_replicate(train, X_new, cfg, l, probs=probs, phase=phase)
+            except Exception as exc:  # no silent skipping
+                raise ReplicateError(l, cfg.seed, exc) from exc
+
+        binary = train.response_kind == RESPONSE_BINARY
+        if binary:  # the sampler's import, paid once before a fork, not per process
+            import scipy.special  # noqa: F401
+        records, waited, processes = _in_processes(
+            replicate, cfg.n_replicates, min(2, _allowed_cpus()) if binary else 1, "replicates")
+        phase["fit"] += waited
         aggregate_started = time.perf_counter()
         fields = aggregate(records)
         phase["aggregate"] = time.perf_counter() - aggregate_started
@@ -270,68 +284,60 @@ def _run(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, aggregate) -> dict:
                 wall_time=time.perf_counter() - started, phase_times=phase, processes=processes)
 
 
-def _replicate_processes(train: Dataset, cfg: TarpConfig) -> int:
-    """min(2, allowed CPUs, replicates) on the binary path when a fork is safe (no other
-    thread), else 1: a Gaussian replicate is too short for a fork to pay off, and more than
-    two processes were never measured."""
-    if (train.response_kind != RESPONSE_BINARY or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1):
-        return 1
-    return min(2, len(os.sched_getaffinity(0)), cfg.n_replicates)
+def _allowed_cpus() -> int:
+    """The CPUs this process may run on (``os.sched_getaffinity``); 1 where that is missing."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, probs: InclusionProbs,
-                phase: dict) -> tuple:
-    """Every record in index order, and k, the ``_replicate_processes`` that ran them.
+def _in_processes(task, n: int, k: int, what: str) -> tuple:
+    """``[task(0), ..., task(n - 1)]``, the seconds this process waited for the others and the
+    processes that ran them: min(k, n), or 1 without ``os.fork`` or ``os.sched_getaffinity``
+    or while another thread is alive.  Task l runs in process l mod k: this one is 0, and
+    each other is forked once, sends its results and first failure through a pipe and ends
+    in ``os._exit``.  The lowest failing index's exception is raised, from another process
+    with its traceback as text in ``__notes__``; one that sends nothing is a TarpError
+    naming ``what``.  Every child is reaped, killed first if this process fails."""
+    k = min(k, n) if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                      and threading.active_count() == 1) else 1
+    if k == 1:
+        return [task(l) for l in range(n)], 0.0, 1
+    import signal  # loaded here, not on a one-process run's start-up
+    import traceback
 
-    Replicate l runs in process l mod k: this process is 0, and each other is forked once,
-    sends its records and first error back through a pipe, and ends in ``os._exit``.  The
-    records are the one-process records bit for bit; the lowest failing index is raised,
-    and every child is reaped (killed first if this process fails).  ``phase`` counts this
-    process's own seconds, and the time it waits for the others as "fit", so the phases
-    stay within the elapsed time."""
-    n, k = cfg.n_replicates, _replicate_processes(train, cfg)
-
-    def share(first):  # indices first, first + k, ...: records and first error
-        records = []
+    def share(first):  # task(first), task(first + k), ...: results and first failure
+        results = []
         for l in range(first, n, k):
             try:
-                records.append(run_replicate(train, X_new, cfg, l, probs=probs, phase=phase))
-            except Exception as exc:  # no silent skipping
-                error = ReplicateError(l, cfg.seed, exc)
-                error.__cause__ = exc
-                return records, error
-        return records, None
+                results.append(task(l))
+            except Exception as exc:
+                return results, (l, exc)
+        return results, None
 
-    if k > 1:  # loaded here, not on the Gaussian path's start-up
-        import signal
-        import traceback
-        import scipy.special  # noqa: F401  the sampler's import, paid once, not per child
     pids, pipes = [], []
     try:
         for first in range(1, k):
             read_fd, write_fd = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
-                    records, error = share(first)
-                    if error is not None:  # the cause's traceback does not pickle; its text does
-                        error.__notes__ = ["".join(traceback.format_exception(error.__cause__))]
+                    results, failure = share(first)
+                    if failure is not None:  # the traceback does not pickle; its text does
+                        failure[1].__notes__ = ["".join(traceback.format_exception(failure[1]))]
                     with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump((records, error), fh)
+                        pickle.dump((results, failure), fh)
                 finally:
-                    os._exit(0)  # an unsent result is reported by the parent
+                    os._exit(0)  # unsent results are reported by the parent
             os.close(write_fd)
             pids.append(pid)
             pipes.append(os.fdopen(read_fd, "rb"))
         shares = [share(0)]
-        waited = time.perf_counter()
+        wait_started = time.perf_counter()
         for first, fh in enumerate(pipes, 1):
             try:
                 shares.append(pickle.load(fh))
             except (EOFError, pickle.UnpicklingError):
-                raise TarpError(f"the process running the replicates l = {first} (mod {k}) "
+                raise TarpError(f"the process running the {what} l = {first} (mod {k}) "
                                 "ended without sending them") from None
-        phase["fit"] += time.perf_counter() - waited
+        waited = time.perf_counter() - wait_started
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -341,10 +347,9 @@ def _replicates(train: Dataset, X_new: np.ndarray, cfg: TarpConfig, probs: Inclu
             fh.close()
         for pid in pids:
             os.waitpid(pid, 0)
-    errors = [error for _, error in shares if error is not None]
-    if errors:
-        raise min(errors, key=lambda error: error.index)
-    return [shares[l % k][0][l // k] for l in range(n)], k
+    if failures := [failure for _, failure in shares if failure is not None]:
+        raise min(failures)[1]  # by index, unique to each failure
+    return [shares[l % k][0][l // k] for l in range(n)], waited, k
 
 
 def run_tarp(train: Dataset, X_new: np.ndarray, cfg: TarpConfig) -> TarpResult:

@@ -92,5 +92,5 @@ class ReplicateError(TarpError):
         super().__init__(f"replicate {index} (seed {seed}) failed: {cause!r}")
 
     def __reduce__(self):
-        # rebuilt without __init__, so a pool worker can send it back: the cause may not pickle
+        # rebuilt without __init__, so a forked process can send it back: the cause may not pickle
         return BaseException.__new__, (type(self), *self.args), self.__dict__

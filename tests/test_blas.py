@@ -288,12 +288,18 @@ out["missing"] = [n for n in tarpreg.__all__ if n not in names]
 out["count"] = len(tarpreg.__all__)
 import tarpreg.cli
 out["pool"] = "concurrent.futures.process" in sys.modules
+# two processes split the datasets by one fork, with no process pool module
+assert tarpreg.cli.main(["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test",
+                         "8", "--n-active", "4", "--datasets", "2", "--replicates", "2",
+                         "--workers", "2", "--out", sys.argv[1]]) == 0
+out["benchmark_loaded"] = sorted(m for m in sys.modules
+                                 if m.split(".")[0] in ("concurrent", "multiprocessing"))
 print(json.dumps(out))
 """
 
 
-def test_package_import_is_lazy_and_cli_import_loads_no_pool():
-    out = json.loads(_python("-c", IMPORT_ONLY))
+def test_package_import_is_lazy_and_cli_import_loads_no_pool(tmp_path):
+    out = json.loads(_python("-c", IMPORT_ONLY, str(tmp_path / "b")))
     assert out["numpy"] is False and out["env"] == []
     assert out["missing"] == [] and out["count"] > 50
-    assert out["pool"] is False
+    assert out["pool"] is False and out["benchmark_loaded"] == []

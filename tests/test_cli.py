@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import weakref
 from dataclasses import asdict, fields, replace
@@ -412,7 +413,7 @@ def test_replicate_error_is_the_same_for_any_workers(tmp_path, capsys, fail_seco
               "--n-active", "4", "--seed", "3", "--datasets", "2", "--replicates", "3"]
     payloads = []
     for workers in ("1", "2"):
-        # forked pool workers inherit a fresh patch and send the error back pickled
+        # the forked process inherits a fresh patch and sends the error back pickled
         fail_second_call("run_replicate")
         assert run_cli(*common, "--workers", workers, "--out", str(tmp_path / workers)) == 1
         err = capsys.readouterr().err
@@ -435,6 +436,54 @@ def test_benchmark_pool_is_capped_at_the_dataset_count(tmp_path):
                    "--n-active", "4", "--seed", "4", "--datasets", "2", "--replicates", "2",
                    "--workers", "3", "--out", str(tmp_path / "cap")) == 0
     assert json.loads((tmp_path / "cap.timing.json").read_text())["workers"] == 2
+
+
+def test_benchmark_workers_zero_is_one_per_allowed_cpu(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_cli("benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
+                   "--n-active", "4", "--seed", "4", "--datasets", "3", "--replicates", "2",
+                   "--workers", "0", "--out", str(tmp_path / "one")) == 0
+    assert json.loads((tmp_path / "one.timing.json").read_text())["workers"] == 1
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                    reason="needs os.fork and os.sched_getaffinity")
+@pytest.mark.parametrize("case", ["child-dies", "caller-interrupted"])
+def test_a_benchmark_process_that_dies_or_an_interrupt_leaves_no_process(tmp_path, capsys,
+                                                                          monkeypatch, case):
+    real, parent = tarpreg.ensemble.run_replicate, os.getpid()
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:  # the forked process, which runs the odd datasets
+            if case == "child-dies":
+                os._exit(3)
+            time.sleep(20)  # killed, not waited for
+        elif case == "caller-interrupted":
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tarpreg.ensemble, "run_replicate", patched)
+    argv = ["benchmark", "--scheme", "ar1", "--n", "30", "--p", "40", "--n-test", "8",
+            "--n-active", "4", "--datasets", "3", "--replicates", "2", "--workers", "2",
+            "--out", str(tmp_path / "b")]
+    started = time.perf_counter()
+    if case == "child-dies":
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "TarpError", "message": "the process running the "
+                                   "datasets l = 1 (mod 2) ended without sending them"}
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv)
+    assert time.perf_counter() - started < 10
+    _no_child_left()
+    assert not list(tmp_path.iterdir())  # no output file
 
 
 @settings(max_examples=4, deadline=None)
