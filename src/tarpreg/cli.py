@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", help="key=value config file")
     _model_flags(bench)
     bench.add_argument("--datasets", type=int, default=100)
-    bench.add_argument("--workers", type=int, default=0, help="0 = one per CPU")
+    bench.add_argument("--workers", type=int, default=0,
+                       help="0 = one per CPU this process may use")
     bench.add_argument("--no-aggregate", action="store_true",
                        help="single replicate per dataset at fixed --m/--psi")
     bench.add_argument("--m", type=int, help="fixed compression dimension (needs --no-aggregate)")
@@ -232,10 +233,9 @@ def cmd_benchmark(args) -> int:
     checked_int("--workers", args.workers, 0)
 
     seeds = [dataset_seed(cfg.seed, i) for i in range(args.datasets)]
-    jobs = [(replace(spec, seed=s), cfg) for s in seeds]
     started = time.perf_counter()
-    rows, _, workers = _in_processes(lambda l: _benchmark_one(jobs[l]), args.datasets,
-                                     args.workers or _allowed_cpus(), "datasets")
+    rows, _, workers = _in_processes(lambda l: _benchmark_one(replace(spec, seed=seeds[l]), cfg),
+                                     args.datasets, args.workers or _allowed_cpus(), "datasets")
     elapsed = time.perf_counter() - started
 
     metric_names = ["mspe", "ecp", "width"]
@@ -272,15 +272,15 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _benchmark_one(job) -> dict:
-    spec, cfg = job
+def _benchmark_one(spec, cfg) -> dict:
+    started = time.perf_counter()  # the dataset's whole time: draw, standardize, run, score
     data = generate(spec)
     (std_train, X_new), test_y = _standardized_inputs(data.train, data.test_X), data.test_y
     del data  # the replicate loop holds only the standardized matrices
     result = run_tarp(std_train, X_new, replace(cfg, seed=spec.seed, keep_replicates=False))
     ecp, width = ecp_width(result.lower, result.upper, test_y)
     return {"mspe": mspe(result.yhat, test_y), "ecp": ecp, "width": width,
-            "wall_time": result.wall_time, "phase_times": result.phase_times}
+            "wall_time": time.perf_counter() - started, "phase_times": result.phase_times}
 
 
 def cmd_screen(args) -> int:

@@ -169,7 +169,8 @@ def _read_table(path, response=-1):
     and a header must be as wide as the body.  response: column name or
     zero-based index; default -1 selects the last column.  Without a header the
     predictors are named ``x0, x1, ...``.  A UTF-8 byte-order mark is dropped and cells
-    may be quoted; the error for a file np.loadtxt cannot read names the fault.
+    may be quoted.  One np.loadtxt call parses a clean file; where its C parser rejects a
+    cell, one per-cell pass either names the first fault or returns the table.
     """
     try:
         data, names = _read_fast(path)
@@ -202,37 +203,35 @@ def _read_table(path, response=-1):
 
 
 def _read_fast(path):
-    """(data, names) of a CSV file from np.loadtxt: its C parser, then Python's float (for
-    '1_000' or non-ASCII digits), but only once _read_cells finds no fault to name."""
-    for converters in (None, float):
-        if converters is float:  # the C parse failed: a faulty file raises here
-            _read_cells(path)
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            seen = []  # the lines csv reads up to the first record, for loadtxt if it is data
-            row0 = next(filter(None, csv.reader(seen.append(ln) or ln for ln in fh)), [])
-            header = not _all_numeric(row0)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                    data = np.loadtxt(fh if header else itertools.chain(seen, fh), delimiter=",",
-                                      comments=None, quotechar='"', converters=converters, ndmin=2)
-            except ValueError as exc:
-                error = exc
-                continue
-        if not data.shape[0]:
-            _read_cells(path)  # an empty file, or a header alone
-        return data, ([c.strip() for c in row0] if header else None)
-    raise IngestionError(f"{path}: np.loadtxt: {error}")
+    """(data, names) of a CSV file from one call of np.loadtxt's C parser, or from _read_cells
+    where that reads no row: a rejected cell ('1_000', a non-ASCII digit, a fault) or none."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        seen = []  # the lines csv reads up to the first record, for loadtxt if it is data
+        row0 = next(filter(None, csv.reader(seen.append(ln) or ln for ln in fh)), [])
+        header = not _all_numeric(row0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt(fh if header else itertools.chain(seen, fh), delimiter=",",
+                                  comments=None, quotechar='"', ndmin=2)
+        except ValueError:  # a cell the C parser rejects: read as no row
+            data = np.empty((0, 0))
+    if not data.shape[0]:
+        return _read_cells(path)
+    return data, ([c.strip() for c in row0] if header else None)
 
 
 def _read_cells(path):
-    """Raise the IngestionError naming the first fault of a CSV file, found by one pass
-    of csv and float that keeps no row; return if there is none."""
+    """(data, names) of a CSV file by one pass of csv and float, data a writable view of the
+    values gathered 8 bytes each; or the IngestionError naming the file's first fault."""
+    from array import array  # loaded here, not on a clean file's read
+    values = array("d")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = filter(None, csv.reader(fh))
         if (row0 := next(rows, None)) is None:
             raise IngestionError(f"{path}: empty file")
-        if not _all_numeric(row0) and (row0 := next(rows, None)) is None:  # skip a header
+        names = None if _all_numeric(row0) else [c.strip() for c in row0]
+        if names is not None and (row0 := next(rows, None)) is None:
             raise IngestionError(f"{path}: header but no data rows")
         width = len(row0)
         for i, row in enumerate(itertools.chain([row0], rows)):
@@ -240,10 +239,11 @@ def _read_cells(path):
                 raise IngestionError(f"{path}: ragged row {i} has {len(row)} cells, expected {width}")
             for j, cell in enumerate(row):
                 try:
-                    float(cell)
+                    values.append(float(cell))
                 except ValueError:
                     raise IngestionError(
                         f"{path}: non-numeric cell {cell!r} at row {i}, column {j}") from None
+    return np.frombuffer(values).reshape(-1, width), names
 
 
 def write_csv(path, columns, names):

@@ -27,3 +27,12 @@ def fail_second_call(monkeypatch):
 
         monkeypatch.setattr(ens, name, flaky)
     return install
+
+
+@pytest.fixture
+def no_child_left():
+    """``no_child_left()`` asserts that this process has no child left, running or unreaped."""
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return check

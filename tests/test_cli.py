@@ -446,16 +446,12 @@ def test_benchmark_workers_zero_is_one_per_allowed_cpu(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "one.timing.json").read_text())["workers"] == 1
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
                     reason="needs os.fork and os.sched_getaffinity")
 @pytest.mark.parametrize("case", ["child-dies", "caller-interrupted"])
 def test_a_benchmark_process_that_dies_or_an_interrupt_leaves_no_process(tmp_path, capsys,
-                                                                          monkeypatch, case):
+                                                                          monkeypatch,
+                                                                          no_child_left, case):
     real, parent = tarpreg.ensemble.run_replicate, os.getpid()
 
     def patched(*args, **kwargs):
@@ -482,7 +478,7 @@ def test_a_benchmark_process_that_dies_or_an_interrupt_leaves_no_process(tmp_pat
         with pytest.raises(KeyboardInterrupt):
             run_cli(*argv)
     assert time.perf_counter() - started < 10
-    _no_child_left()
+    no_child_left()
     assert not list(tmp_path.iterdir())  # no output file
 
 
@@ -775,13 +771,17 @@ def test_benchmark_seed_from_config_and_flag_override(tmp_path):
     assert report["dataset_seeds"] == [dataset_seed(6, i) for i in range(2)]
 
 
-def test_benchmark_timing_reports_elapsed_and_summed_time(tmp_path):
+def test_benchmark_timing_reports_elapsed_and_summed_time(tmp_path, monkeypatch):
+    # a dataset's time runs from drawing it to scoring it, not only its run_tarp
+    generate = cli.generate
+    monkeypatch.setattr(cli, "generate", lambda spec: time.sleep(0.05) or generate(spec))
     prefix = tmp_path / "t"
     assert run_cli("benchmark", "--scheme", "ar1", "--n", "30", "--p", "40",
                    "--n-test", "8", "--n-active", "4", "--seed", "2",
                    "--datasets", "3", "--replicates", "2", "--workers", "1",
                    "--out", str(prefix)) == 0
     timing = json.loads((tmp_path / "t.timing.json").read_text())
+    assert min(timing["per_dataset_wall_time"]) >= 0.05
     assert timing["dataset_time_sum"] == sum(timing["per_dataset_wall_time"])
     assert timing["wall_time"] >= timing["dataset_time_sum"]
     assert set(timing["runtime"]) == {"blas_threads", "cpu_count", "python", "numpy", "scipy",

@@ -143,6 +143,21 @@ def test_dataset_keeps_a_response_kind_given_on_one_label():
     assert ds.response_kind == "binary"
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda X: Dataset(X, np.zeros(3), "ordinal", *tarpreg.data.column_statistics(X), False),
+     IngestionError, "unknown response kind 'ordinal'"),
+    (lambda X: Dataset(X, np.zeros(3), "continuous", np.zeros(2), np.array([1.0, -1.0]), False),
+     IngestionError, "column scales must be >= 0"),
+    (lambda X: Dataset.from_arrays(X, np.zeros(3), col_names=("a",)),
+     DimensionError, "col_names length does not match p"),
+    (lambda X: Dataset.from_arrays(np.ones(3), np.ones(3)),
+     DimensionError, "column statistics need a 2-d X"),
+], ids=["kind-ordinal", "scale-negative", "one-name-two-columns", "x-1d"])
+def test_dataset_rejects_malformed_fields(make, error, message):
+    with pytest.raises(error, match=message):
+        make(np.arange(6.0).reshape(3, 2))
+
+
 def test_dataset_binary_kind_enforced():
     with pytest.raises(IngestionError):
         Dataset.from_arrays(np.ones((3, 1)), np.array([0.0, 1.0, 2.0]),
@@ -277,11 +292,12 @@ def test_read_csv_parses_clean_files_in_one_call(tmp_path, monkeypatch):
 
 
 def test_read_csv_names_a_fault_after_one_c_parse(tmp_path, monkeypatch):
-    # the fault finder runs before the Python-float retry, which only a faultless file reaches
+    # a file the C parser rejects takes the per-cell pass alone, which names the fault of a
+    # faulty file and returns the table of a faultless one
     calls = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(tarpreg.data.np, "loadtxt",
-                        lambda *a, **kw: calls.append(kw["converters"]) or loadtxt(*a, **kw))
+                        lambda *a, **kw: calls.append(kw.get("converters")) or loadtxt(*a, **kw))
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n1,2,3\n4,5,NA\n")
     with pytest.raises(IngestionError, match="non-numeric cell 'NA' at row 1, column 2"):
@@ -290,7 +306,7 @@ def test_read_csv_names_a_fault_after_one_c_parse(tmp_path, monkeypatch):
     calls.clear()
     path.write_text("a,b,y\n1_000,2,3\n4,5,6\n")
     ds = read_csv(path)
-    assert calls == [None, float]
+    assert calls == [None]
     assert ds.X.tolist() == [[1000.0, 2.0], [4.0, 5.0]] and ds.y.tolist() == [3.0, 6.0]
 
 
@@ -434,6 +450,8 @@ def test_write_csv_needs_a_column(tmp_path):
     # no column raised an IndexError
     with pytest.raises(DimensionError, match="a column"):
         write_csv(tmp_path / "w.csv", [], [])
+    with pytest.raises(DimensionError, match="all columns must share the same length"):
+        write_csv(tmp_path / "w.csv", [np.zeros(2), np.zeros(3)], ["a", "b"])
     assert not (tmp_path / "w.csv").exists()
 
 
@@ -521,20 +539,25 @@ def test_read_csv_splits_the_response_off_inside_the_parse_buffer(tmp_path, resp
 
 def test_read_csv_parses_a_quoted_file_as_lean_as_an_unquoted_one(tmp_path):
     # every cell quoted, as csv.QUOTE_ALL writes; a per-cell parse holding the rows as
-    # str lists peaks near 10.6 X
+    # str lists peaks near 10.6 X.  Then one cell, 1_000, that only Python's float reads,
+    # so the per-cell pass returns the table
     A = np.random.default_rng(7).normal(size=(200, 2001))
     path = tmp_path / "quoted.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
-        writer.writerow([f"c{j}" for j in range(2001)])
-        writer.writerows(A.tolist())
-    tracemalloc.start()
-    try:
-        ds = read_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ds.X.tobytes() == A[:, :-1].tobytes()
-    assert ds.y.tobytes() == A[:, -1].tobytes()
-    assert ds.col_names == tuple(f"c{j}" for j in range(2000))
-    assert peak <= 1.5 * ds.X.nbytes
+    for underscore in (False, True):
+        rows = A.tolist()
+        if underscore:
+            A[5, 7], rows[5][7] = 1000.0, "1_000"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerow([f"c{j}" for j in range(2001)])
+            writer.writerows(rows)
+        tracemalloc.start()
+        try:
+            ds = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.X.tobytes() == A[:, :-1].tobytes()
+        assert ds.y.tobytes() == A[:, -1].tobytes()
+        assert ds.col_names == tuple(f"c{j}" for j in range(2000))
+        assert peak <= 1.5 * ds.X.nbytes, (underscore, peak / ds.X.nbytes)

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tarpreg import (Dataset, DimensionError, IngestionError, ParameterError, PriorHyper,
-                     ProbitFit, ProjectionMatrix, ReplicateError, TarpConfig, TarpError,
-                     TarpResult, apply_standardization, calibration_msd, compress, ecp_width,
-                     fit_compressed, gen_pcr_matrix, gen_rp_matrix, inclusion_probabilities,
-                     kfold_mse, misclass, mspe, predict, predict_probit, probit_gibbs, roc_auc,
-                     run_replicate, run_tarp, run_tarp_binary, screening_probs, standardize,
-                     t_interval_halfwidth, t_ppf, write_csv)
+from tarpreg import (Dataset, DimensionError, InclusionProbs, IngestionError, ParameterError,
+                     PriorHyper, ProbitFit, ProjectionMatrix, ReplicateError, TarpConfig,
+                     TarpError, TarpResult, apply_standardization, calibration_msd, compress,
+                     default_delta, ecp_width, fit_compressed, gen_pcr_matrix, gen_rp_matrix,
+                     inclusion_probabilities, kfold_mse, misclass, mspe, predict,
+                     predict_probit, probit_gibbs, roc_auc, run_replicate, run_tarp,
+                     run_tarp_binary, screening_probs, standardize, t_interval_halfwidth, t_ppf,
+                     write_csv)
 from tarpreg import ensemble
 from tarpreg.ensemble import BACKENDS, dataset_seed
 from tarpreg.simulate import SchemeSpec, generate
@@ -251,12 +252,18 @@ def test_scheme_sizes_reject_non_integers(field):
      ParameterError, "column_map"),
     (lambda Z, y, post, rng: ProjectionMatrix(np.ones((1, 2)), np.array([[0, 1]]), 1),
      ParameterError, "column_map"),
+    (lambda Z, y, post, rng: mspe(["a"], [1.0]), IngestionError, "yhat"),
+    (lambda Z, y, post, rng: mspe([[1, 2], [3]], [1.0]), IngestionError, "yhat"),
+    (lambda Z, y, post, rng: InclusionProbs(np.ones((2, 2)), np.ones(2), 1.0),
+     DimensionError, "q"),
+    (lambda Z, y, post, rng: default_delta(0, 5), ParameterError, "n and p"),
 ], ids=["inclusion-delta-nan", "rp-p-gamma-float", "pcr-m-float", "gibbs-iterations-float",
         "kfold-k-float", "predict-level-str", "halfwidth-level-str", "t-ppf-df-str",
         "dataset-seed-float", "dataset-seed-bool", "dataset-seed-negative", "dataset-seed-2-64",
         "dataset-index-negative", "dataset-index-float", "replicate-index-bool",
         "replicate-index-str", "replicate-index-negative", "replicate-index-float",
-        "rp-column-map-float", "pcr-column-map-bool", "column-map-str", "column-map-2d"])
+        "rp-column-map-float", "pcr-column-map-bool", "column-map-str", "column-map-2d",
+        "mspe-yhat-str", "mspe-yhat-ragged", "inclusion-q-2d", "default-delta-n-zero"])
 def test_functions_reject_unparsed_and_non_finite_arguments(call, error, field):
     # each was accepted (2.5 folds ran, NaN delta gave NaN probabilities, a float seed or
     # index was truncated, a bool read as 0 or 1) or raised a TypeError or numpy's ValueError
@@ -673,13 +680,8 @@ def _allow_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @_forking
-def test_binary_records_are_identical_in_one_and_two_processes(monkeypatch):
+def test_binary_records_are_identical_in_one_and_two_processes(monkeypatch, no_child_left):
     train, Xn = _binary_toy(seed=25)
     cfg = TarpConfig(n_replicates=5, seed=7, **_SHORT_CHAIN)
     real_fork, forks, runs = os.fork, [], []
@@ -687,7 +689,7 @@ def test_binary_records_are_identical_in_one_and_two_processes(monkeypatch):
     for cpus in (1, 2):
         _allow_cpus(monkeypatch, cpus)
         runs.append(run_tarp_binary(train, Xn, cfg))
-        _no_child_left()
+        no_child_left()
     assert len(forks) == 1
     one, two = runs
     assert (one.processes, two.processes) == (1, 2)
@@ -699,7 +701,8 @@ def test_binary_records_are_identical_in_one_and_two_processes(monkeypatch):
 
 @_forking
 @pytest.mark.parametrize("failing, lowest", [((3, 4), 3), ((2, 3), 2)])
-def test_lowest_failing_replicate_is_raised_from_either_process(monkeypatch, failing, lowest):
+def test_lowest_failing_replicate_is_raised_from_either_process(monkeypatch, no_child_left,
+                                                               failing, lowest):
     # in two processes, this one runs the even indices and the child the odd ones
     train, Xn = _binary_toy(seed=24)
     real = ensemble.run_replicate
@@ -717,7 +720,7 @@ def test_lowest_failing_replicate_is_raised_from_either_process(monkeypatch, fai
         assert (err.value.index, err.value.seed) == (lowest, 31)
         assert f"synthetic failure {lowest}" in str(err.value)
         assert f'raise RuntimeError(f"synthetic failure {{index}}")' in _diagnostic(err.value)
-        _no_child_left()
+        no_child_left()
 
 
 def _diagnostic(error):
@@ -727,7 +730,7 @@ def _diagnostic(error):
 
 
 @_forking
-def test_a_child_that_dies_or_an_interrupt_leaves_no_process(monkeypatch):
+def test_a_child_that_dies_or_an_interrupt_leaves_no_process(monkeypatch, no_child_left):
     train, Xn = _binary_toy(seed=24)
     cfg = TarpConfig(n_replicates=4, seed=3, **_SHORT_CHAIN)
     real, parent = ensemble.run_replicate, os.getpid()
@@ -746,13 +749,13 @@ def test_a_child_that_dies_or_an_interrupt_leaves_no_process(monkeypatch):
     monkeypatch.setattr(ensemble, "run_replicate", dies)
     with pytest.raises(TarpError, match=r"replicates l = 1 \(mod 2\) ended without sending"):
         run_tarp_binary(train, Xn, cfg)
-    _no_child_left()
+    no_child_left()
     monkeypatch.setattr(ensemble, "run_replicate", interrupted)
     started = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         run_tarp_binary(train, Xn, cfg)
     assert time.perf_counter() - started < 10
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("case", ["one-cpu", "another-thread", "gaussian"])
